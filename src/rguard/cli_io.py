@@ -147,6 +147,17 @@ def cmd_gen(args) -> int:
     return 0
 
 
+def loglog_slope(sizes, times) -> float:
+    """Least-squares slope of log(time) against log(size): the exponent k
+    of a fit time ~ c * size**k.  Needs two distinct sizes and positive
+    times."""
+    xs = [math.log2(s) for s in sizes]
+    ys = [math.log2(t) for t in times]
+    mx, my = sum(xs) / len(xs), sum(ys) / len(ys)
+    return (sum((x - mx) * (y - my) for x, y in zip(xs, ys))
+            / sum((x - mx) ** 2 for x in xs))
+
+
 def cmd_bench(args) -> int:
     sizes = [int(s) for s in args.sizes.split(",")]
     seeds = [int(s) for s in args.seeds.split(",")]
@@ -189,12 +200,7 @@ def cmd_bench(args) -> int:
     for s in sizes:
         print(f"size {s}: median total {meds[s]:.3f}s")
     if len(sizes) >= 2:
-        xs = [math.log(s) for s in sizes]
-        ys = [math.log(max(meds[s], 1e-9)) for s in sizes]
-        mx = sum(xs) / len(xs)
-        my = sum(ys) / len(ys)
-        slope = sum((x - mx) * (y - my) for x, y in zip(xs, ys)) / \
-            sum((x - mx) ** 2 for x in xs)
+        slope = loglog_slope(sizes, [max(meds[s], 1e-9) for s in sizes])
         print(f"log-log slope: {slope:.3f}")
         a, b = sorted(sizes)[-2:]
         ratio = (meds[b] / b) / (meds[a] / a)

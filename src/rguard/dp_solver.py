@@ -3,10 +3,17 @@ dynamic programming over a nice form of the lifted tree decomposition.
 
 Per-bag states use two bits per vertex: guards are selected/unselected,
 rectangles are dark (never adjacent to a selected guard), promised (will be)
-or lit (already are), targets are pending/dominated.  A target may be
-forgotten only when dominated; a promised rectangle only once lit.  Keys are
-packed integers; each table entry carries its selected-guard set as a shared
-cons list, so child tables can be discarded as soon as a parent is done.
+or lit (already are), targets are pending/dominated.  Introducing a guard
+lights its promised rectangles in the bag (a selection that meets a dark one
+is discarded); introducing a rectangle lights it if a selected guard in the
+bag sees it, and otherwise branches dark or promised.  A target is dominated
+once a non-dark rectangle next to it is in the bag.  A target may be
+forgotten only when dominated, a promised rectangle only once lit; a guard's
+bit stays in the key until the guard itself is forgotten.  A join pairs
+states with equal guard bits and compatible rectangle states and counts a
+guard selected on both sides once.  Keys are packed integers; each table
+entry carries its selected-guard set as a shared cons list, so child tables
+can be discarded as soon as a parent is done.
 
 Before the DP, dominated vertices of H are dropped from the bags: a guard
 whose rectangle set is a subset of another guard's (any selection of it can
@@ -79,7 +86,10 @@ def solve_r2ds(H: AuxGraph, T: TreeDecomposition) -> Solution:
 
 
 def _solve(H: AuxGraph, T: TreeDecomposition, reduce: bool) -> Solution:
-    """solve_r2ds; with reduce=False the DP runs over the full lifted bags."""
+    """solve_r2ds.  Builds one table per nice-tree node, bottom-up, and
+    drops each child's table once its parent's is built; the root table holds
+    the single empty-bag state.  With reduce=False the dominated vertices stay
+    in the bags: the reference the reduced DP is tested against."""
     if T.universe != "aux":
         raise DecompositionError("solver expects a lifted decomposition")
     nu = len(H.targets)
@@ -93,8 +103,6 @@ def _solve(H: AuxGraph, T: TreeDecomposition, reduce: bool) -> Solution:
     if reduce:
         T = _drop_dominated(H, T)
     nodes = _nice_tree(T)
-    adj = _AdjHelper(H)
-    retire = _retire_plan(nodes, adj)
 
     tables: dict[int, dict] = {}
     for idx, node in enumerate(nodes):
@@ -103,16 +111,13 @@ def _solve(H: AuxGraph, T: TreeDecomposition, reduce: bool) -> Solution:
             tables[idx] = {0: (0, None)}
         elif kind == "intro":
             _, child, bag, v, pos = node
-            tables[idx] = _introduce(H, adj, tables.pop(child), bag, v, pos)
+            tables[idx] = _introduce(H, tables.pop(child), bag, v, pos)
         elif kind == "forget":
             _, child, bag, v, pos = node
             tables[idx] = _forget(H, tables.pop(child), v, pos)
         else:  # join
             _, left, right, bag = node
             tables[idx] = _join(H, tables.pop(left), tables.pop(right), bag)
-        pos_retire = retire.get(idx)
-        if pos_retire:
-            tables[idx] = _project(tables[idx], pos_retire)
         if not tables[idx]:
             raise SolverError("dead end in DP despite feasible instance")
 
@@ -288,129 +293,19 @@ def _nice_tree(T: TreeDecomposition):
     return nodes
 
 
-def _retire_plan(nodes, adj: "_AdjHelper") -> dict[int, list[int]]:
-    """Bag positions of guard bits to project away after each node.
-
-    A guard's selection bit only matters above a node if some adjacent
-    rectangle is introduced at an ancestor, or an ancestor join (whose value
-    correction and compatibility check read the bit) contains the guard.
-    Walking the nice tree top-down accumulates exactly those consumers, so a
-    guard retires at the highest node where none remain; retiring zeroes the
-    bit, merging states that differ only in spent selections.
-    """
-    children: dict[int, tuple] = {}
-    bags: dict[int, tuple] = {}
-    for idx, node in enumerate(nodes):
-        kind = node[0]
-        if kind == "leaf":
-            children[idx] = ()
-            bags[idx] = ()
-        elif kind in ("intro", "forget"):
-            children[idx] = (node[1],)
-            bags[idx] = node[2]
-        else:
-            children[idx] = (node[1], node[2])
-            bags[idx] = node[3]
-
-    def contributions(idx) -> list[int]:
-        node = nodes[idx]
-        if node[0] == "intro" and adj.kind(node[3]) == "rect":
-            return adj.guard_neighbors_of_rect(node[3])
-        if node[0] == "join":
-            return [u for u in bags[idx] if adj.kind(u) == "guard"]
-        return []
-
-    live: dict[int, int] = {}
-    retired: dict[int, set[int]] = {}
-    root = len(nodes) - 1
-    stack = [(root, False)]
-    while stack:
-        idx, leaving = stack.pop()
-        if leaving:
-            for g in contributions(idx):
-                live[g] -= 1
-                if not live[g]:
-                    del live[g]
-            continue
-        retired[idx] = {u for u in bags[idx]
-                        if adj.kind(u) == "guard" and u not in live}
-        stack.append((idx, True))
-        add = contributions(idx)
-        for g in add:
-            live[g] = live.get(g, 0) + 1
-        for c in children[idx]:
-            stack.append((c, False))
-
-    plan: dict[int, list[int]] = {}
-    for idx in retired:
-        kids = children[idx]
-        fresh = retired[idx] - (retired[kids[0]] if kids else set())
-        if fresh:
-            bag = bags[idx]
-            plan[idx] = sorted(bag.index(u) for u in fresh)
-    return plan
-
-
-def _project(table: dict, positions: list[int]) -> dict:
-    mask = -1
-    for p in positions:
-        mask &= ~(3 << (2 * p))
-    out: dict = {}
-    for key, ent in table.items():
-        nk = key & mask
-        cur = out.get(nk)
-        if cur is None or ent[0] < cur[0]:
-            out[nk] = ent
-    return out
-
-
-class _AdjHelper:
-    """Adjacency in the lifted id space, with vertex-kind classification."""
-
-    def __init__(self, H: AuxGraph):
-        self.H = H
-        self.nu = len(H.targets)
-        self.nr = len(H.rects)
-
-    def kind(self, v: int) -> str:
-        if v < self.nu:
-            return "target"
-        if v < self.nu + self.nr:
-            return "rect"
-        return "guard"
-
-    def rect_neighbors_of_guard(self, v: int) -> list[int]:
-        return [self.nu + ri for ri in self.H.gr[v - self.nu - self.nr]]
-
-    def guard_neighbors_of_rect(self, v: int) -> list[int]:
-        return [self.nu + self.nr + gi for gi in self.H.rg[v - self.nu]]
-
-    def target_neighbors_of_rect(self, v: int) -> list[int]:
-        return list(self.H.ru[v - self.nu])
-
-    def rect_neighbors_of_target(self, v: int) -> list[int]:
-        return [self.nu + ri for ri in self.H.ur[v]]
-
-
-def _insert_slot(key: int, pos: int, s: int) -> int:
-    low = key & ((1 << (2 * pos)) - 1)
-    high = key >> (2 * pos)
-    return low | (s << (2 * pos)) | (high << (2 * pos + 2))
-
-
-def _remove_slot(key: int, pos: int) -> tuple[int, int]:
-    low = key & ((1 << (2 * pos)) - 1)
-    s = (key >> (2 * pos)) & 3
-    high = key >> (2 * pos + 2)
-    return low | (high << (2 * pos)), s
+def _kind(H: AuxGraph, v: int) -> tuple[str, int]:
+    """Kind ('target', 'rect' or 'guard') of lifted id v and its index in H:
+    the inverse of AuxGraph.tid/rid/gid."""
+    nu, nr = len(H.targets), len(H.rects)
+    if v < nu:
+        return "target", v
+    if v < nu + nr:
+        return "rect", v - nu
+    return "guard", v - nu - nr
 
 
 def _slot(key: int, pos: int) -> int:
     return (key >> (2 * pos)) & 3
-
-
-def _set_slot(key: int, pos: int, s: int) -> int:
-    return (key & ~(3 << (2 * pos))) | (s << (2 * pos))
 
 
 def _put(table: dict, key: int, value: int, sel) -> None:
@@ -419,18 +314,17 @@ def _put(table: dict, key: int, value: int, sel) -> None:
         table[key] = (value, sel)
 
 
-def _introduce(H: AuxGraph, adj: _AdjHelper, child: dict, bag: tuple,
-               v: int, pos: int) -> dict:
-    kind = adj.kind(v)
+def _introduce(H: AuxGraph, child: dict, bag: tuple, v: int, pos: int) -> dict:
+    kind, i = _kind(H, v)
+    rbase, gbase = H.rid(0), H.gid(0)
     posmap = {u: i for i, u in enumerate(bag)}
     out: dict = {}
     shift = 2 * pos
     lowmask = (1 << shift) - 1
     get = out.get
     if kind == "guard":
-        rect_shifts = [2 * posmap[r] for r in adj.rect_neighbors_of_guard(v)
-                       if r in posmap]
-        gi = v - adj.nu - adj.nr
+        rect_shifts = [2 * posmap[rbase + ri] for ri in H.gr[i]
+                       if rbase + ri in posmap]
         selbit = 1 << shift
         for key, ent in child.items():
             nk = (key & lowmask) | ((key >> shift) << (shift + 2))
@@ -450,12 +344,12 @@ def _introduce(H: AuxGraph, adj: _AdjHelper, child: dict, bag: tuple,
                 val = ent[0] + 1
                 cur = get(nk)
                 if cur is None or val < cur[0]:
-                    out[nk] = (val, (1, gi, ent[1]))
+                    out[nk] = (val, (1, i, ent[1]))
     elif kind == "rect":
-        guard_shifts = [2 * posmap[g] for g in adj.guard_neighbors_of_rect(v)
-                        if g in posmap]
+        guard_shifts = [2 * posmap[gbase + gi] for gi in H.rg[i]
+                        if gbase + gi in posmap]
         target_bits = 0
-        for t in adj.target_neighbors_of_rect(v):
+        for t in H.ru[i]:
             if t in posmap:
                 target_bits |= 1 << (2 * posmap[t])
         lit = LIT << shift
@@ -481,8 +375,8 @@ def _introduce(H: AuxGraph, adj: _AdjHelper, child: dict, bag: tuple,
                 if cur is None or ent[0] < cur[0]:
                     out[nk] = ent
     else:  # target
-        rect_shifts = [2 * posmap[r] for r in adj.rect_neighbors_of_target(v)
-                       if r in posmap]
+        rect_shifts = [2 * posmap[rbase + ri] for ri in H.ur[i]
+                       if rbase + ri in posmap]
         dominated = DOMINATED << shift
         for key, ent in child.items():
             nk = (key & lowmask) | ((key >> shift) << (shift + 2))
@@ -497,8 +391,7 @@ def _introduce(H: AuxGraph, adj: _AdjHelper, child: dict, bag: tuple,
 
 
 def _forget(H: AuxGraph, child: dict, v: int, pos: int) -> dict:
-    nu, nr = len(H.targets), len(H.rects)
-    kind = "target" if v < nu else ("rect" if v < nu + nr else "guard")
+    kind, _ = _kind(H, v)
     out: dict = {}
     shift = 2 * pos
     lowmask = (1 << shift) - 1
@@ -516,10 +409,10 @@ def _forget(H: AuxGraph, child: dict, v: int, pos: int) -> dict:
 
 
 def _join(H: AuxGraph, left: dict, right: dict, bag: tuple) -> dict:
-    nu, nr = len(H.targets), len(H.rects)
-    guard_pos = [i for i, u in enumerate(bag) if u >= nu + nr]
-    rect_pos = [i for i, u in enumerate(bag) if nu <= u < nu + nr]
-    target_pos = [i for i, u in enumerate(bag) if u < nu]
+    kinds = [_kind(H, u)[0] for u in bag]
+    guard_pos = [i for i, k in enumerate(kinds) if k == "guard"]
+    rect_pos = [i for i, k in enumerate(kinds) if k == "rect"]
+    target_pos = [i for i, k in enumerate(kinds) if k == "target"]
     gmask = 0
     for p in guard_pos:
         gmask |= 3 << (2 * p)

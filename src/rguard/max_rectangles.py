@@ -6,8 +6,9 @@ vertical or horizontal decomposition, and every degenerate member is a
 maximal chain of collinear pixel sides; both are filtered to exact
 maximality with local half-unit expansion tests (coordinates are doubled, so
 "+1" is half an input unit and stays within the neighboring cells).  Non-thin
-polygons fall back to an occupancy-grid enumeration, cubic in the number of
-grid lines; fine for the small non-thin instances exercised here.
+polygons fall back to an occupancy-grid enumeration, quadratic in the grid
+lines along the shorter axis times those along the longer one; fine for the
+small non-thin instances exercised here.
 """
 from __future__ import annotations
 
@@ -158,33 +159,39 @@ def _chain_candidate(px: Pixelation, axis: str, c: int, chain: list[Side]):
 
 
 def _grid_positive(px: Pixelation) -> list[Rect]:
+    """Maximal rectangles from the occupancy grid.  For every pair of grid
+    lines along the axis with fewer of them, the maximal runs of cells lying
+    inside between that pair are the candidates; the grid is transposed when
+    that axis is y, so the pair loop is quadratic only in the shorter axis."""
     cov = px.cover
-    xs, ys = cov.xs, cov.ys
-    inside = cov.inside  # (nx, ny)
+    inside, us, vs = cov.inside, cov.xs, cov.ys  # inside[u cell, v cell]
+    flip = len(us) > len(vs)
+    if flip:
+        inside, us, vs = np.ascontiguousarray(inside.T), vs, us
+
+    def rect(u0: int, v0: int, u1: int, v1: int) -> Rect:
+        return Rect(v0, u0, v1, u1) if flip else Rect(u0, v0, u1, v1)
+
     out = []
-    nx = len(xs) - 1
-    for i in range(nx):
+    n = len(us) - 1
+    for i in range(n):
         ok = inside[i].copy()
-        for j in range(i, nx):
+        for j in range(i, n):
             ok &= inside[j]
-            # maximal vertical runs of rows fully inside for x-range [i, j+1]
+            u0, u1 = int(us[i]), int(us[j + 1])
+            # a maximal run of ok meets an outside cell at both ends, so
+            # the rectangle can only grow along u (by half a unit)
             for a, b in _runs(ok):
-                r = Rect(int(xs[i]), int(ys[a]), int(xs[j + 1]), int(ys[b]))
-                if not _expandable(cov, r):
-                    out.append(r)
+                v0, v1 = int(vs[a]), int(vs[b])
+                if not (cov.rect_inside(rect(u0 - 1, v0, u1, v1))
+                        or cov.rect_inside(rect(u0, v0, u1 + 1, v1))):
+                    out.append(rect(u0, v0, u1, v1))
     return out
 
 
 def _runs(mask: np.ndarray):
     idx = np.flatnonzero(np.diff(np.concatenate(([False], mask, [False]))))
     return [(int(s), int(e)) for s, e in zip(idx[::2], idx[1::2])]
-
-
-def _expandable(cov, r: Rect) -> bool:
-    return (cov.rect_inside(Rect(r.xmin - 1, r.ymin, r.xmax, r.ymax))
-            or cov.rect_inside(Rect(r.xmin, r.ymin, r.xmax + 1, r.ymax))
-            or cov.rect_inside(Rect(r.xmin, r.ymin - 1, r.xmax, r.ymax))
-            or cov.rect_inside(Rect(r.xmin, r.ymin, r.xmax, r.ymax + 1)))
 
 
 # -- shared helpers ---------------------------------------------------------------

@@ -5,7 +5,6 @@ summary lines and measured constants.
 """
 import itertools
 import json
-import math
 import subprocess
 import sys
 import time
@@ -14,6 +13,7 @@ import pytest
 
 from helpers import SHAPES, HOLED_SHAPES
 from rguard.aux_graph import build_aux_graph
+from rguard.cli_io import loglog_slope
 from rguard.dp_solver import verify_solution
 from rguard.guard_model import GuardTask, simplify_guards, simplify_targets
 from rguard.instance_gen import (FIXTURE_NAMES, fixture_graph,
@@ -89,7 +89,7 @@ def test_criterion_1_oracle_equivalence(corpus):
 
 
 def test_criterion_2_simplification_lemmas():
-    t0 = time.time()
+    t0 = time.perf_counter()
     count = 0
     for seed in range(100):
         n = 5 + seed % 21  # 5..25 pixels
@@ -111,11 +111,12 @@ def test_criterion_2_simplification_lemmas():
         assert all(v <= 4 for v in per_g.values())
         count += 1
     print(f"\nACCEPTANCE 2: PASS — simplification preserves the optimum and "
-          f"stays <= 4 per pixel on {count} instances ({time.time()-t0:.0f}s)")
+          f"stays <= 4 per pixel on {count} instances "
+          f"({time.perf_counter() - t0:.0f}s)")
 
 
 def test_criterion_3_structural_invariants(corpus):
-    t0 = time.time()
+    t0 = time.perf_counter()
     violations = 0
     thin_count = 0
     for poly in corpus:
@@ -143,11 +144,11 @@ def test_criterion_3_structural_invariants(corpus):
     assert violations == 0
     print(f"\nACCEPTANCE 3: PASS — tree duals, <=6 rectangles per pixel and "
           f"lifted width bound on {thin_count} thin instances, 0 violations "
-          f"({time.time()-t0:.0f}s)")
+          f"({time.perf_counter() - t0:.0f}s)")
 
 
 def test_criterion_4_hardness_identity():
-    t0 = time.time()
+    t0 = time.perf_counter()
     results = []
     for name in FIXTURE_NAMES:
         g = fixture_graph(name)
@@ -163,7 +164,7 @@ def test_criterion_4_hardness_identity():
         expected = len(g.edges) + vc
         assert res.size == expected, (name, res.size, expected)
         results.append(f"{name}={res.size}")
-    elapsed = time.time() - t0
+    elapsed = time.perf_counter() - t0
     assert elapsed < 60, f"criterion 4 took {elapsed:.0f}s (budget 60s)"
     print(f"\nACCEPTANCE 4: PASS — guard number == |E|+VC on "
           f"{', '.join(results)} ({elapsed:.0f}s)")
@@ -177,11 +178,7 @@ def test_criterion_5_scaling():
         ctx = solve_task(poly, GuardTask.make())
         assert ctx.solution.status == "optimal"
         totals[size] = ctx.timings["total"]
-    xs = [math.log(s) for s in sizes]
-    ys = [math.log(totals[s]) for s in sizes]
-    mx, my = sum(xs) / len(xs), sum(ys) / len(ys)
-    slope = sum((x - mx) * (y - my) for x, y in zip(xs, ys)) / \
-        sum((x - mx) ** 2 for x in xs)
+    slope = loglog_slope(sizes, [totals[s] for s in sizes])
     assert slope <= 1.3, f"log-log slope {slope:.3f} exceeds 1.3"
 
     ratios = []
@@ -198,7 +195,7 @@ def test_criterion_5_scaling():
 
 
 def test_criterion_6_determinism(tmp_path):
-    t0 = time.time()
+    t0 = time.perf_counter()
     fixtures = {
         "L": {"outer": [[0, 0], [2, 0], [2, 1], [1, 1], [1, 2], [0, 2]],
               "holes": []},
@@ -227,4 +224,5 @@ def test_criterion_6_determinism(tmp_path):
             blobs.append((out.read_bytes(), svg.read_bytes()))
         assert blobs[0] == blobs[1], f"{name} output differs between runs"
     print(f"\nACCEPTANCE 6: PASS — byte-identical solution JSON and SVG on "
-          f"{len(fixtures)} fixtures across two runs ({time.time()-t0:.0f}s)")
+          f"{len(fixtures)} fixtures across two runs "
+          f"({time.perf_counter() - t0:.0f}s)")

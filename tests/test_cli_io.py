@@ -4,7 +4,7 @@ import sys
 
 import pytest
 
-from rguard.cli_io import main
+from rguard.cli_io import loglog_slope, main
 
 TASK_ALL = {"targets": {"mode": "all"}, "guards": {"modes": ["all-points"]},
             "degenerate": False}
@@ -118,6 +118,12 @@ def test_bench_and_csv(tmp_path, capsys):
     assert "log-log slope" in out
     header = csv_path.read_text().splitlines()[0]
     assert header == "family,k,size,seed,pixels,vertices,phase,seconds"
+
+
+def test_loglog_slope_exact():
+    sizes = [1024, 2048, 4096, 8192]
+    assert loglog_slope(sizes, [n / 2 ** 20 for n in sizes]) == 1.0
+    assert loglog_slope(sizes, [n * n / 2 ** 30 for n in sizes]) == 2.0
 
 
 def test_round_trip_solution_verifies(tmp_path, l_polygon, task_file):

@@ -1,11 +1,12 @@
 import pytest
 
-from helpers import SHAPES, fixture_polygons, nonthin_plus
-from rguard.instance_gen import gen_tree_polygon
+from helpers import HOLED_SHAPES, SHAPES, fixture_polygons, nonthin_plus
+from rguard.instance_gen import (gen_holed_variant, gen_ktin_polygon,
+                                 gen_tree_polygon)
 from rguard.max_rectangles import classify_degenerate, enumerate_max_rects
 from rguard.oracle import oracle_max_rects
 from rguard.pixelation import build_pixelation
-from rguard.polygon_core import OrthoPolygon, Rect
+from rguard.polygon_core import OrthoPolygon, Rect, scale_polygon
 
 
 def halves(mr_list):
@@ -99,3 +100,39 @@ def test_pixel_ids_closed_intersection():
     # both bars of the plus touch every pixel (closed intersection)
     for m in rects:
         assert m.pixel_ids == tuple(range(5))
+
+
+# (forward, inverse) maps of doubled coordinates; C keeps them non-negative
+C = 1000
+TURNS = {
+    "mirror": (lambda x, y: (C - x, y), lambda x, y: (C - x, y)),
+    "rot90": (lambda x, y: (C - y, x), lambda x, y: (y, C - x)),
+}
+
+
+def test_same_rects_mirrored_and_rotated():
+    # the grid path loops over the axis with fewer grid lines, so each
+    # non-thin polygon here runs it both transposed and not
+    nonthin = [gen_ktin_polygon(2, 12, 31), gen_ktin_polygon(3, 10, 32),
+               nonthin_plus(),
+               gen_holed_variant(scale_polygon(gen_tree_polygon(20, 1), 3),
+                                 2, 1)]
+    thin_holed = [OrthoPolygon(o, h) for o, h in HOLED_SHAPES.values()]
+    for poly, thin in ([(p, False) for p in nonthin]
+                       + [(p, True) for p in thin_holed]):
+        px = build_pixelation(poly)
+        assert px.is_thin == thin
+        want = {(m.rect.as_tuple(), m.degenerate)
+                for m in enumerate_max_rects(px, True)}
+        for how, (fwd, back) in TURNS.items():
+            step = -1 if how == "mirror" else 1  # keep the ring orientation
+            turned = OrthoPolygon([fwd(*p) for p in poly.outer[::step]],
+                                  [[fwd(*p) for p in h[::step]]
+                                   for h in poly.holes], doubled=True)
+            got = set()
+            for m in enumerate_max_rects(build_pixelation(turned), True):
+                r = m.rect
+                (x0, y0), (x1, y1) = back(r.xmin, r.ymin), back(r.xmax, r.ymax)
+                got.add(((min(x0, x1), min(y0, y1), max(x0, x1), max(y0, y1)),
+                         m.degenerate))
+            assert got == want, (poly, how)
