@@ -2,13 +2,15 @@
 including maximal degenerate segments when the degeneracy policy allows them.
 
 For thin polygons every positive-area maximal rectangle is a slab of the
-vertical or horizontal decomposition, and every degenerate member is a
-maximal chain of collinear pixel sides; both are filtered to exact
-maximality with local half-unit expansion tests (coordinates are doubled, so
-"+1" is half an input unit and stays within the neighboring cells).  Non-thin
-polygons fall back to an occupancy-grid enumeration, quadratic in the grid
-lines along the shorter axis times those along the longer one; fine for the
-small non-thin instances exercised here.
+vertical or horizontal decomposition.  The slabs are read off the pixel
+sides in one linear pass: a slab is a maximal chain of pixels joined across
+non-boundary sides of one axis, and it is kept when neither of its flanks can
+grow.  Every degenerate member is a maximal chain of collinear pixel sides,
+filtered to exact maximality with local half-unit expansion tests
+(coordinates are doubled, so "+1" is half an input unit and stays within the
+neighboring cells).  Non-thin polygons fall back to an occupancy-grid
+enumeration, quadratic in the grid lines along the shorter axis times those
+along the longer one; fine for the small non-thin instances exercised here.
 """
 from __future__ import annotations
 
@@ -30,12 +32,10 @@ class MaxRect:
 
 def enumerate_max_rects(px: Pixelation, allow_degenerate: bool) -> list[MaxRect]:
     """Every maximal rectangle exactly once, ids in deterministic rect order.
-    Results are cached on the pixelation (they are pure functions of it)."""
-    cache = getattr(px, "_maxrect_cache", None)
-    if cache is None:
-        cache = px._maxrect_cache = {}
-    if allow_degenerate in cache:
-        return cache[allow_degenerate]
+    Results are memoized on the pixelation (they are pure functions of it)."""
+    key = ("rects", allow_degenerate)
+    if key in px.memo:
+        return px.memo[key]
     if px.is_thin:
         rects = _thin_positive(px)
     else:
@@ -46,7 +46,7 @@ def enumerate_max_rects(px: Pixelation, allow_degenerate: bool) -> list[MaxRect]
         out.append(MaxRect(len(out), r, False, _pixels_touching(px, r)))
     for r in sorted(set(segs), key=Rect.as_tuple):
         out.append(MaxRect(len(out), r, True, _pixels_touching(px, r)))
-    cache[allow_degenerate] = out
+    px.memo[key] = out
     return out
 
 
@@ -70,49 +70,38 @@ def classify_degenerate(px: Pixelation, seg: Rect) -> bool:
 # -- thin-polygon path ---------------------------------------------------------
 
 
-def _side_lookup(px: Pixelation):
-    """pixel id -> {'left'|'right'|'bottom'|'top': Side}."""
-    table = []
-    for pid, r in enumerate(px.pixels):
-        entry = {}
-        for sid in px.pixel_sides[pid]:
-            s = px.sides[sid]
-            if s.axis == "v":
-                entry["left" if s.c == r.xmin else "right"] = s
-            else:
-                entry["bottom" if s.c == r.ymin else "top"] = s
-        table.append(entry)
-    return table
-
-
 def _thin_positive(px: Pixelation) -> list[Rect]:
-    sides = _side_lookup(px)
+    """The maximal slabs.  A chain joined across 'v' sides is a horizontal
+    slab, one joined across 'h' sides a vertical slab.  Both ends of a chain
+    lie on the boundary, so only its flanks, the sides of the other axis, can
+    grow; a flank grows iff every pixel of the chain has an interior side
+    there."""
+    n = px.pixel_count
+    # per axis and pixel: the pixel across its high side, and whether its
+    # low / high side of that axis lies on the boundary
+    nxt = {"v": [None] * n, "h": [None] * n}
+    wall_lo = {"v": [False] * n, "h": [False] * n}
+    wall_hi = {"v": [False] * n, "h": [False] * n}
+    for s in px.sides:
+        if s.pix_lo is None:
+            wall_lo[s.axis][s.pix_hi] = True
+        elif s.pix_hi is None:
+            wall_hi[s.axis][s.pix_lo] = True
+        else:
+            nxt[s.axis][s.pix_lo] = s.pix_hi
     out = []
-    for slab, stack in px.v_slabs:
-        pids = [_pixel_id(px, p) for p in stack]
-        grow_left = all(not sides[p]["left"].on_boundary for p in pids)
-        grow_right = all(not sides[p]["right"].on_boundary for p in pids)
-        grow_down = not sides[pids[0]]["bottom"].on_boundary
-        grow_up = not sides[pids[-1]]["top"].on_boundary
-        if not (grow_left or grow_right or grow_down or grow_up):
-            out.append(slab)
-    for slab, pids in px.h_slabs:
-        row = sorted(pids, key=lambda p: px.pixels[p].xmin)
-        grow_down = all(not sides[p]["bottom"].on_boundary for p in row)
-        grow_up = all(not sides[p]["top"].on_boundary for p in row)
-        grow_left = not sides[row[0]]["left"].on_boundary
-        grow_right = not sides[row[-1]]["right"].on_boundary
-        if not (grow_left or grow_right or grow_down or grow_up):
-            out.append(slab)
+    for join, flank in (("v", "h"), ("h", "v")):
+        for first in range(n):
+            if not wall_lo[join][first]:
+                continue
+            chain = [first]
+            while nxt[join][chain[-1]] is not None:
+                chain.append(nxt[join][chain[-1]])
+            if (any(wall_lo[flank][p] for p in chain)
+                    and any(wall_hi[flank][p] for p in chain)):
+                a, b = px.pixels[first], px.pixels[chain[-1]]
+                out.append(Rect(a.xmin, a.ymin, b.xmax, b.ymax))
     return out
-
-
-def _pixel_id(px: Pixelation, rect: Rect) -> int:
-    # v_slab stacks store pixel rects emitted in id order; map back via corners
-    for pid in px.corner_pixels[px.corner_ids[(rect.xmin, rect.ymin)]]:
-        if px.pixels[pid] == rect:
-            return pid
-    raise KeyError(rect)
 
 
 def _degenerate_segments(px: Pixelation) -> list[Rect]:

@@ -51,9 +51,9 @@ def solve_task(poly_or_px, task: GuardTask) -> SolveContext:
     timings["aux"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()
-    T_dual = getattr(px, "_dual_decomposition", None)
-    if T_dual is None:
-        T_dual = px._dual_decomposition = decompose_dual(px.dual)
+    if "dual" not in px.memo:
+        px.memo["dual"] = decompose_dual(px.dual)
+    T_dual = px.memo["dual"]
     timings["decompose"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()

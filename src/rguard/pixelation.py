@@ -8,9 +8,12 @@ Construction is a pair of plane sweeps (one per axis).  A sweep maintains the
 open cross-section of the interior as a sorted list of intervals; reflex rays
 parallel to the sweep front are derived directly from the cross-sections
 before/after each event, so no separate ray-shooting structure is needed.
-The second sweep splits its slabs by the first sweep's rays, which yields the
-pixels.  Interval lists are plain bisect-maintained Python lists, which keeps
-the whole build near O((n + |pixels|) log n) on the corpora used here.
+The first sweep yields the horizontal cuts; the second splits its slabs by
+those cuts, which yields the pixels.  Interval lists are plain
+bisect-maintained Python lists, but each reflex ray scans every component
+and wall of its event column, so a column with k rays costs O(k^2).  No
+slabs are stored: `max_rectangles` reads both decompositions' slabs off the
+pixel sides.
 """
 from __future__ import annotations
 
@@ -64,18 +67,18 @@ class PixelationError(RuntimeError):
 
 
 class Pixelation:
-    """Pixels, pixelation graph, dual graph and slab structure of a polygon."""
+    """Pixels, pixelation graph and dual graph of a polygon."""
 
     def __init__(self, poly: OrthoPolygon):
         self.poly = poly
+        # what later layers derive from the pixelation alone (maximal
+        # rectangles, the dual decomposition), shared by the tasks solved on it
+        self.memo: dict = {}
         v_edges, h_edges, v_rays, h_rays = _oriented_features(poly)
-        self._v_edges, self._h_edges = v_edges, h_edges
-        self._v_rays, self._h_rays = v_rays, h_rays
         # pass 1: y-sweep derives the horizontal cuts only
-        self.h_cuts = _sweep(h_edges, h_rays, v_edges, None)[0]
-        # pass 2: x-sweep derives vertical cuts, slabs and the pixels
-        self.v_cuts, self.v_slabs, self.pixels = _sweep(
-            v_edges, v_rays, h_edges, self.h_cuts)
+        h_cuts = _sweep(h_edges, h_rays, v_edges, None)[0]
+        # pass 2: x-sweep splits its slabs by those cuts into the pixels
+        self.pixels = _sweep(v_edges, v_rays, h_edges, h_cuts)[1]
         self._build_graph()
 
     # -- pixelation graph -----------------------------------------------------
@@ -138,19 +141,6 @@ class Pixelation:
     @cached_property
     def is_thin(self) -> bool:
         return not any(self.corner_interior)
-
-    @cached_property
-    def h_slabs(self) -> list[tuple[Rect, list[int]]]:
-        """Horizontal decomposition slabs with the pixel ids they contain."""
-        _cuts, slabs_t, _pix = _sweep(self._h_edges, self._h_rays,
-                                      self._v_edges, self.v_cuts)
-        pix_id = {r.as_tuple(): i for i, r in enumerate(self.pixels)}
-        out = []
-        for rect_t, stack in slabs_t:
-            rect = Rect(rect_t.ymin, rect_t.xmin, rect_t.ymax, rect_t.xmax)
-            ids = sorted(pix_id[(p.ymin, p.xmin, p.ymax, p.xmax)] for p in stack)
-            out.append((rect, ids))
-        return out
 
     @cached_property
     def cover(self) -> "PixelCover":
@@ -323,8 +313,9 @@ def _sweep(par_edges, par_rays, perp_edges, perp_cuts):
     perp_cuts: perpendicular reflex cuts (m, x1, x2) splitting slabs into
     pixels, or None to derive and return this axis' cuts only.
 
-    Returns (cuts, slabs, pixels) with cuts as (x, lo, hi); slabs and pixels
-    are None when perp_cuts is None, else slabs = [(Rect, [pixel Rect, ...])].
+    Returns (cuts, pixels) with cuts as (x, lo, hi); pixels is None when
+    perp_cuts is None, else the pixel Rects, each slab's stack bottom-up in
+    the order the slabs close.
     """
     events: dict[int, list] = {}
     for x, lo, hi, opens in par_edges:
@@ -353,7 +344,6 @@ def _sweep(par_edges, par_rays, perp_edges, perp_cuts):
 
     comps: list[list] = []  # [lo, hi, xstart], disjoint, sorted by lo
     cuts_out: list[tuple[int, int, int]] = []
-    slabs_out = [] if split else None
     pixels_out = [] if split else None
     key_lo = itemgetter(0)
 
@@ -428,9 +418,8 @@ def _sweep(par_edges, par_rays, perp_edges, perp_cuts):
                 raise PixelationError("wall partially covers a slab")
             if split:
                 ys = [lo] + active.query(lo, hi, x, xstart) + [hi]
-                stack = [Rect(xstart, a, x, b) for a, b in zip(ys, ys[1:])]
-                pixels_out.extend(stack)
-                slabs_out.append((Rect(xstart, lo, x, hi), stack))
+                pixels_out.extend(Rect(xstart, a, x, b)
+                                  for a, b in zip(ys, ys[1:]))
 
         # rebuild the affected window
         new_window = []
@@ -455,7 +444,7 @@ def _sweep(par_edges, par_rays, perp_edges, perp_cuts):
 
     if comps:
         raise PixelationError("sweep finished with open slabs")
-    return cuts_out, slabs_out, pixels_out
+    return cuts_out, pixels_out
 
 
 def _containing(comps, y0, d):

@@ -3,7 +3,8 @@ import pytest
 from helpers import HOLED_SHAPES, SHAPES, fixture_polygons, nonthin_plus
 from rguard.instance_gen import (gen_holed_variant, gen_ktin_polygon,
                                  gen_tree_polygon)
-from rguard.max_rectangles import classify_degenerate, enumerate_max_rects
+from rguard.max_rectangles import (_grid_positive, _thin_positive,
+                                   classify_degenerate, enumerate_max_rects)
 from rguard.oracle import oracle_max_rects
 from rguard.pixelation import build_pixelation
 from rguard.polygon_core import OrthoPolygon, Rect, scale_polygon
@@ -52,6 +53,16 @@ def test_oracle_equivalence_generated():
             ref = {(r.as_tuple(), d) for r, d in oracle_max_rects(px)
                    if allow or not d}
             assert mine == ref
+
+
+def test_thin_path_matches_grid_path():
+    # the grid path is an independent reference at sizes beyond the oracle
+    polys = [gen_tree_polygon(n, s) for n in (100, 200, 400) for s in range(3)]
+    polys += [OrthoPolygon(o, h) for o, h in HOLED_SHAPES.values()]
+    for poly in polys:
+        px = build_pixelation(poly)
+        assert px.is_thin
+        assert set(_thin_positive(px)) == set(_grid_positive(px)), poly
 
 
 def test_no_containment_between_results():
