@@ -9,7 +9,6 @@ import csv
 import json
 import math
 import sys
-import time
 
 from rguard.guard_model import GuardTask, TaskError
 from rguard.instance_gen import (DrawnGraph, FIXTURE_NAMES, GenError,
@@ -168,24 +167,15 @@ def cmd_bench(args) -> int:
         for seed in seeds:
             if args.family == "tree":
                 poly = gen_tree_polygon(size, seed)
-                ctx = solve_task(poly, task)
-                timings = dict(ctx.timings)
-                pixels = ctx.px.pixel_count
-            elif args.family == "ktin":
+            else:
                 teeth = max(1, size // (2 * (args.k + 1)))
                 poly = gen_ktin_polygon(args.k, teeth, seed)
-                t0 = time.perf_counter()
-                px = build_pixelation(poly)
-                timings = {"pixelate": time.perf_counter() - t0}
-                timings["total"] = timings["pixelate"]
-                pixels = px.pixel_count
-
-            else:
-                raise InputError(f"unknown bench family {args.family!r}")
-            totals.setdefault(size, []).append(timings["total"])
-            for phase, seconds in timings.items():
+            ctx = solve_task(poly, task)
+            totals.setdefault(size, []).append(ctx.timings["total"])
+            for phase, seconds in ctx.timings.items():
                 rows.append({"family": args.family, "k": getattr(args, "k", 1),
-                             "size": size, "seed": seed, "pixels": pixels,
+                             "size": size, "seed": seed,
+                             "pixels": ctx.px.pixel_count,
                              "vertices": poly.n, "phase": phase,
                              "seconds": f"{seconds:.6f}"})
     if args.csv:

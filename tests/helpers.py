@@ -31,6 +31,24 @@ HOLED_SHAPES: dict[str, tuple] = {
 }
 
 
+# (forward, inverse) maps of doubled coordinates; C keeps them non-negative
+C = 1000
+TURNS = {
+    "mirror": (lambda x, y: (C - x, y), lambda x, y: (C - x, y)),
+    "rot90": (lambda x, y: (C - y, x), lambda x, y: (y, C - x)),
+}
+
+
+def turned(poly: OrthoPolygon, how: str) -> OrthoPolygon:
+    """poly mirrored in x or rotated by 90 degrees, by the forward map of
+    TURNS[how]."""
+    fwd = TURNS[how][0]
+    step = -1 if how == "mirror" else 1  # keep the ring orientation
+    return OrthoPolygon([fwd(*p) for p in poly.outer[::step]],
+                        [[fwd(*p) for p in h[::step]] for h in poly.holes],
+                        doubled=True)
+
+
 def fixture_polygons() -> list[OrthoPolygon]:
     polys = [OrthoPolygon(r) for r in SHAPES.values()]
     polys += [OrthoPolygon(o, h) for o, h in HOLED_SHAPES.values()]

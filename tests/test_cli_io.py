@@ -1,3 +1,4 @@
+import csv
 import json
 import subprocess
 import sys
@@ -118,6 +119,18 @@ def test_bench_and_csv(tmp_path, capsys):
     assert "log-log slope" in out
     header = csv_path.read_text().splitlines()[0]
     assert header == "family,k,size,seed,pixels,vertices,phase,seconds"
+
+
+def test_bench_ktin_times_full_solve(tmp_path):
+    csv_path = tmp_path / "bench.csv"
+    code = main(["bench", "--family", "ktin", "--k", "2", "--sizes", "40,80",
+                 "--csv", str(csv_path), "--max-ratio", "8.0"])
+    assert code == 0
+    with open(csv_path, newline="") as f:
+        rows = list(csv.DictReader(f))
+    for size in ("40", "80"):
+        phases = {r["phase"] for r in rows if r["size"] == size}
+        assert {"pixelate", "decompose", "dp", "total"} <= phases
 
 
 def test_loglog_slope_exact():

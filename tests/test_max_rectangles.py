@@ -1,6 +1,7 @@
 import pytest
 
-from helpers import HOLED_SHAPES, SHAPES, fixture_polygons, nonthin_plus
+from helpers import (HOLED_SHAPES, SHAPES, TURNS, fixture_polygons,
+                     nonthin_plus, turned)
 from rguard.instance_gen import (gen_holed_variant, gen_ktin_polygon,
                                  gen_tree_polygon)
 from rguard.max_rectangles import (_grid_positive, _thin_positive,
@@ -113,14 +114,6 @@ def test_pixel_ids_closed_intersection():
         assert m.pixel_ids == tuple(range(5))
 
 
-# (forward, inverse) maps of doubled coordinates; C keeps them non-negative
-C = 1000
-TURNS = {
-    "mirror": (lambda x, y: (C - x, y), lambda x, y: (C - x, y)),
-    "rot90": (lambda x, y: (C - y, x), lambda x, y: (y, C - x)),
-}
-
-
 def test_same_rects_mirrored_and_rotated():
     # the grid path loops over the axis with fewer grid lines, so each
     # non-thin polygon here runs it both transposed and not
@@ -135,13 +128,10 @@ def test_same_rects_mirrored_and_rotated():
         assert px.is_thin == thin
         want = {(m.rect.as_tuple(), m.degenerate)
                 for m in enumerate_max_rects(px, True)}
-        for how, (fwd, back) in TURNS.items():
-            step = -1 if how == "mirror" else 1  # keep the ring orientation
-            turned = OrthoPolygon([fwd(*p) for p in poly.outer[::step]],
-                                  [[fwd(*p) for p in h[::step]]
-                                   for h in poly.holes], doubled=True)
+        for how, (_, back) in TURNS.items():
             got = set()
-            for m in enumerate_max_rects(build_pixelation(turned), True):
+            for m in enumerate_max_rects(build_pixelation(turned(poly, how)),
+                                         True):
                 r = m.rect
                 (x0, y0), (x1, y1) = back(r.xmin, r.ymin), back(r.xmax, r.ymax)
                 got.add(((min(x0, x1), min(y0, y1), max(x0, x1), max(y0, y1)),

@@ -1,15 +1,21 @@
+import random
+import time
+
 import pytest
 
-from helpers import HOLED_SHAPES, SHAPES
+from helpers import HOLED_SHAPES, SHAPES, TURNS, turned
 from rguard.aux_graph import build_aux_graph
+from rguard.cli_io import loglog_slope
 from rguard.guard_model import GuardTask, simplify_guards, simplify_targets
-from rguard.instance_gen import gen_tree_polygon
+from rguard.instance_gen import (gen_holed_variant, gen_ktin_polygon,
+                                 gen_tree_polygon)
 from rguard.max_rectangles import enumerate_max_rects
 from rguard.pixelation import DualGraph, build_pixelation
-from rguard.polygon_core import OrthoPolygon
-from rguard.tree_decomposition import (DecompositionError, aux_graph_edges,
-                                       decompose_dual, exact_treewidth_at_most,
-                                       lift_to_H, validate_decomposition)
+from rguard.polygon_core import OrthoPolygon, scale_polygon
+from rguard.tree_decomposition import (DecompositionError, TreeDecomposition,
+                                       aux_graph_edges, decompose_dual,
+                                       exact_treewidth_at_most, lift_to_H,
+                                       validate_decomposition)
 
 
 def dual_of(edges, n):
@@ -126,3 +132,114 @@ def test_dump_format():
     assert lines[0] == "s td 2 2 3"
     assert lines[1].startswith("b 1 ") and lines[2].startswith("b 2 ")
     assert lines[3] in ("1 2", "2 1")
+
+
+def reference_min_fill(n, adj):
+    """Min-fill elimination that rescans every live vertex at every step,
+    then replays the order to read off the bags (the quadratic reference)."""
+    nb = [set(a) for a in adj]
+    alive = set(range(n))
+    order = []
+    while alive:
+        best_v, best_cost = -1, None
+        for v in sorted(alive):
+            ns = sorted(nb[v])
+            cost = sum(1 for i, a in enumerate(ns) for b in ns[i + 1:]
+                       if b not in nb[a])
+            if best_cost is None or cost < best_cost:
+                best_v, best_cost = v, cost
+        v = best_v
+        ns = sorted(nb[v])
+        for i, a in enumerate(ns):
+            for b in ns[i + 1:]:
+                nb[a].add(b)
+                nb[b].add(a)
+        for a in ns:
+            nb[a].discard(v)
+        nb[v] = set()
+        alive.discard(v)
+        order.append(v)
+    pos = {v: i for i, v in enumerate(order)}
+    nb = [set(a) for a in adj]
+    bags, edges = [], []
+    for i, v in enumerate(order):
+        ns = sorted(nb[v])
+        bags.append(tuple(sorted([v] + ns)))
+        for j, a in enumerate(ns):
+            for b in ns[j + 1:]:
+                nb[a].add(b)
+                nb[b].add(a)
+        for a in ns:
+            nb[a].discard(v)
+        if ns:
+            edges.append((i, min(pos[a] for a in ns)))
+    return TreeDecomposition(bags, sorted(edges), "dual")
+
+
+def grid_dual(w, h, drop, seed):
+    """Largest component of a w x h grid graph with a share of cells removed,
+    relabelled in a seeded random order."""
+    rng = random.Random(seed)
+    cells = {(x, y) for x in range(w) for y in range(h) if rng.random() >= drop}
+    comps, seen = [], set()
+    for c in sorted(cells):
+        if c in seen:
+            continue
+        comp, stack = [], [c]
+        seen.add(c)
+        while stack:
+            x, y = stack.pop()
+            comp.append((x, y))
+            for d in ((x + 1, y), (x - 1, y), (x, y + 1), (x, y - 1)):
+                if d in cells and d not in seen:
+                    seen.add(d)
+                    stack.append(d)
+        comps.append(comp)
+    comp = max(comps, key=len)
+    rng.shuffle(comp)
+    ids = {c: i for i, c in enumerate(comp)}
+    edges = [(ids[(x, y)], ids[d]) for x, y in comp
+             for d in ((x + 1, y), (x, y + 1)) if d in ids]
+    return dual_of(edges, len(comp))
+
+
+def differential_duals():
+    polys = [gen_ktin_polygon(k, teeth, seed)
+             for k in (2, 3) for teeth in (4, 12) for seed in (31, 32)]
+    for n, h, s in ((20, 2, 1), (30, 3, 2), (40, 4, 5)):
+        base = gen_holed_variant(scale_polygon(gen_tree_polygon(n, s), 3), h, s)
+        polys += [base] + [turned(base, how) for how in TURNS]
+    polys += [OrthoPolygon(o, h) for o, h in HOLED_SHAPES.values()]
+    duals = [build_pixelation(p).dual for p in polys]
+    duals += [dual_of([(i, (i + 1) % k) for i in range(k)], k)
+              for k in (3, 4, 7, 12)]
+    duals += [grid_dual(w, h, drop, seed) for w, h, drop, seed in
+              ((6, 6, 0.1, 0), (8, 5, 0.2, 1), (12, 9, 0.25, 2),
+               (15, 15, 0.15, 3))]
+    return duals
+
+
+def test_min_fill_matches_reference():
+    duals = differential_duals()
+    assert all(len(D.edges) >= D.n for D in duals)  # none is a tree
+    for D in duals:
+        T = decompose_dual(D)
+        want = reference_min_fill(D.n, D.adj)
+        assert T.bags == want.bags
+        assert T.tree_edges == want.tree_edges
+        rep = validate_decomposition(D.n, D.edges, T)
+        assert rep.ok, rep.problems
+
+
+def test_min_fill_scales_linearly():
+    pixels, times = [], []
+    for teeth in (50, 100, 200, 400):
+        D = build_pixelation(gen_ktin_polygon(3, teeth, 32)).dual
+        best = float("inf")
+        for _ in range(3):
+            t0 = time.perf_counter()
+            decompose_dual(D)
+            best = min(best, time.perf_counter() - t0)
+        pixels.append(D.n)
+        times.append(best)
+    assert loglog_slope(pixels, times) <= 1.3, (pixels, times)
