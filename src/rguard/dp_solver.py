@@ -9,11 +9,14 @@ is discarded); introducing a rectangle lights it if a selected guard in the
 bag sees it, and otherwise branches dark or promised.  A target is dominated
 once a non-dark rectangle next to it is in the bag.  A target may be
 forgotten only when dominated, a promised rectangle only once lit; a guard's
-bit stays in the key until the guard itself is forgotten.  A join pairs
-states with equal guard bits and compatible rectangle states and counts a
-guard selected on both sides once.  Keys are packed integers; each table
-entry carries its selected-guard set as a shared cons list, so child tables
-can be discarded as soon as a parent is done.
+bit stays in the key until the guard itself is forgotten.  A join buckets
+the right table on the guard bits plus which rectangles are non-dark,
+`(key & guards) | ((key | key >> 1) & rect_low_bits)`, so every pair in the
+bucket of a left key is compatible.  The merged key is the OR of the two,
+with promised|lit (11) turned into lit (10); a guard selected on both sides
+is counted once.  Keys are packed integers; each table entry carries its
+selected-guard set as a shared cons list, so child tables can be discarded
+as soon as a parent is done.
 
 Before the DP, dominated vertices of H are dropped from the bags: a guard
 whose rectangle set is a subset of another guard's (any selection of it can
@@ -34,7 +37,6 @@ from rguard.guard_model import Guard
 from rguard.polygon_core import half
 from rguard.tree_decomposition import TreeDecomposition, DecompositionError
 
-UNSEL, SEL = 0, 1
 DARK, PROMISED, LIT = 0, 1, 2
 PENDING, DOMINATED = 0, 1
 
@@ -175,29 +177,35 @@ def _dominated(H: AuxGraph) -> tuple[set[int], set[int]]:
     """Ids of the targets and guards of H that the DP can leave out.
 
     A guard goes if its rectangle set is contained in another guard's, a
-    target if its rectangle set contains another target's; of equal sets the
-    lowest id stays.  Containment is transitive, so every dropped vertex has
-    a kept one that stands in for it.
+    target if its rectangle set contains another target's.  Vertices with
+    equal sets are grouped first: every member but the lowest id goes, and
+    containment is then tested between the groups' lowest ids only, whose
+    sets are distinct.  Containment is transitive, so every dropped vertex
+    has a kept one that stands in for it.
     """
-    targets: set[int] = set()
-    for small, big in _contained_pairs(H.ur, H.ru):
-        if len(H.ur[small]) < len(H.ur[big]) or small < big:
-            targets.add(big)
-    guards: set[int] = set()
-    for small, big in _contained_pairs(H.gr, H.rg):
-        if len(H.gr[small]) < len(H.gr[big]) or big < small:
-            guards.add(small)
+    targets, pairs = _contained_pairs(H.ur, H.ru)
+    targets.update(big for _small, big in pairs)
+    guards, pairs = _contained_pairs(H.gr, H.rg)
+    guards.update(small for small, _big in pairs)
     return targets, guards
 
 
 def _contained_pairs(sets: list[list[int]], members: list[list[int]]):
-    """Pairs (a, b), a != b, with sets[a] ⊆ sets[b], i.e. b is in members[r]
-    for every r in sets[a].  Only the members of a's least shared rectangle
-    are tried; vertices with an empty set are skipped."""
+    """(dups, pairs): dups are the vertices whose set equals that of a lower
+    id; pairs are (a, b) among the others with sets[a] ⊊ sets[b], i.e. b is in
+    members[r] for every r in sets[a].  The sets are sorted lists, as AuxGraph
+    keeps them, so a stable sort by set puts equal ones next to each other,
+    lowest id first.  Only the members of a's least shared rectangle are
+    tried; vertices with an empty set are skipped."""
+    order = sorted((a for a, s in enumerate(sets) if s), key=sets.__getitem__)
+    dups = {b for a, b in zip(order, order[1:]) if sets[a] == sets[b]}
+    members = [[b for b in m if b not in dups] for m in members]
     member_sets = [set(m) for m in members]
-    for a, s in enumerate(sets):
-        if not s:
+    pairs = []
+    for a in order:
+        if a in dups:
             continue
+        s = sets[a]
         r0 = min(s, key=lambda r: len(members[r]))
         for b in members[r0]:
             if b == a:
@@ -206,7 +214,8 @@ def _contained_pairs(sets: list[list[int]], members: list[list[int]]):
                 if b not in member_sets[r]:
                     break
             else:
-                yield a, b
+                pairs.append((a, b))
+    return dups, pairs
 
 
 def _drop_dominated(H: AuxGraph, T: TreeDecomposition) -> TreeDecomposition:
@@ -304,16 +313,6 @@ def _kind(H: AuxGraph, v: int) -> tuple[str, int]:
     return "guard", v - nu - nr
 
 
-def _slot(key: int, pos: int) -> int:
-    return (key >> (2 * pos)) & 3
-
-
-def _put(table: dict, key: int, value: int, sel) -> None:
-    cur = table.get(key)
-    if cur is None or value < cur[0]:
-        table[key] = (value, sel)
-
-
 def _introduce(H: AuxGraph, child: dict, bag: tuple, v: int, pos: int) -> dict:
     kind, i = _kind(H, v)
     rbase, gbase = H.rid(0), H.gid(0)
@@ -323,46 +322,39 @@ def _introduce(H: AuxGraph, child: dict, bag: tuple, v: int, pos: int) -> dict:
     lowmask = (1 << shift) - 1
     get = out.get
     if kind == "guard":
-        rect_shifts = [2 * posmap[rbase + ri] for ri in H.gr[i]
-                       if rbase + ri in posmap]
+        # L: the low bit of each bag rectangle the guard sees
+        L = 0
+        for ri in H.gr[i]:
+            if rbase + ri in posmap:
+                L |= 1 << (2 * posmap[rbase + ri])
         selbit = 1 << shift
         for key, ent in child.items():
             nk = (key & lowmask) | ((key >> shift) << (shift + 2))
             cur = get(nk)
             if cur is None or ent[0] < cur[0]:
                 out[nk] = ent
-            nk |= selbit
-            ok = True
-            for rs in rect_shifts:
-                s = (nk >> rs) & 3
-                if s == 0:
-                    ok = False
-                    break
-                if s == 1:
-                    nk ^= 3 << rs  # promised (01) -> lit (10)
-            if ok:
+            if (nk | nk >> 1) & L == L:  # no dark rectangle in sight
+                p = nk & L & ~(nk >> 1)  # promised (01) -> lit (10)
+                nk ^= p | p << 1 | selbit
                 val = ent[0] + 1
                 cur = get(nk)
                 if cur is None or val < cur[0]:
                     out[nk] = (val, (1, i, ent[1]))
     elif kind == "rect":
-        guard_shifts = [2 * posmap[gbase + gi] for gi in H.rg[i]
-                        if gbase + gi in posmap]
+        G = 0  # selection bits of the bag guards that see the rectangle
+        for gi in H.rg[i]:
+            if gbase + gi in posmap:
+                G |= 1 << (2 * posmap[gbase + gi])
         target_bits = 0
         for t in H.ru[i]:
             if t in posmap:
                 target_bits |= 1 << (2 * posmap[t])
-        lit = LIT << shift
-        promised = PROMISED << shift
+        lit = (LIT << shift) | target_bits
+        promised = (PROMISED << shift) | target_bits
         for key, ent in child.items():
             base = (key & lowmask) | ((key >> shift) << (shift + 2))
-            forced = False
-            for gp in guard_shifts:
-                if (base >> gp) & 3 == SEL:
-                    forced = True
-                    break
-            if forced:
-                nk = (base | lit) | target_bits
+            if base & G:
+                nk = base | lit
                 cur = get(nk)
                 if cur is None or ent[0] < cur[0]:
                     out[nk] = ent
@@ -370,20 +362,20 @@ def _introduce(H: AuxGraph, child: dict, bag: tuple, v: int, pos: int) -> dict:
                 cur = get(base)
                 if cur is None or ent[0] < cur[0]:
                     out[base] = ent
-                nk = (base | promised) | target_bits
+                nk = base | promised
                 cur = get(nk)
                 if cur is None or ent[0] < cur[0]:
                     out[nk] = ent
     else:  # target
-        rect_shifts = [2 * posmap[rbase + ri] for ri in H.ur[i]
-                       if rbase + ri in posmap]
+        M = 0  # both bits of each bag rectangle that contains the target
+        for ri in H.ur[i]:
+            if rbase + ri in posmap:
+                M |= 3 << (2 * posmap[rbase + ri])
         dominated = DOMINATED << shift
         for key, ent in child.items():
             nk = (key & lowmask) | ((key >> shift) << (shift + 2))
-            for rs in rect_shifts:
-                if (nk >> rs) & 3:
-                    nk |= dominated
-                    break
+            if nk & M:
+                nk |= dominated
             cur = get(nk)
             if cur is None or ent[0] < cur[0]:
                 out[nk] = ent
@@ -409,52 +401,37 @@ def _forget(H: AuxGraph, child: dict, v: int, pos: int) -> dict:
 
 
 def _join(H: AuxGraph, left: dict, right: dict, bag: tuple) -> dict:
-    kinds = [_kind(H, u)[0] for u in bag]
-    guard_pos = [i for i, k in enumerate(kinds) if k == "guard"]
-    rect_pos = [i for i, k in enumerate(kinds) if k == "rect"]
-    target_pos = [i for i, k in enumerate(kinds) if k == "target"]
-    gmask = 0
-    for p in guard_pos:
-        gmask |= 3 << (2 * p)
+    gmask = rlo = 0  # selection bits of the guards, low bits of the rects
+    for p, u in enumerate(bag):
+        kind = _kind(H, u)[0]
+        if kind == "guard":
+            gmask |= 1 << (2 * p)
+        elif kind == "rect":
+            rlo |= 1 << (2 * p)
 
-    by_guard: dict[int, list] = {}
-    for key, ent in right.items():
-        by_guard.setdefault(key & gmask, []).append((key, ent))
+    # Two states combine iff they agree on the guards and on which
+    # rectangles are dark, so buckets of the right table hold exactly the
+    # partners of a left key, in the right table's order.
+    buckets: dict[int, list] = {}
+    for kb, ent in right.items():
+        bk = (kb & gmask) | ((kb | kb >> 1) & rlo)
+        buckets.setdefault(bk, []).append((kb, ent))
 
-    selmask = _sel_mask(guard_pos)
     out: dict = {}
+    get = out.get
     for ka, (va, sa) in left.items():
-        bucket = by_guard.get(ka & gmask)
+        bucket = buckets.get((ka & gmask) | ((ka | ka >> 1) & rlo))
         if not bucket:
             continue
-        shared = (ka & selmask).bit_count()
+        va -= (ka & gmask).bit_count()  # a guard selected on both sides
         for kb, (vb, sb) in bucket:
-            nk = ka & gmask
-            ok = True
-            for p in rect_pos:
-                x, y = _slot(ka, p), _slot(kb, p)
-                if x == DARK and y == DARK:
-                    s = DARK
-                elif x != DARK and y != DARK:
-                    s = LIT if LIT in (x, y) else PROMISED
-                else:
-                    ok = False
-                    break
-                nk |= s << (2 * p)
-            if not ok:
-                continue
-            for p in target_pos:
-                s = DOMINATED if (_slot(ka, p) | _slot(kb, p)) else PENDING
-                nk |= s << (2 * p)
-            _put(out, nk, va + vb - shared, _merge_sel(sa, sb))
+            o = ka | kb
+            nk = o & ~((o >> 1) & rlo)  # promised | lit (11) -> lit (10)
+            val = va + vb
+            cur = get(nk)
+            if cur is None or val < cur[0]:
+                out[nk] = (val, _merge_sel(sa, sb))
     return out
-
-
-def _sel_mask(guard_pos: list[int]) -> int:
-    m = 0
-    for p in guard_pos:
-        m |= 1 << (2 * p)
-    return m
 
 
 def _cons_to_set(sel) -> set[int]:

@@ -1,13 +1,20 @@
 import itertools
+import random
+import time
 
-from helpers import SHAPES, fixture_polygons
+from helpers import HOLED_SHAPES, SHAPES, fixture_polygons
 from test_acceptance import GUARD_MODES, TARGET_MODES, _corpus, _explicit_targets
-from rguard.aux_graph import AuxGraph
-from rguard.dp_solver import (_dominated, _drop_dominated, _solve, solve_r2ds,
+from rguard.aux_graph import AuxGraph, build_aux_graph
+from rguard.cli_io import loglog_slope
+from rguard.dp_solver import (DARK, DOMINATED, LIT, PENDING, PROMISED,
+                              _cons_to_set, _dominated, _drop_dominated, _join,
+                              _kind, _merge_sel, _solve, solve_r2ds,
                               verify_solution)
-from rguard.guard_model import Guard, GuardTask, TargetPoint
-from rguard.instance_gen import gen_holed_variant, gen_tree_polygon
-from rguard.max_rectangles import MaxRect
+from rguard.guard_model import (Guard, GuardTask, TargetPoint, simplify_guards,
+                                simplify_targets)
+from rguard.instance_gen import (gen_holed_variant, gen_ktin_polygon,
+                                 gen_tree_polygon)
+from rguard.max_rectangles import MaxRect, enumerate_max_rects
 from rguard.oracle import oracle_min_guards
 from rguard.pipeline import solve_task
 from rguard.pixelation import build_pixelation
@@ -231,3 +238,176 @@ def test_dominance_reduction_matches_full_dp():
                         assert verify_solution(ctx.H, full), key
                     runs += 1
     assert runs == 24 * len(polys)
+
+
+def _aux(px, task):
+    """H of a task, built by the pipeline's layers without the DP."""
+    rects = enumerate_max_rects(px, task.allow_degenerate)
+    return build_aux_graph(px, rects, simplify_targets(px, task),
+                           simplify_guards(px, task))
+
+
+def _reference_dominated(H):
+    """_dominated without grouping equal sets: every vertex is tried against
+    the members of its least shared rectangle, and of two equal sets the
+    lower id is kept."""
+    def contained_pairs(sets, members):
+        member_sets = [set(m) for m in members]
+        for a, s in enumerate(sets):
+            if not s:
+                continue
+            r0 = min(s, key=lambda r: len(members[r]))
+            for b in members[r0]:
+                if b != a and all(b in member_sets[r] for r in s):
+                    yield a, b
+
+    targets = {big for small, big in contained_pairs(H.ur, H.ru)
+               if len(H.ur[small]) < len(H.ur[big]) or small < big}
+    guards = {small for small, big in contained_pairs(H.gr, H.rg)
+              if len(H.gr[small]) < len(H.gr[big]) or big < small}
+    return targets, guards
+
+
+def test_dominance_grouping_matches_reference():
+    """Grouping equal sets first drops exactly the vertices that pairwise
+    containment over all vertices drops, on the corpus slice of
+    test_dominance_reduction_matches_full_dp and on K=2 and K=3 combs."""
+    corpus = _corpus()
+    polys = corpus[0:435:29] + corpus[435:485:25] + corpus[485:]
+    polys += [gen_ktin_polygon(k, teeth, 31 + k) for k in (2, 3)
+              for teeth in (6, 40)]
+    checked = dropped = 0
+    for poly in polys:
+        px = build_pixelation(poly)
+        for tm in TARGET_MODES:
+            tpts = _explicit_targets(px) if tm == "points" else ()
+            for gm in GUARD_MODES:
+                for deg in (False, True):
+                    task = GuardTask.make(target_mode=tm, target_points=tpts,
+                                          guard_modes=gm, allow_degenerate=deg,
+                                          doubled=False)
+                    H = _aux(px, task)
+                    got = _dominated(H)
+                    assert got == _reference_dominated(H), \
+                        (poly.to_json(), tm, gm, deg)
+                    checked += 1
+                    dropped += len(got[0]) + len(got[1])
+    assert checked == 24 * len(polys) and dropped
+
+
+def test_dominance_scales_linearly():
+    pixels, graphs = [], []
+    for teeth in (50, 100, 200, 400):
+        px = build_pixelation(gen_ktin_polygon(3, teeth, 32))
+        pixels.append(px.pixel_count)
+        graphs.append(_aux(px, GuardTask.make()))
+    # The calls take milliseconds, so a burst of other load can hit one
+    # size only; timing every size once per round spreads it over all.
+    times = [float("inf")] * len(graphs)
+    for _ in range(5):
+        for i, H in enumerate(graphs):
+            t0 = time.perf_counter()
+            _dominated(H)
+            times[i] = min(times[i], time.perf_counter() - t0)
+    assert loglog_slope(pixels, times) <= 1.3, (pixels, times)
+
+
+def _reference_join(H, left, right, bag):
+    """_join checked slot by slot: pairs with equal guard bits, each
+    rectangle slot tested for compatibility and merged in turn."""
+    def slot(key, pos):
+        return (key >> (2 * pos)) & 3
+
+    kinds = [_kind(H, u)[0] for u in bag]
+    guard_pos = [i for i, k in enumerate(kinds) if k == "guard"]
+    rect_pos = [i for i, k in enumerate(kinds) if k == "rect"]
+    target_pos = [i for i, k in enumerate(kinds) if k == "target"]
+    gmask = selmask = 0
+    for p in guard_pos:
+        gmask |= 3 << (2 * p)
+        selmask |= 1 << (2 * p)
+    by_guard = {}
+    for key, ent in right.items():
+        by_guard.setdefault(key & gmask, []).append((key, ent))
+    out = {}
+    for ka, (va, sa) in left.items():
+        shared = (ka & selmask).bit_count()
+        for kb, (vb, sb) in by_guard.get(ka & gmask, ()):
+            nk = ka & gmask
+            ok = True
+            for p in rect_pos:
+                x, y = slot(ka, p), slot(kb, p)
+                if x == DARK and y == DARK:
+                    s = DARK
+                elif x != DARK and y != DARK:
+                    s = LIT if LIT in (x, y) else PROMISED
+                else:
+                    ok = False
+                    break
+                nk |= s << (2 * p)
+            if not ok:
+                continue
+            for p in target_pos:
+                s = DOMINATED if (slot(ka, p) | slot(kb, p)) else PENDING
+                nk |= s << (2 * p)
+            val = va + vb - shared
+            cur = out.get(nk)
+            if cur is None or val < cur[0]:
+                out[nk] = (val, _merge_sel(sa, sb))
+    return out
+
+
+def _random_table(rng, H, bag, n):
+    """Up to n random states over bag: guards unselected/selected,
+    rectangles dark/promised/lit, targets pending/dominated; each with a
+    small value and a selection of one or two guards or none."""
+    states = {"guard": 2, "rect": 3, "target": 2}
+    kinds = [_kind(H, u) for u in bag]
+    guards = [i for k, i in kinds if k == "guard"] or [0]
+    table = {}
+    for _ in range(n):
+        key = 0
+        for p, (k, _i) in enumerate(kinds):
+            key |= rng.randrange(states[k]) << (2 * p)
+        sel = None
+        for _ in range(rng.randrange(3)):
+            sel = (1, rng.choice(guards), sel)
+        table.setdefault(key, (rng.randrange(6), sel))
+    return table
+
+
+def test_join_matches_reference():
+    """The bucketed join gives the same keys in the same order, the same
+    values and the same selected guards as the slot-by-slot join, on seeded
+    random child tables over bags of holed instances and a hand-built bag."""
+    cases = []
+    holed = [OrthoPolygon(o, h) for o, h in HOLED_SHAPES.values()]
+    holed.append(gen_holed_variant(scale_polygon(gen_tree_polygon(6, 2), 3),
+                                   1, 2))
+    for poly in holed:
+        ctx = solve(poly)
+        for bag in ctx.T_aux.bags:
+            by_kind = {}
+            for u in bag:
+                by_kind.setdefault(_kind(ctx.H, u)[0], []).append(u)
+            if len(by_kind) == 3:  # up to 3 of each kind keep tables dense
+                cases.append((ctx.H, tuple(sorted(
+                    u for us in by_kind.values() for u in us[:3]))))
+    # targets 0-1, rects 2-4, guards 5-6 of a bare H
+    H = _graph(ur=[[0, 1], [2]], gr=[[0, 2], [1, 2]], n_rects=3)
+    cases.append((H, (0, 1, 2, 3, 4, 5, 6)))
+    assert len(cases) >= 10
+    rng = random.Random(6)
+    pairs = 0
+    for H, bag in cases:
+        for n in (4, 40, 300):
+            left = _random_table(rng, H, bag, n)
+            right = _random_table(rng, H, bag, n)
+            got = _join(H, left, right, bag)
+            want = _reference_join(H, left, right, bag)
+            assert list(got) == list(want), bag
+            for key, (val, sel) in want.items():
+                assert got[key][0] == val
+                assert _cons_to_set(got[key][1]) == _cons_to_set(sel)
+            pairs += len(want)
+    assert pairs > 1000
