@@ -93,6 +93,54 @@ def guards_via_path2(H: AuxGraph, target_id: int, guard_id: int) -> bool:
     return False
 
 
+def dominated(H: AuxGraph) -> tuple[set[int], set[int]]:
+    """Ids of the targets and guards of H that an optimal guard set can do
+    without.
+
+    A guard goes if its rectangle set is contained in another guard's: any
+    selection of it can be swapped for the larger one.  A target goes if its
+    rectangle set contains another target's: covering the smaller one covers
+    it too.  Vertices with equal sets are grouped first: every member but the
+    lowest id goes, and containment is then tested between the groups'
+    lowest ids only, whose sets are distinct.  Containment is transitive, so
+    every dropped vertex has a kept one that stands in for it, and the
+    optimal size over the kept vertices is that of H.
+    """
+    targets, pairs = _contained_pairs(H.ur, H.ru)
+    targets.update(big for _small, big in pairs)
+    guards, pairs = _contained_pairs(H.gr, H.rg)
+    guards.update(small for small, _big in pairs)
+    return targets, guards
+
+
+def _contained_pairs(sets: list[list[int]], members: list[list[int]]):
+    """(dups, pairs): dups are the vertices whose set equals that of a lower
+    id; pairs are (a, b) among the others with sets[a] ⊊ sets[b], i.e. b is in
+    members[r] for every r in sets[a].  The sets are sorted lists, as AuxGraph
+    keeps them, so a stable sort by set puts equal ones next to each other,
+    lowest id first.  Only the members of a's least shared rectangle are
+    tried; vertices with an empty set are skipped."""
+    order = sorted((a for a, s in enumerate(sets) if s), key=sets.__getitem__)
+    dups = {b for a, b in zip(order, order[1:]) if sets[a] == sets[b]}
+    members = [[b for b in m if b not in dups] for m in members]
+    member_sets = [set(m) for m in members]
+    pairs = []
+    for a in order:
+        if a in dups:
+            continue
+        s = sets[a]
+        r0 = min(s, key=lambda r: len(members[r]))
+        for b in members[r0]:
+            if b == a:
+                continue
+            for r in s:
+                if b not in member_sets[r]:
+                    break
+            else:
+                pairs.append((a, b))
+    return dups, pairs
+
+
 def to_dot(H: AuxGraph) -> str:
     """Graphviz export for debugging."""
     lines = ["graph H {"]

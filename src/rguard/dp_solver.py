@@ -17,19 +17,10 @@ with promised|lit (11) turned into lit (10); a guard selected on both sides
 is counted once.  Keys are packed integers; each table entry carries its
 selected-guard set as a shared cons list, so child tables can be discarded
 as soon as a parent is done.
-
-Before the DP, dominated vertices of H are dropped from the bags: a guard
-whose rectangle set is a subset of another guard's (any selection of it can
-be swapped for the larger one), and a target whose rectangle set is a
-superset of another target's (covering the smaller one covers it too); of
-two equal sets the lower id is kept.  Deleting vertices from every bag leaves
-a valid decomposition of the rest of H, and on holed instances it shrinks
-the lifted width roughly by half.  The optimal size is unchanged, but the
-chosen guards may differ from a DP over the full bags.  H itself stays
-whole: the infeasibility witness and the certificates are computed on it.
 """
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 
 from rguard.aux_graph import AuxGraph, guards_via_path2
@@ -83,15 +74,15 @@ class SolverError(RuntimeError):
 
 def solve_r2ds(H: AuxGraph, T: TreeDecomposition) -> Solution:
     """Minimum S ⊆ Γ' such that every target has a 2-path to S, or an
-    infeasibility witness.  T must be a lifted decomposition of H."""
-    return _solve(H, T, reduce=True)
+    infeasibility witness.  T must be a lifted decomposition of H.  It may
+    leave the targets and guards of `aux_graph.dominated(H)` out of its bags,
+    as `lift_to_H` does: the optimal size is that of the full bags, though
+    the chosen guards may differ.  The witness and the certificates are
+    computed on the whole of H.
 
-
-def _solve(H: AuxGraph, T: TreeDecomposition, reduce: bool) -> Solution:
-    """solve_r2ds.  Builds one table per nice-tree node, bottom-up, and
-    drops each child's table once its parent's is built; the root table holds
-    the single empty-bag state.  With reduce=False the dominated vertices stay
-    in the bags: the reference the reduced DP is tested against."""
+    Builds one table per nice-tree node, bottom-up, and drops each child's
+    table once its parent's is built; the root table holds the single
+    empty-bag state."""
     if T.universe != "aux":
         raise DecompositionError("solver expects a lifted decomposition")
     nu = len(H.targets)
@@ -102,8 +93,6 @@ def _solve(H: AuxGraph, T: TreeDecomposition, reduce: bool) -> Solution:
     if nu == 0:
         return Solution("optimal", 0, [], [])
 
-    if reduce:
-        T = _drop_dominated(H, T)
     nodes = _nice_tree(T)
 
     tables: dict[int, dict] = {}
@@ -168,62 +157,6 @@ def verify_solution(H: AuxGraph, sol: Solution) -> bool:
         if not guards_via_path2(H, c.target_id, gi):
             return False
     return True
-
-
-# -- dominance reduction -------------------------------------------------------
-
-
-def _dominated(H: AuxGraph) -> tuple[set[int], set[int]]:
-    """Ids of the targets and guards of H that the DP can leave out.
-
-    A guard goes if its rectangle set is contained in another guard's, a
-    target if its rectangle set contains another target's.  Vertices with
-    equal sets are grouped first: every member but the lowest id goes, and
-    containment is then tested between the groups' lowest ids only, whose
-    sets are distinct.  Containment is transitive, so every dropped vertex
-    has a kept one that stands in for it.
-    """
-    targets, pairs = _contained_pairs(H.ur, H.ru)
-    targets.update(big for _small, big in pairs)
-    guards, pairs = _contained_pairs(H.gr, H.rg)
-    guards.update(small for small, _big in pairs)
-    return targets, guards
-
-
-def _contained_pairs(sets: list[list[int]], members: list[list[int]]):
-    """(dups, pairs): dups are the vertices whose set equals that of a lower
-    id; pairs are (a, b) among the others with sets[a] ⊊ sets[b], i.e. b is in
-    members[r] for every r in sets[a].  The sets are sorted lists, as AuxGraph
-    keeps them, so a stable sort by set puts equal ones next to each other,
-    lowest id first.  Only the members of a's least shared rectangle are
-    tried; vertices with an empty set are skipped."""
-    order = sorted((a for a, s in enumerate(sets) if s), key=sets.__getitem__)
-    dups = {b for a, b in zip(order, order[1:]) if sets[a] == sets[b]}
-    members = [[b for b in m if b not in dups] for m in members]
-    member_sets = [set(m) for m in members]
-    pairs = []
-    for a in order:
-        if a in dups:
-            continue
-        s = sets[a]
-        r0 = min(s, key=lambda r: len(members[r]))
-        for b in members[r0]:
-            if b == a:
-                continue
-            for r in s:
-                if b not in member_sets[r]:
-                    break
-            else:
-                pairs.append((a, b))
-    return dups, pairs
-
-
-def _drop_dominated(H: AuxGraph, T: TreeDecomposition) -> TreeDecomposition:
-    """T with the dominated targets and guards of H taken out of every bag."""
-    targets, guards = _dominated(H)
-    gone = targets | {H.gid(gi) for gi in guards}
-    bags = [tuple(v for v in bag if v not in gone) for bag in T.bags]
-    return TreeDecomposition(bags, T.tree_edges, T.universe)
 
 
 # -- nice tree -----------------------------------------------------------------
@@ -316,17 +249,12 @@ def _kind(H: AuxGraph, v: int) -> tuple[str, int]:
 def _introduce(H: AuxGraph, child: dict, bag: tuple, v: int, pos: int) -> dict:
     kind, i = _kind(H, v)
     rbase, gbase = H.rid(0), H.gid(0)
-    posmap = {u: i for i, u in enumerate(bag)}
     out: dict = {}
     shift = 2 * pos
     lowmask = (1 << shift) - 1
     get = out.get
     if kind == "guard":
-        # L: the low bit of each bag rectangle the guard sees
-        L = 0
-        for ri in H.gr[i]:
-            if rbase + ri in posmap:
-                L |= 1 << (2 * posmap[rbase + ri])
+        L = _bits(bag, rbase, gbase, H.gr[i])  # the bag rectangles it sees
         selbit = 1 << shift
         for key, ent in child.items():
             nk = (key & lowmask) | ((key >> shift) << (shift + 2))
@@ -341,14 +269,8 @@ def _introduce(H: AuxGraph, child: dict, bag: tuple, v: int, pos: int) -> dict:
                 if cur is None or val < cur[0]:
                     out[nk] = (val, (1, i, ent[1]))
     elif kind == "rect":
-        G = 0  # selection bits of the bag guards that see the rectangle
-        for gi in H.rg[i]:
-            if gbase + gi in posmap:
-                G |= 1 << (2 * posmap[gbase + gi])
-        target_bits = 0
-        for t in H.ru[i]:
-            if t in posmap:
-                target_bits |= 1 << (2 * posmap[t])
+        G = _bits(bag, gbase, H.n_vertices, H.rg[i])  # guards that see it
+        target_bits = _bits(bag, 0, rbase, H.ru[i])
         lit = (LIT << shift) | target_bits
         promised = (PROMISED << shift) | target_bits
         for key, ent in child.items():
@@ -367,10 +289,8 @@ def _introduce(H: AuxGraph, child: dict, bag: tuple, v: int, pos: int) -> dict:
                 if cur is None or ent[0] < cur[0]:
                     out[nk] = ent
     else:  # target
-        M = 0  # both bits of each bag rectangle that contains the target
-        for ri in H.ur[i]:
-            if rbase + ri in posmap:
-                M |= 3 << (2 * posmap[rbase + ri])
+        # both bits of each bag rectangle that contains the target
+        M = 3 * _bits(bag, rbase, gbase, H.ur[i])
         dominated = DOMINATED << shift
         for key, ent in child.items():
             nk = (key & lowmask) | ((key >> shift) << (shift + 2))
@@ -379,6 +299,20 @@ def _introduce(H: AuxGraph, child: dict, bag: tuple, v: int, pos: int) -> dict:
             cur = get(nk)
             if cur is None or ent[0] < cur[0]:
                 out[nk] = ent
+    return out
+
+
+def _bits(bag: tuple, lo: int, hi: int, ids: list[int]) -> int:
+    """The low bit of each position of bag whose lifted id u has
+    lo <= u < hi and u - lo in the sorted list ids: the neighbours of one
+    kind that a vertex with neighbour list ids has in the bag, found in
+    O(len(bag) log len(ids)) time."""
+    out = 0
+    for p, u in enumerate(bag):
+        if lo <= u < hi:
+            j = bisect_left(ids, u - lo)
+            if j < len(ids) and ids[j] == u - lo:
+                out |= 1 << (2 * p)
     return out
 
 

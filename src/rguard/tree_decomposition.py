@@ -17,7 +17,7 @@ import heapq
 from collections import deque
 from dataclasses import dataclass, field
 
-from rguard.aux_graph import AuxGraph
+from rguard.aux_graph import AuxGraph, dominated
 from rguard.pixelation import DualGraph
 
 
@@ -220,20 +220,27 @@ def validate_decomposition(n_vertices: int, edges: list[tuple[int, int]],
 
 def lift_to_H(T: TreeDecomposition, H: AuxGraph) -> TreeDecomposition:
     """Replace each pixel of every bag by the targets it contains, the guards
-    and rectangles intersecting it; pixels themselves are dropped."""
+    and rectangles intersecting it; pixels themselves are dropped.
+
+    The targets and guards in `dominated(H)` are left out, so the result is
+    a decomposition of H minus those vertices: leaving vertices out of every
+    bag keeps a decomposition valid for the rest of the graph."""
     if T.universe != "dual":
         raise DecompositionError("lift expects a decomposition of the dual graph")
+    gone_targets, gone_guards = dominated(H)
     n_pix = 1 + max((v for bag in T.bags for v in bag), default=0)
     per_pixel: list[list[int]] = [[] for _ in range(n_pix)]
     for t in H.targets:
-        for pid in t.home_pixels:
-            per_pixel[pid].append(H.tid(t.id))
+        if t.id not in gone_targets:
+            for pid in t.home_pixels:
+                per_pixel[pid].append(H.tid(t.id))
     for mr in H.rects:
         for pid in mr.pixel_ids:
             per_pixel[pid].append(H.rid(mr.id))
     for g in H.guards:
-        for pid in g.home_pixels:
-            per_pixel[pid].append(H.gid(g.id))
+        if g.id not in gone_guards:
+            for pid in g.home_pixels:
+                per_pixel[pid].append(H.gid(g.id))
     bags = []
     for bag in T.bags:
         content: set[int] = set()

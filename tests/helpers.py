@@ -6,8 +6,11 @@ are union-find components of cells not separated by an edge or a ray.
 """
 from __future__ import annotations
 
+from rguard.aux_graph import AuxGraph, dominated
 from rguard.polygon_core import (OrthoPolygon, Pt, _point_in_scaled,
                                  point_in_polygon, reflex_vertices)
+from rguard.tree_decomposition import (DecompositionReport, TreeDecomposition,
+                                       aux_graph_edges, validate_decomposition)
 
 SHAPES: dict[str, list[Pt]] = {
     "unit": [(0, 0), (1, 0), (1, 1), (0, 1)],
@@ -53,6 +56,51 @@ def fixture_polygons() -> list[OrthoPolygon]:
     polys = [OrthoPolygon(r) for r in SHAPES.values()]
     polys += [OrthoPolygon(o, h) for o, h in HOLED_SHAPES.values()]
     return polys
+
+
+def full_lift(T: TreeDecomposition, H: AuxGraph) -> TreeDecomposition:
+    """lift_to_H without the dominance reduction: each pixel of every bag is
+    replaced by all the targets it contains and all the guards and
+    rectangles intersecting it.  The reference for the reduced lift, for the
+    DP over it and for the paper's lifted width bound."""
+    n_pix = 1 + max((v for bag in T.bags for v in bag), default=0)
+    per_pixel: list[list[int]] = [[] for _ in range(n_pix)]
+    for t in H.targets:
+        for pid in t.home_pixels:
+            per_pixel[pid].append(H.tid(t.id))
+    for mr in H.rects:
+        for pid in mr.pixel_ids:
+            per_pixel[pid].append(H.rid(mr.id))
+    for g in H.guards:
+        for pid in g.home_pixels:
+            per_pixel[pid].append(H.gid(g.id))
+    bags = []
+    for bag in T.bags:
+        content: set[int] = set()
+        for pid in bag:
+            content.update(per_pixel[pid])
+        bags.append(tuple(sorted(content)))
+    return TreeDecomposition(bags, list(T.tree_edges), "aux")
+
+
+def validate_reduced_lift(H: AuxGraph, T: TreeDecomposition) -> DecompositionReport:
+    """validate_decomposition of T against H minus dominated(H), with the
+    kept vertices renumbered 0, 1, ... in id order; a dominated vertex left
+    in a bag is a problem too."""
+    targets, guards = dominated(H)
+    gone = targets | {H.gid(g) for g in guards}
+    keep = [v for v in range(H.n_vertices) if v not in gone]
+    new_id = {v: i for i, v in enumerate(keep)}
+    _n, edges = aux_graph_edges(H)
+    sub_edges = [(new_id[a], new_id[b]) for a, b in edges
+                 if a in new_id and b in new_id]
+    relabelled = TreeDecomposition(
+        [tuple(new_id[v] for v in bag if v in new_id) for bag in T.bags],
+        T.tree_edges, "aux")
+    rep = validate_decomposition(len(keep), sub_edges, relabelled)
+    stray = gone & {v for bag in T.bags for v in bag}
+    rep.problems += [f"dominated vertex {v} in a bag" for v in sorted(stray)]
+    return rep
 
 
 def nonthin_plus() -> OrthoPolygon:

@@ -11,7 +11,7 @@ import time
 
 import pytest
 
-from helpers import SHAPES, HOLED_SHAPES
+from helpers import SHAPES, HOLED_SHAPES, full_lift, validate_reduced_lift
 from rguard.aux_graph import build_aux_graph
 from rguard.cli_io import loglog_slope
 from rguard.dp_solver import verify_solution
@@ -138,12 +138,14 @@ def test_criterion_3_structural_invariants(corpus):
         H = build_aux_graph(px, rects, simplify_targets(px, task),
                             simplify_guards(px, task))
         Td = decompose_dual(px.dual)
-        Ta = lift_to_H(Td, H)
-        if Ta.width + 1 > 23 * (Td.width + 1):
+        if full_lift(Td, H).width + 1 > 23 * (Td.width + 1):
+            violations += 1
+        if not validate_reduced_lift(H, lift_to_H(Td, H)).ok:
             violations += 1
     assert violations == 0
-    print(f"\nACCEPTANCE 3: PASS — tree duals, <=6 rectangles per pixel and "
-          f"lifted width bound on {thin_count} thin instances, 0 violations "
+    print(f"\nACCEPTANCE 3: PASS — tree duals, <=6 rectangles per pixel, "
+          f"lifted width bound and valid reduced lift on {thin_count} thin "
+          f"instances, 0 violations "
           f"({time.perf_counter() - t0:.0f}s)")
 
 

@@ -2,14 +2,14 @@ import itertools
 import random
 import time
 
-from helpers import HOLED_SHAPES, SHAPES, fixture_polygons
+from helpers import (HOLED_SHAPES, SHAPES, fixture_polygons, full_lift,
+                     validate_reduced_lift)
 from test_acceptance import GUARD_MODES, TARGET_MODES, _corpus, _explicit_targets
-from rguard.aux_graph import AuxGraph, build_aux_graph
+from rguard.aux_graph import AuxGraph, build_aux_graph, dominated
 from rguard.cli_io import loglog_slope
 from rguard.dp_solver import (DARK, DOMINATED, LIT, PENDING, PROMISED,
-                              _cons_to_set, _dominated, _drop_dominated, _join,
-                              _kind, _merge_sel, _solve, solve_r2ds,
-                              verify_solution)
+                              _cons_to_set, _introduce, _join, _kind,
+                              _merge_sel, solve_r2ds, verify_solution)
 from rguard.guard_model import (Guard, GuardTask, TargetPoint, simplify_guards,
                                 simplify_targets)
 from rguard.instance_gen import (gen_holed_variant, gen_ktin_polygon,
@@ -19,8 +19,7 @@ from rguard.oracle import oracle_min_guards
 from rguard.pipeline import solve_task
 from rguard.pixelation import build_pixelation
 from rguard.polygon_core import OrthoPolygon, Rect, scale_polygon
-from rguard.tree_decomposition import (TreeDecomposition, aux_graph_edges,
-                                       validate_decomposition)
+from rguard.tree_decomposition import decompose_dual, lift_to_H
 
 
 def solve(poly, **kw):
@@ -147,20 +146,20 @@ def _graph(ur, gr, n_rects):
 
 def test_dominance_equal_guards_keep_lowest_id():
     H = _graph(ur=[[0]], gr=[[2], [0, 1], [0, 1], [0, 1]], n_rects=3)
-    _targets, guards = _dominated(H)
+    _targets, guards = dominated(H)
     assert guards == {2, 3}
 
 
 def test_dominance_strict_subset_guard_dropped():
     H = _graph(ur=[[0], [2]], gr=[[0, 1, 2], [0, 1], [2], [3]], n_rects=4)
-    _targets, guards = _dominated(H)
+    _targets, guards = dominated(H)
     assert guards == {1, 2}
 
 
 def test_dominance_strict_superset_target_dropped():
     H = _graph(ur=[[0, 1], [1], [1, 2], [1], [3]], gr=[[0, 1, 2, 3]],
                n_rects=4)
-    targets, _guards = _dominated(H)
+    targets, _guards = dominated(H)
     # 0 and 2 contain {1}; 3 equals 1 and has the higher id; 4 is alone
     assert targets == {0, 2, 3}
 
@@ -172,23 +171,11 @@ def test_dominance_filtered_bags_stay_valid():
     for poly in polys:
         for gm in GUARD_MODES:
             ctx = solve(poly, guard_modes=gm)
-            H = ctx.H
-            targets, guards = _dominated(H)
-            gone = targets | {H.gid(g) for g in guards}
-            removed += len(gone)
-            keep = [v for v in range(H.n_vertices) if v not in gone]
-            new_id = {v: i for i, v in enumerate(keep)}
-            _n, edges = aux_graph_edges(H)
-            sub_edges = [(new_id[a], new_id[b]) for a, b in edges
-                         if a in new_id and b in new_id]
-            T = _drop_dominated(H, ctx.T_aux)
-            assert not gone & {v for bag in T.bags for v in bag}
-            relabelled = TreeDecomposition(
-                [tuple(new_id[v] for v in bag) for bag in T.bags],
-                T.tree_edges, "aux")
-            rep = validate_decomposition(len(keep), sub_edges, relabelled)
+            targets, guards = dominated(ctx.H)
+            removed += len(targets) + len(guards)
+            rep = validate_reduced_lift(ctx.H, ctx.T_aux)
             assert rep.ok, rep.problems
-            assert T.width <= ctx.T_aux.width
+            assert ctx.T_aux.width <= full_lift(ctx.T_dual, ctx.H).width
     assert removed
 
 
@@ -204,7 +191,7 @@ def test_dominance_infeasible_witness_unchanged():
         H = ctx.H
         first_unseen = min(ti for ti in range(len(H.targets))
                            if not any(H.rg[ri] for ri in H.ur[ti]))
-        full = _solve(H, ctx.T_aux, reduce=False)
+        full = solve_r2ds(H, full_lift(ctx.T_dual, H))
         assert ctx.solution.status == full.status == "infeasible"
         assert ctx.solution.witness_target == full.witness_target == first_unseen
         assert solve_r2ds(H, ctx.T_aux).witness_target == first_unseen
@@ -229,7 +216,7 @@ def test_dominance_reduction_matches_full_dp():
                                           doubled=False)
                     ctx = solve_task(px, task)
                     red = ctx.solution
-                    full = _solve(ctx.H, ctx.T_aux, reduce=False)
+                    full = solve_r2ds(ctx.H, full_lift(ctx.T_dual, ctx.H))
                     key = (poly.to_json(), tm, gm, deg)
                     assert red.status == full.status, key
                     assert red.size == full.size, key
@@ -248,7 +235,7 @@ def _aux(px, task):
 
 
 def _reference_dominated(H):
-    """_dominated without grouping equal sets: every vertex is tried against
+    """dominated without grouping equal sets: every vertex is tried against
     the members of its least shared rectangle, and of two equal sets the
     lower id is kept."""
     def contained_pairs(sets, members):
@@ -287,7 +274,7 @@ def test_dominance_grouping_matches_reference():
                                           guard_modes=gm, allow_degenerate=deg,
                                           doubled=False)
                     H = _aux(px, task)
-                    got = _dominated(H)
+                    got = dominated(H)
                     assert got == _reference_dominated(H), \
                         (poly.to_json(), tm, gm, deg)
                     checked += 1
@@ -295,20 +282,43 @@ def test_dominance_grouping_matches_reference():
     assert checked == 24 * len(polys) and dropped
 
 
-def test_dominance_scales_linearly():
-    pixels, graphs = [], []
-    for teeth in (50, 100, 200, 400):
-        px = build_pixelation(gen_ktin_polygon(3, teeth, 32))
-        pixels.append(px.pixel_count)
-        graphs.append(_aux(px, GuardTask.make()))
-    # The calls take milliseconds, so a burst of other load can hit one
-    # size only; timing every size once per round spreads it over all.
-    times = [float("inf")] * len(graphs)
+def _best_times(calls):
+    """The least time of each call over 5 rounds.  The calls take
+    milliseconds, so a burst of other load can hit one size only; running
+    every call once per round spreads it over all."""
+    times = [float("inf")] * len(calls)
     for _ in range(5):
-        for i, H in enumerate(graphs):
+        for i, call in enumerate(calls):
             t0 = time.perf_counter()
-            _dominated(H)
+            call()
             times[i] = min(times[i], time.perf_counter() - t0)
+    return times
+
+
+def _combs():
+    """(pixel count, pixelation, H) of K=3 combs of 50 to 400 teeth."""
+    out = []
+    for t in (50, 100, 200, 400):
+        px = build_pixelation(gen_ktin_polygon(3, t, 32))
+        out.append((px.pixel_count, px, _aux(px, GuardTask.make())))
+    return out
+
+
+def test_dominance_scales_linearly():
+    combs = _combs()
+    times = _best_times([lambda H=H: dominated(H) for _n, _px, H in combs])
+    pixels = [n for n, _px, _H in combs]
+    assert loglog_slope(pixels, times) <= 1.3, (pixels, times)
+
+
+def test_dp_scales_linearly():
+    """On the combs a rectangle across the comb has thousands of targets and
+    guards, but a bag holds at most width + 1 of them; the DP reads only
+    the bag, so its time grows linearly with the pixels."""
+    combs = _combs()
+    lifts = [(H, lift_to_H(decompose_dual(px.dual), H)) for _n, px, H in combs]
+    times = _best_times([lambda H=H, T=T: solve_r2ds(H, T) for H, T in lifts])
+    pixels = [n for n, _px, _H in combs]
     assert loglog_slope(pixels, times) <= 1.3, (pixels, times)
 
 
@@ -376,17 +386,17 @@ def _random_table(rng, H, bag, n):
     return table
 
 
-def test_join_matches_reference():
-    """The bucketed join gives the same keys in the same order, the same
-    values and the same selected guards as the slot-by-slot join, on seeded
-    random child tables over bags of holed instances and a hand-built bag."""
+def _bag_cases():
+    """(H, bag) pairs: up to 3 vertices of each kind from every fully lifted
+    bag of the holed shapes and a small holed tree that holds all three
+    kinds, and a hand-built bag of a bare H."""
     cases = []
     holed = [OrthoPolygon(o, h) for o, h in HOLED_SHAPES.values()]
     holed.append(gen_holed_variant(scale_polygon(gen_tree_polygon(6, 2), 3),
                                    1, 2))
     for poly in holed:
         ctx = solve(poly)
-        for bag in ctx.T_aux.bags:
+        for bag in full_lift(ctx.T_dual, ctx.H).bags:
             by_kind = {}
             for u in bag:
                 by_kind.setdefault(_kind(ctx.H, u)[0], []).append(u)
@@ -397,17 +407,98 @@ def test_join_matches_reference():
     H = _graph(ur=[[0, 1], [2]], gr=[[0, 2], [1, 2]], n_rects=3)
     cases.append((H, (0, 1, 2, 3, 4, 5, 6)))
     assert len(cases) >= 10
+    return cases
+
+
+def _assert_same_table(got, want, info):
+    assert list(got) == list(want), info
+    for key, (val, sel) in want.items():
+        assert got[key][0] == val, info
+        assert _cons_to_set(got[key][1]) == _cons_to_set(sel), info
+
+
+def test_join_matches_reference():
+    """The bucketed join gives the same keys in the same order, the same
+    values and the same selected guards as the slot-by-slot join, on seeded
+    random child tables over bags of holed instances and a hand-built bag."""
     rng = random.Random(6)
     pairs = 0
-    for H, bag in cases:
+    for H, bag in _bag_cases():
         for n in (4, 40, 300):
             left = _random_table(rng, H, bag, n)
             right = _random_table(rng, H, bag, n)
-            got = _join(H, left, right, bag)
             want = _reference_join(H, left, right, bag)
-            assert list(got) == list(want), bag
-            for key, (val, sel) in want.items():
-                assert got[key][0] == val
-                assert _cons_to_set(got[key][1]) == _cons_to_set(sel)
+            _assert_same_table(_join(H, left, right, bag), want, bag)
             pairs += len(want)
     assert pairs > 1000
+
+
+def _reference_introduce(H, child, bag, v, pos):
+    """_introduce with its masks built by walking the introduced vertex's
+    whole neighbour list through a map from bag vertex to position."""
+    kind, i = _kind(H, v)
+    rbase, gbase = H.rid(0), H.gid(0)
+    posmap = {u: i for i, u in enumerate(bag)}
+    out = {}
+    shift = 2 * pos
+    lowmask = (1 << shift) - 1
+
+    def put(nk, val, sel):
+        cur = out.get(nk)
+        if cur is None or val < cur[0]:
+            out[nk] = (val, sel)
+
+    if kind == "guard":
+        L = 0
+        for ri in H.gr[i]:
+            if rbase + ri in posmap:
+                L |= 1 << (2 * posmap[rbase + ri])
+        for key, (val, sel) in child.items():
+            nk = (key & lowmask) | ((key >> shift) << (shift + 2))
+            put(nk, val, sel)
+            if (nk | nk >> 1) & L == L:
+                p = nk & L & ~(nk >> 1)
+                put(nk ^ (p | p << 1 | 1 << shift), val + 1, (1, i, sel))
+    elif kind == "rect":
+        G = target_bits = 0
+        for gi in H.rg[i]:
+            if gbase + gi in posmap:
+                G |= 1 << (2 * posmap[gbase + gi])
+        for t in H.ru[i]:
+            if t in posmap:
+                target_bits |= 1 << (2 * posmap[t])
+        for key, (val, sel) in child.items():
+            base = (key & lowmask) | ((key >> shift) << (shift + 2))
+            if base & G:
+                put(base | (LIT << shift) | target_bits, val, sel)
+            else:
+                put(base, val, sel)
+                put(base | (PROMISED << shift) | target_bits, val, sel)
+    else:
+        M = 0
+        for ri in H.ur[i]:
+            if rbase + ri in posmap:
+                M |= 3 << (2 * posmap[rbase + ri])
+        for key, (val, sel) in child.items():
+            nk = (key & lowmask) | ((key >> shift) << (shift + 2))
+            put(nk | (DOMINATED << shift) if nk & M else nk, val, sel)
+    return out
+
+
+def test_introduce_matches_reference():
+    """_introduce, which reads its masks off the bag, gives the same keys in
+    the same order, the same values and the same selected guards as the
+    neighbour-list walk, on seeded random child tables over the bags of
+    test_join_matches_reference with each bag vertex introduced in turn."""
+    rng = random.Random(7)
+    states = 0
+    for H, bag in _bag_cases():
+        for pos, v in enumerate(bag):
+            child_bag = bag[:pos] + bag[pos + 1:]
+            for n in (4, 40, 300):
+                child = _random_table(rng, H, child_bag, n)
+                want = _reference_introduce(H, child, bag, v, pos)
+                _assert_same_table(_introduce(H, child, bag, v, pos), want,
+                                   (bag, v))
+                states += len(want)
+    assert states > 1000

@@ -3,7 +3,8 @@ import time
 
 import pytest
 
-from helpers import HOLED_SHAPES, SHAPES, TURNS, turned
+from helpers import (HOLED_SHAPES, SHAPES, TURNS, full_lift, turned,
+                     validate_reduced_lift)
 from rguard.aux_graph import build_aux_graph
 from rguard.cli_io import loglog_slope
 from rguard.guard_model import GuardTask, simplify_guards, simplify_targets
@@ -89,11 +90,16 @@ def test_lift_unit_square():
     task = GuardTask.make()
     H = build_aux_graph(px, enumerate_max_rects(px, False),
                         simplify_targets(px, task), simplify_guards(px, task))
-    T = lift_to_H(decompose_dual(px.dual), H)
-    assert len(T.bags) == 1
-    assert len(T.bags[0]) == 6  # 1 target + 1 rectangle + 4 corner guards
+    Td = decompose_dual(px.dual)
+    full = full_lift(Td, H)
+    assert len(full.bags) == 1
+    assert len(full.bags[0]) == 6  # 1 target + 1 rectangle + 4 corner guards
     n, edges = aux_graph_edges(H)
-    assert validate_decomposition(n, edges, T).ok
+    assert validate_decomposition(n, edges, full).ok
+    # the corner guards all see the one rectangle: the lowest id stays
+    T = lift_to_H(Td, H)
+    assert T.bags == [(H.tid(0), H.rid(0), H.gid(0))]
+    assert validate_reduced_lift(H, T).ok
 
 
 def test_lift_valid_and_width_bound():
@@ -104,10 +110,12 @@ def test_lift_valid_and_width_bound():
                             simplify_targets(px, task),
                             simplify_guards(px, task))
         Td = decompose_dual(px.dual)
-        Ta = lift_to_H(Td, H)
+        full = full_lift(Td, H)
         n, edges = aux_graph_edges(H)
-        assert validate_decomposition(n, edges, Ta).ok
-        assert Ta.width + 1 <= 23 * (Td.width + 1)
+        assert validate_decomposition(n, edges, full).ok
+        assert full.width + 1 <= 23 * (Td.width + 1)
+        rep = validate_reduced_lift(H, lift_to_H(Td, H))
+        assert rep.ok, rep.problems
 
 
 def test_lift_mutation_detected():
@@ -116,12 +124,12 @@ def test_lift_mutation_detected():
     H = build_aux_graph(px, enumerate_max_rects(px, False),
                         simplify_targets(px, task), simplify_guards(px, task))
     Ta = lift_to_H(decompose_dual(px.dual), H)
-    n, edges = aux_graph_edges(H)
-    # drop one rectangle vertex from one bag
+    assert validate_reduced_lift(H, Ta).ok
+    # drop one rectangle vertex from every bag
     rid = H.rid(0)
     broken = [tuple(v for v in bag if v != rid) for bag in Ta.bags]
     Ta.bags = broken
-    assert not validate_decomposition(n, edges, Ta).ok
+    assert not validate_reduced_lift(H, Ta).ok
 
 
 def test_dump_format():
