@@ -161,6 +161,7 @@ def cmd_bench(args) -> int:
     sizes = [int(s) for s in args.sizes.split(",")]
     seeds = [int(s) for s in args.seeds.split(",")]
     task = GuardTask.make()
+    k = args.k if args.family == "ktin" else 1
     rows = []
     totals: dict[int, list[float]] = {}
     for size in sizes:
@@ -173,7 +174,7 @@ def cmd_bench(args) -> int:
             ctx = solve_task(poly, task)
             totals.setdefault(size, []).append(ctx.timings["total"])
             for phase, seconds in ctx.timings.items():
-                rows.append({"family": args.family, "k": getattr(args, "k", 1),
+                rows.append({"family": args.family, "k": k,
                              "size": size, "seed": seed,
                              "pixels": ctx.px.pixel_count,
                              "vertices": poly.n, "phase": phase,

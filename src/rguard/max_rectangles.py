@@ -1,23 +1,23 @@
 """Enumeration of the maximal axis-aligned rectangles inside the polygon,
 including maximal degenerate segments when the degeneracy policy allows them.
 
-For thin polygons every positive-area maximal rectangle is a slab of the
-vertical or horizontal decomposition.  The slabs are read off the pixel
-sides in one linear pass: a slab is a maximal chain of pixels joined across
-non-boundary sides of one axis, and it is kept when neither of its flanks can
-grow.  Every degenerate member is a maximal chain of collinear pixel sides,
-filtered to exact maximality with local half-unit expansion tests
-(coordinates are doubled, so "+1" is half an input unit and stays within the
-neighboring cells).  Non-thin polygons fall back to an occupancy-grid
-enumeration, quadratic in the grid lines along the shorter axis times those
-along the longer one; fine for the small non-thin instances exercised here.
+Every positive-area maximal rectangle is a stack of pixel chains (runs of
+pixels joined across interior vertical sides, each a strip from wall to
+wall) cut to the x-range they share.  One pass over the pixel sides builds
+the chains and links each to the chains above and below it; a walk up the
+stacks from every chain then emits each maximal rectangle once, in time
+proportional to the pixels plus the rectangles' heights in chains.  This
+serves thin and non-thin polygons alike.  Every degenerate member is a
+maximal chain of collinear pixel sides, filtered to exact maximality with
+local half-unit expansion tests (coordinates are doubled, so "+1" is half an
+input unit and stays within the neighboring cells).
 """
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 
-import numpy as np
-
+from rguard.guard_model import fattenable
 from rguard.pixelation import Pixelation, Side
 from rguard.polygon_core import Rect
 
@@ -36,10 +36,7 @@ def enumerate_max_rects(px: Pixelation, allow_degenerate: bool) -> list[MaxRect]
     key = ("rects", allow_degenerate)
     if key in px.memo:
         return px.memo[key]
-    if px.is_thin:
-        rects = _thin_positive(px)
-    else:
-        rects = _grid_positive(px)
+    rects = _positive_rects(px)
     segs = _degenerate_segments(px) if allow_degenerate else []
     out: list[MaxRect] = []
     for r in sorted(set(rects), key=Rect.as_tuple):
@@ -56,51 +53,73 @@ def classify_degenerate(px: Pixelation, seg: Rect) -> bool:
         raise ValueError("classify_degenerate expects a zero-area rectangle")
     if not px.cover.rect_inside(seg):
         raise ValueError("segment lies outside the polygon")
-    if seg.width == 0 and seg.height == 0:
-        return False  # a point always fattens inside one of its pixels
-    if seg.width == 0:
-        left = Rect(seg.xmin - 1, seg.ymin, seg.xmax, seg.ymax)
-        right = Rect(seg.xmin, seg.ymin, seg.xmax + 1, seg.ymax)
-        return not (px.cover.rect_inside(left) or px.cover.rect_inside(right))
-    down = Rect(seg.xmin, seg.ymin - 1, seg.xmax, seg.ymax)
-    up = Rect(seg.xmin, seg.ymin, seg.xmax, seg.ymax + 1)
-    return not (px.cover.rect_inside(down) or px.cover.rect_inside(up))
+    return not fattenable(px, seg)
 
 
-# -- thin-polygon path ---------------------------------------------------------
+# -- positive-area rectangles -----------------------------------------------------
 
 
-def _thin_positive(px: Pixelation) -> list[Rect]:
-    """The maximal slabs.  A chain joined across 'v' sides is a horizontal
-    slab, one joined across 'h' sides a vertical slab.  Both ends of a chain
-    lie on the boundary, so only its flanks, the sides of the other axis, can
-    grow; a flank grows iff every pixel of the chain has an interior side
-    there."""
-    n = px.pixel_count
-    # per axis and pixel: the pixel across its high side, and whether its
-    # low / high side of that axis lies on the boundary
-    nxt = {"v": [None] * n, "h": [None] * n}
-    wall_lo = {"v": [False] * n, "h": [False] * n}
-    wall_hi = {"v": [False] * n, "h": [False] * n}
+def _positive_rects(px: Pixelation) -> list[Rect]:
+    """The positive-area maximal rectangles, each once, from its bottom chain.
+
+    A chain is a maximal run of pixels joined across interior 'v' sides: a
+    strip of one height running from wall to wall.  A maximal rectangle is
+    the stack of chains it crosses, cut to the x-range [a, b] they share.
+    From every chain the walk goes up a stack keeping [a, b]: it drops the
+    branch when a chain below the bottom one contains [a, b] (the rectangle
+    grows down), moves up without emitting when a chain above contains it,
+    and otherwise emits the rectangle and branches into each chain above
+    that overlaps (a, b).  Linking chains across interior 'h' sides in the
+    order of `px.sides` lists those above and below each chain left to right.
+    """
+    pix = px.pixels
+    # a chain is named by its first pixel; 'v' sides come in x order, so the
+    # pixel left of a side already knows its chain
+    head = list(range(len(pix)))
+    x0 = [r.xmin for r in pix]
+    x1 = [r.xmax for r in pix]   # per chain: the right end
     for s in px.sides:
-        if s.pix_lo is None:
-            wall_lo[s.axis][s.pix_hi] = True
-        elif s.pix_hi is None:
-            wall_hi[s.axis][s.pix_lo] = True
-        else:
-            nxt[s.axis][s.pix_lo] = s.pix_hi
+        if s.axis == "v" and not s.on_boundary:
+            c = head[s.pix_hi] = head[s.pix_lo]
+            x1[c] = x1[s.pix_hi]
+    above: dict[int, list[int]] = {}
+    below: dict[int, list[int]] = {}
+    for s in px.sides:
+        if s.axis == "h" and not s.on_boundary:
+            lo, hi = head[s.pix_lo], head[s.pix_hi]
+            up, down = above.setdefault(lo, []), below.setdefault(hi, [])
+            if not up or up[-1] != hi:
+                up.append(hi)
+            if not down or down[-1] != lo:
+                down.append(lo)
+
+    def holder(row: list[int], a: int) -> int:
+        """Index in row of the chain starting at or left of a, or -1."""
+        return bisect_right(row, a, key=x0.__getitem__) - 1
+
     out = []
-    for join, flank in (("v", "h"), ("h", "v")):
-        for first in range(n):
-            if not wall_lo[join][first]:
+    for c0 in range(len(pix)):
+        if head[c0] != c0:
+            continue
+        down = below.get(c0, [])
+        todo = [(c0, x0[c0], x1[c0])]
+        while todo:
+            c, a, b = todo.pop()
+            i = holder(down, a)
+            if i >= 0 and x1[down[i]] >= b:
                 continue
-            chain = [first]
-            while nxt[join][chain[-1]] is not None:
-                chain.append(nxt[join][chain[-1]])
-            if (any(wall_lo[flank][p] for p in chain)
-                    and any(wall_hi[flank][p] for p in chain)):
-                a, b = px.pixels[first], px.pixels[chain[-1]]
-                out.append(Rect(a.xmin, a.ymin, b.xmax, b.ymax))
+            while True:
+                up = above.get(c, [])
+                i = holder(up, a)
+                if i < 0 or x1[up[i]] < b:
+                    break
+                c = up[i]
+            out.append(Rect(a, pix[c0].ymin, b, pix[c].ymax))
+            for d in up[max(i, 0):]:
+                if x0[d] >= b:
+                    break
+                if x1[d] > a:
+                    todo.append((d, max(a, x0[d]), min(b, x1[d])))
     return out
 
 
@@ -142,45 +161,6 @@ def _chain_candidate(px: Pixelation, axis: str, c: int, chain: list[Side]):
     if fatten_lo or fatten_hi:
         return []
     return [seg]
-
-
-# -- general (non-thin) path -----------------------------------------------------
-
-
-def _grid_positive(px: Pixelation) -> list[Rect]:
-    """Maximal rectangles from the occupancy grid.  For every pair of grid
-    lines along the axis with fewer of them, the maximal runs of cells lying
-    inside between that pair are the candidates; the grid is transposed when
-    that axis is y, so the pair loop is quadratic only in the shorter axis."""
-    cov = px.cover
-    inside, us, vs = cov.inside, cov.xs, cov.ys  # inside[u cell, v cell]
-    flip = len(us) > len(vs)
-    if flip:
-        inside, us, vs = np.ascontiguousarray(inside.T), vs, us
-
-    def rect(u0: int, v0: int, u1: int, v1: int) -> Rect:
-        return Rect(v0, u0, v1, u1) if flip else Rect(u0, v0, u1, v1)
-
-    out = []
-    n = len(us) - 1
-    for i in range(n):
-        ok = inside[i].copy()
-        for j in range(i, n):
-            ok &= inside[j]
-            u0, u1 = int(us[i]), int(us[j + 1])
-            # a maximal run of ok meets an outside cell at both ends, so
-            # the rectangle can only grow along u (by half a unit)
-            for a, b in _runs(ok):
-                v0, v1 = int(vs[a]), int(vs[b])
-                if not (cov.rect_inside(rect(u0 - 1, v0, u1, v1))
-                        or cov.rect_inside(rect(u0, v0, u1 + 1, v1))):
-                    out.append(rect(u0, v0, u1, v1))
-    return out
-
-
-def _runs(mask: np.ndarray):
-    idx = np.flatnonzero(np.diff(np.concatenate(([False], mask, [False]))))
-    return [(int(s), int(e)) for s, e in zip(idx[::2], idx[1::2])]
 
 
 # -- shared helpers ---------------------------------------------------------------

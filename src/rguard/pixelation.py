@@ -473,7 +473,12 @@ def _overlapping_wall(walls, lo, hi):
 class PixelCover:
     """Occupancy grid over the pixel boundary coordinates with prefix sums,
     answering exact closed-set containment queries for rectangles, segments
-    and points, scalar or vectorized."""
+    and points, scalar or vectorized.
+
+    Its users are the geometric predicate `guard_model.r_guards` (with
+    `fattenable` and `classify_degenerate`), the oracle and the benchmark's
+    answer checks.  It takes O(n_x * n_y) memory, so `Pixelation.cover`
+    builds it only on first use; `pipeline.solve_task` never does."""
 
     def __init__(self, pixels: list[Rect]):
         xs = sorted({v for r in pixels for v in (r.xmin, r.xmax)})

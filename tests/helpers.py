@@ -6,8 +6,11 @@ are union-find components of cells not separated by an edge or a ray.
 """
 from __future__ import annotations
 
+import numpy as np
+
 from rguard.aux_graph import AuxGraph, dominated
-from rguard.polygon_core import (OrthoPolygon, Pt, _point_in_scaled,
+from rguard.pixelation import Pixelation
+from rguard.polygon_core import (OrthoPolygon, Pt, Rect, _point_in_scaled,
                                  point_in_polygon, reflex_vertices)
 from rguard.tree_decomposition import (DecompositionReport, TreeDecomposition,
                                        aux_graph_edges, validate_decomposition)
@@ -81,6 +84,41 @@ def full_lift(T: TreeDecomposition, H: AuxGraph) -> TreeDecomposition:
             content.update(per_pixel[pid])
         bags.append(tuple(sorted(content)))
     return TreeDecomposition(bags, list(T.tree_edges), "aux")
+
+
+def grid_max_rects(px: Pixelation) -> list[Rect]:
+    """The positive-area maximal rectangles from `PixelCover`'s occupancy
+    grid, independent of the pixel sides; the reference for
+    `enumerate_max_rects`.  For every pair of grid lines along the axis with
+    fewer of them, the maximal runs of cells lying inside between that pair
+    are the candidates; the grid is transposed when that axis is y, so the
+    pair loop is quadratic only in the shorter axis."""
+    cov = px.cover
+    inside, us, vs = cov.inside, cov.xs, cov.ys  # inside[u cell, v cell]
+    flip = len(us) > len(vs)
+    if flip:
+        inside, us, vs = np.ascontiguousarray(inside.T), vs, us
+
+    def rect(u0: int, v0: int, u1: int, v1: int) -> Rect:
+        return Rect(v0, u0, v1, u1) if flip else Rect(u0, v0, u1, v1)
+
+    out = []
+    n = len(us) - 1
+    for i in range(n):
+        ok = inside[i].copy()
+        for j in range(i, n):
+            ok &= inside[j]
+            u0, u1 = int(us[i]), int(us[j + 1])
+            # a maximal run of ok meets an outside cell at both ends, so
+            # the rectangle can only grow along u (by half a unit)
+            idx = np.flatnonzero(np.diff(np.concatenate(([False], ok,
+                                                          [False]))))
+            for a, b in zip(idx[::2], idx[1::2]):
+                v0, v1 = int(vs[a]), int(vs[b])
+                if not (cov.rect_inside(rect(u0 - 1, v0, u1, v1))
+                        or cov.rect_inside(rect(u0, v0, u1 + 1, v1))):
+                    out.append(rect(u0, v0, u1, v1))
+    return out
 
 
 def validate_reduced_lift(H: AuxGraph, T: TreeDecomposition) -> DecompositionReport:

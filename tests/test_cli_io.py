@@ -119,6 +119,8 @@ def test_bench_and_csv(tmp_path, capsys):
     assert "log-log slope" in out
     header = csv_path.read_text().splitlines()[0]
     assert header == "family,k,size,seed,pixels,vertices,phase,seconds"
+    with open(csv_path, newline="") as f:
+        assert {r["k"] for r in csv.DictReader(f)} == {"1"}
 
 
 def test_bench_ktin_times_full_solve(tmp_path):

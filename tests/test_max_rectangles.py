@@ -1,12 +1,16 @@
+import time
+
 import pytest
 
 from helpers import (HOLED_SHAPES, SHAPES, TURNS, fixture_polygons,
-                     nonthin_plus, turned)
+                     grid_max_rects, nonthin_plus, turned)
+from rguard.cli_io import loglog_slope
+from rguard.guard_model import GuardTask
 from rguard.instance_gen import (gen_holed_variant, gen_ktin_polygon,
-                                 gen_tree_polygon)
-from rguard.max_rectangles import (_grid_positive, _thin_positive,
-                                   classify_degenerate, enumerate_max_rects)
+                                 gen_tree_polygon, rects_union_polygon)
+from rguard.max_rectangles import classify_degenerate, enumerate_max_rects
 from rguard.oracle import oracle_max_rects
+from rguard.pipeline import solve_task
 from rguard.pixelation import build_pixelation
 from rguard.polygon_core import OrthoPolygon, Rect, scale_polygon
 
@@ -56,14 +60,47 @@ def test_oracle_equivalence_generated():
             assert mine == ref
 
 
-def test_thin_path_matches_grid_path():
-    # the grid path is an independent reference at sizes beyond the oracle
+def nonthin_samples() -> list[OrthoPolygon]:
+    return [gen_ktin_polygon(2, 12, 31), gen_ktin_polygon(3, 10, 32),
+            nonthin_plus(),
+            gen_holed_variant(scale_polygon(gen_tree_polygon(20, 1), 3), 2, 1)]
+
+
+def test_max_rects_match_grid_reference():
+    # the grid is an independent reference at sizes beyond the oracle
     polys = [gen_tree_polygon(n, s) for n in (100, 200, 400) for s in range(3)]
     polys += [OrthoPolygon(o, h) for o, h in HOLED_SHAPES.values()]
+    polys += nonthin_samples()
     for poly in polys:
+        for p in [poly] + [turned(poly, how) for how in TURNS]:
+            px = build_pixelation(p)
+            mine = {m.rect for m in enumerate_max_rects(px, False)}
+            assert mine == set(grid_max_rects(px)), p
+
+
+def test_max_rects_skip_the_grid():
+    # the solver path never builds the occupancy grid, and the rectangles of
+    # a thick staircase (non-thin, many grid lines on both axes) take linear
+    # time
+    for poly in (nonthin_plus(), nonthin_samples()[-1]):
         px = build_pixelation(poly)
-        assert px.is_thin
-        assert set(_thin_positive(px)) == set(_grid_positive(px)), poly
+        assert not px.is_thin
+        solve_task(px, GuardTask.make())
+        assert "cover" not in vars(px)
+    sizes = [125, 250, 500, 1000]
+    times = []
+    for m in sizes:
+        px = build_pixelation(
+            rects_union_polygon([(i, i, i + 3, i + 3) for i in range(m)]))
+        best = float("inf")
+        for _ in range(3):
+            px.memo.clear()
+            t0 = time.perf_counter()
+            enumerate_max_rects(px, False)
+            best = min(best, time.perf_counter() - t0)
+        times.append(best)
+        assert "cover" not in vars(px)
+    assert loglog_slope(sizes, times) <= 1.3, times
 
 
 def test_no_containment_between_results():
@@ -115,12 +152,8 @@ def test_pixel_ids_closed_intersection():
 
 
 def test_same_rects_mirrored_and_rotated():
-    # the grid path loops over the axis with fewer grid lines, so each
-    # non-thin polygon here runs it both transposed and not
-    nonthin = [gen_ktin_polygon(2, 12, 31), gen_ktin_polygon(3, 10, 32),
-               nonthin_plus(),
-               gen_holed_variant(scale_polygon(gen_tree_polygon(20, 1), 3),
-                                 2, 1)]
+    # chains run along x only, so a rotation exercises the other axis
+    nonthin = nonthin_samples()
     thin_holed = [OrthoPolygon(o, h) for o, h in HOLED_SHAPES.values()]
     for poly, thin in ([(p, False) for p in nonthin]
                        + [(p, True) for p in thin_holed]):
