@@ -1,22 +1,34 @@
 """Exact restricted distance-2 dominating set on the auxiliary graph, by
-dynamic programming over a nice form of the lifted tree decomposition.
+dynamic programming over the lifted tree decomposition itself.
 
 Per-bag states use two bits per vertex: guards are selected/unselected,
 rectangles are dark (never adjacent to a selected guard), promised (will be)
-or lit (already are), targets are pending/dominated.  Introducing a guard
-lights its promised rectangles in the bag (a selection that meets a dark one
-is discarded); introducing a rectangle lights it if a selected guard in the
-bag sees it, and otherwise branches dark or promised.  A target is dominated
-once a non-dark rectangle next to it is in the bag.  A target may be
-forgotten only when dominated, a promised rectangle only once lit; a guard's
-bit stays in the key until the guard itself is forgotten.  A join buckets
-the right table on the guard bits plus which rectangles are non-dark,
+or lit (already are), targets are pending/dominated.  Every lifted vertex
+owns one fixed 2-bit slot of the packed integer keys: walking the tree down
+from bag 0, a vertex takes the lowest slot left free in its topmost bag and
+keeps it in every bag below, so the slots within a bag are distinct and no
+transition ever shifts a key.
+
+The tables are built in one post-order walk.  A bag's table is made from
+its children's: each child first forgets, in one filter-and-mask pass, what
+it does not share with the bag (a key with a pending target or a promised
+rectangle among those is dropped, then their slots are cleared); each child
+then introduces the vertices of the bag that another child kept and it did
+not, so that all children cover the same vertices; the children are joined;
+and only then are the bag's own remaining vertices introduced, once.
+
+Introducing a guard lights its promised rectangles in the table (a
+selection that meets a dark one is discarded); introducing a rectangle
+lights it if a selected guard in the table sees it, and otherwise branches
+dark or promised.  A target is dominated once a non-dark rectangle next to
+it is in the table.  A join buckets the right table on the guard bits plus
+which rectangles are non-dark,
 `(key & guards) | ((key | key >> 1) & rect_low_bits)`, so every pair in the
 bucket of a left key is compatible.  The merged key is the OR of the two,
 with promised|lit (11) turned into lit (10); a guard selected on both sides
-is counted once.  Keys are packed integers; each table entry carries its
-selected-guard set as a shared cons list, so child tables can be discarded
-as soon as a parent is done.
+is counted once.  Each table entry carries its selected-guard set as a
+shared cons list, so a child table can be dropped as soon as it has been
+joined.
 """
 from __future__ import annotations
 
@@ -76,13 +88,12 @@ def solve_r2ds(H: AuxGraph, T: TreeDecomposition) -> Solution:
     """Minimum S ⊆ Γ' such that every target has a 2-path to S, or an
     infeasibility witness.  T must be a lifted decomposition of H.  It may
     leave the targets and guards of `aux_graph.dominated(H)` out of its bags,
-    as `lift_to_H` does: the optimal size is that of the full bags, though
-    the chosen guards may differ.  The witness and the certificates are
-    computed on the whole of H.
+    and the rectangles with no kept target, as `lift_to_H` does: the optimal
+    size is that of the full bags, though the chosen guards may differ.  The
+    witness and the certificates are computed on the whole of H.
 
-    Builds one table per nice-tree node, bottom-up, and drops each child's
-    table once its parent's is built; the root table holds the single
-    empty-bag state."""
+    The tables are built bottom-up from bag 0 as the root; the root's
+    table, once it has forgotten its bag, holds the single empty state."""
     if T.universe != "aux":
         raise DecompositionError("solver expects a lifted decomposition")
     nu = len(H.targets)
@@ -93,26 +104,32 @@ def solve_r2ds(H: AuxGraph, T: TreeDecomposition) -> Solution:
     if nu == 0:
         return Solution("optimal", 0, [], [])
 
-    nodes = _nice_tree(T)
-
-    tables: dict[int, dict] = {}
-    for idx, node in enumerate(nodes):
-        kind = node[0]
-        if kind == "leaf":
-            tables[idx] = {0: (0, None)}
-        elif kind == "intro":
-            _, child, bag, v, pos = node
-            tables[idx] = _introduce(H, tables.pop(child), bag, v, pos)
-        elif kind == "forget":
-            _, child, bag, v, pos = node
-            tables[idx] = _forget(H, tables.pop(child), v, pos)
-        else:  # join
-            _, left, right, bag = node
-            tables[idx] = _join(H, tables.pop(left), tables.pop(right), bag)
-        if not tables[idx]:
+    order, parent = T.rooted()
+    slot = _slots(T, order)
+    # (table, vertices it covers) of each child, once it has forgotten what
+    # it does not share with its parent
+    entered: list[list] = [[] for _ in T.bags]
+    final: dict = {}
+    for b in reversed(order):
+        bag = T.bags[b]
+        table, present = _join_children(H, entered[b], slot)
+        entered[b] = None
+        inside = set(present)
+        for v in bag:
+            if v not in inside:
+                table = _introduce(H, table, present, v, slot)
+                present.append(v)
+        up = set(T.bags[parent[b]]) if b else set()
+        gone = [u for u in bag if u not in up]
+        if gone:
+            table = _forget(H, table, gone, slot)
+        if not table:
             raise SolverError("dead end in DP despite feasible instance")
+        if b:
+            entered[parent[b]].append((table, [u for u in bag if u in up]))
+        else:
+            final = table
 
-    final = tables[len(nodes) - 1]
     if list(final.keys()) != [0]:
         raise SolverError("root table is not a single empty-bag state")
     value, sel = final[0]
@@ -159,80 +176,47 @@ def verify_solution(H: AuxGraph, sol: Solution) -> bool:
     return True
 
 
-# -- nice tree -----------------------------------------------------------------
+# -- the walk over the decomposition -------------------------------------------
 
 
-def _nice_tree(T: TreeDecomposition):
-    """Flatten the decomposition into leaf/intro/forget/join nodes, ending in
-    an empty root bag.  Children always appear before their parents."""
-    nb = len(T.bags)
-    adj = T.neighbors()
-    parent = [-1] * nb
-    order = [0]
-    seen = [False] * nb
-    seen[0] = True
-    stack = [0]
-    while stack:
-        u = stack.pop()
-        for v in adj[u]:
-            if not seen[v]:
-                seen[v] = True
-                parent[v] = u
-                order.append(v)
-                stack.append(v)
-    children: list[list[int]] = [[] for _ in range(nb)]
-    for v in order[1:]:
-        children[parent[v]].append(v)
+def _slots(T: TreeDecomposition, order: list[int]) -> dict[int, int]:
+    """Slot of every lifted vertex: in the pre-order `order`, the vertices of
+    a bag that no earlier bag holds take, in bag order, the lowest slots not
+    held by the rest of the bag.  The bags holding a vertex form a subtree,
+    so a vertex is first met in its topmost bag and the rest of that bag
+    lies in the parent bag, whose slots are distinct."""
+    slot: dict[int, int] = {}
+    for b in order:
+        bag = T.bags[b]
+        taken = {slot[u] for u in bag if u in slot}
+        s = 0
+        for u in bag:
+            if u not in slot:
+                while s in taken:
+                    s += 1
+                slot[u] = s
+                s += 1
+    return slot
 
-    nodes = []
 
-    def chain(cur_idx: int | None, cur_bag: tuple, target_bag: tuple) -> tuple:
-        """Forget/introduce from cur_bag to target_bag; returns (idx, bag)."""
-        idx = cur_idx
-        bag = list(cur_bag)
-        for v in sorted(set(cur_bag) - set(target_bag)):
-            pos = bag.index(v)
-            bag.pop(pos)
-            nodes.append(("forget", idx, tuple(bag), v, pos))
-            idx = len(nodes) - 1
-        for v in sorted(set(target_bag) - set(cur_bag)):
-            pos = 0
-            while pos < len(bag) and bag[pos] < v:
-                pos += 1
-            bag.insert(pos, v)
-            nodes.append(("intro", idx, tuple(bag), v, pos))
-            idx = len(nodes) - 1
-        return idx, tuple(bag)
-
-    # iterative post-order over the decomposition tree
-    done: dict[int, tuple] = {}
-    stack = [(0, False)]
-    while stack:
-        b, processed = stack.pop()
-        if not processed:
-            stack.append((b, True))
-            for c in children[b]:
-                stack.append((c, False))
-            continue
-        kid_tops = []
-        for c in children[b]:
-            cidx, cbag = done.pop(c)
-            cidx, _cbag = chain(cidx, cbag, T.bags[b])
-            kid_tops.append(cidx)
-        if not kid_tops:
-            nodes.append(("leaf",))
-            done[b] = chain(len(nodes) - 1, (), T.bags[b])
-        else:
-            idx = kid_tops[0]
-            for other in kid_tops[1:]:
-                nodes.append(("join", idx, other, T.bags[b]))
-                idx = len(nodes) - 1
-            done[b] = (idx, T.bags[b])
-
-    ridx, rbag = chain(*done[0], ())
-    if rbag != () or ridx != len(nodes) - 1:
-        raise SolverError("root bag not emptied")
-    return nodes
+def _join_children(H: AuxGraph, entered: list, slot: dict) -> tuple[dict, list]:
+    """(table, covered vertices) joined from the children's (table, kept
+    vertices) pairs: each child introduces the vertices another child kept
+    and it did not, then the tables are joined.  A leaf gives the one empty
+    state."""
+    if not entered:
+        return {0: (0, None)}, []
+    shared = sorted(set().union(*(kept for _t, kept in entered)))
+    table = None
+    for child, kept in entered:
+        present = list(kept)
+        have = set(kept)
+        for v in shared:
+            if v not in have:
+                child = _introduce(H, child, present, v, slot)
+                present.append(v)
+        table = child if table is None else _join(H, table, child, shared, slot)
+    return table, shared
 
 
 def _kind(H: AuxGraph, v: int) -> tuple[str, int]:
@@ -246,102 +230,102 @@ def _kind(H: AuxGraph, v: int) -> tuple[str, int]:
     return "guard", v - nu - nr
 
 
-def _introduce(H: AuxGraph, child: dict, bag: tuple, v: int, pos: int) -> dict:
+def _introduce(H: AuxGraph, child: dict, present: list, v: int,
+               slot: dict) -> dict:
+    """The table of child, whose keys cover the vertices `present`, with v
+    introduced into v's free slot."""
     kind, i = _kind(H, v)
     rbase, gbase = H.rid(0), H.gid(0)
+    bit = 1 << (2 * slot[v])
     out: dict = {}
-    shift = 2 * pos
-    lowmask = (1 << shift) - 1
     get = out.get
     if kind == "guard":
-        L = _bits(bag, rbase, gbase, H.gr[i])  # the bag rectangles it sees
-        selbit = 1 << shift
+        L = _bits(present, slot, rbase, gbase, H.gr[i])  # rectangles it sees
         for key, ent in child.items():
-            nk = (key & lowmask) | ((key >> shift) << (shift + 2))
-            cur = get(nk)
-            if cur is None or ent[0] < cur[0]:
-                out[nk] = ent
-            if (nk | nk >> 1) & L == L:  # no dark rectangle in sight
-                p = nk & L & ~(nk >> 1)  # promised (01) -> lit (10)
-                nk ^= p | p << 1 | selbit
+            out[key] = ent
+            if (key | key >> 1) & L == L:  # no dark rectangle in sight
+                p = key & L & ~(key >> 1)  # promised (01) -> lit (10)
+                nk = key ^ (p | p << 1 | bit)
                 val = ent[0] + 1
                 cur = get(nk)
                 if cur is None or val < cur[0]:
                     out[nk] = (val, (1, i, ent[1]))
     elif kind == "rect":
-        G = _bits(bag, gbase, H.n_vertices, H.rg[i])  # guards that see it
-        target_bits = _bits(bag, 0, rbase, H.ru[i])
-        lit = (LIT << shift) | target_bits
-        promised = (PROMISED << shift) | target_bits
+        G = _bits(present, slot, gbase, H.n_vertices, H.rg[i])  # who sees it
+        target_bits = _bits(present, slot, 0, rbase, H.ru[i])
+        lit = (LIT * bit) | target_bits
+        promised = (PROMISED * bit) | target_bits
         for key, ent in child.items():
-            base = (key & lowmask) | ((key >> shift) << (shift + 2))
-            if base & G:
-                nk = base | lit
+            if key & G:
+                nk = key | lit
                 cur = get(nk)
                 if cur is None or ent[0] < cur[0]:
                     out[nk] = ent
             else:
-                cur = get(base)
-                if cur is None or ent[0] < cur[0]:
-                    out[base] = ent
-                nk = base | promised
+                out[key] = ent
+                nk = key | promised
                 cur = get(nk)
                 if cur is None or ent[0] < cur[0]:
                     out[nk] = ent
     else:  # target
-        # both bits of each bag rectangle that contains the target
-        M = 3 * _bits(bag, rbase, gbase, H.ur[i])
-        dominated = DOMINATED << shift
-        for key, ent in child.items():
-            nk = (key & lowmask) | ((key >> shift) << (shift + 2))
-            if nk & M:
-                nk |= dominated
-            cur = get(nk)
-            if cur is None or ent[0] < cur[0]:
-                out[nk] = ent
+        # both bits of each rectangle slot next to the target
+        M = 3 * _bits(present, slot, rbase, gbase, H.ur[i])
+        dominated = DOMINATED * bit
+        out = {key | dominated if key & M else key: ent
+               for key, ent in child.items()}
     return out
 
 
-def _bits(bag: tuple, lo: int, hi: int, ids: list[int]) -> int:
-    """The low bit of each position of bag whose lifted id u has
-    lo <= u < hi and u - lo in the sorted list ids: the neighbours of one
-    kind that a vertex with neighbour list ids has in the bag, found in
-    O(len(bag) log len(ids)) time."""
+def _bits(present: list, slot: dict, lo: int, hi: int, ids: list[int]) -> int:
+    """The low bit of the slot of each vertex u of present with lo <= u < hi
+    and u - lo in the sorted list ids: the neighbours of one kind that a
+    vertex with neighbour list ids has in present, found in
+    O(len(present) log len(ids)) time."""
     out = 0
-    for p, u in enumerate(bag):
+    for u in present:
         if lo <= u < hi:
             j = bisect_left(ids, u - lo)
             if j < len(ids) and ids[j] == u - lo:
-                out |= 1 << (2 * p)
+                out |= 1 << (2 * slot[u])
     return out
 
 
-def _forget(H: AuxGraph, child: dict, v: int, pos: int) -> dict:
-    kind, _ = _kind(H, v)
+def _forget(H: AuxGraph, child: dict, gone: list, slot: dict) -> dict:
+    """The table of child with the vertices `gone` forgotten in one pass: a
+    key in which one of them is a pending target or a promised rectangle is
+    dropped, and their slots are cleared."""
+    rbase, gbase = H.rid(0), H.gid(0)
+    targets = promised = clear = 0
+    for u in gone:
+        bit = 1 << (2 * slot[u])
+        clear |= 3 * bit
+        if u < rbase:
+            targets |= bit
+        elif u < gbase:
+            promised |= bit
+    keep = ~clear
     out: dict = {}
-    shift = 2 * pos
-    lowmask = (1 << shift) - 1
     get = out.get
-    drop = PROMISED if kind == "rect" else (PENDING if kind == "target" else -1)
-    check = kind != "guard"
     for key, ent in child.items():
-        if check and (key >> shift) & 3 == drop:
+        if key & targets != targets or key & ~(key >> 1) & promised:
             continue
-        nk = (key & lowmask) | ((key >> (shift + 2)) << shift)
+        nk = key & keep
         cur = get(nk)
         if cur is None or ent[0] < cur[0]:
             out[nk] = ent
     return out
 
 
-def _join(H: AuxGraph, left: dict, right: dict, bag: tuple) -> dict:
+def _join(H: AuxGraph, left: dict, right: dict, present: list,
+          slot: dict) -> dict:
+    """Join of two tables whose keys cover the same vertices `present`."""
+    rbase, gbase = H.rid(0), H.gid(0)
     gmask = rlo = 0  # selection bits of the guards, low bits of the rects
-    for p, u in enumerate(bag):
-        kind = _kind(H, u)[0]
-        if kind == "guard":
-            gmask |= 1 << (2 * p)
-        elif kind == "rect":
-            rlo |= 1 << (2 * p)
+    for u in present:
+        if u >= gbase:
+            gmask |= 1 << (2 * slot[u])
+        elif u >= rbase:
+            rlo |= 1 << (2 * slot[u])
 
     # Two states combine iff they agree on the guards and on which
     # rectangles are dark, so buckets of the right table hold exactly the

@@ -42,6 +42,25 @@ class TreeDecomposition:
             adj[b].append(a)
         return adj
 
+    def rooted(self) -> tuple[list[int], list[int]]:
+        """Bags in depth-first pre-order from bag 0, each subtree contiguous,
+        and the parent of each bag (-1 at the root)."""
+        adj = self.neighbors()
+        parent = [-1] * len(self.bags)
+        seen = [False] * len(self.bags)
+        seen[0] = True
+        order = []
+        stack = [0]
+        while stack:
+            u = stack.pop()
+            order.append(u)
+            for v in adj[u]:
+                if not seen[v]:
+                    seen[v] = True
+                    parent[v] = u
+                    stack.append(v)
+        return order, parent
+
     def dump(self) -> str:
         """The common 's td' text exchange format (1-based ids)."""
         nv = max((max(b) for b in self.bags if b), default=-1) + 1
@@ -222,9 +241,12 @@ def lift_to_H(T: TreeDecomposition, H: AuxGraph) -> TreeDecomposition:
     """Replace each pixel of every bag by the targets it contains, the guards
     and rectangles intersecting it; pixels themselves are dropped.
 
-    The targets and guards in `dominated(H)` are left out, so the result is
-    a decomposition of H minus those vertices: leaving vertices out of every
-    bag keeps a decomposition valid for the rest of the graph."""
+    The targets and guards in `dominated(H)` are left out, and so is every
+    rectangle none of whose targets is kept, so the result is a
+    decomposition of H minus those vertices: leaving vertices out of every
+    bag keeps a decomposition valid for the rest of the graph.  A lifted bag
+    that is a subset of a tree neighbour's is then merged into it (see
+    `_merge_subset_bags`), which keeps the width."""
     if T.universe != "dual":
         raise DecompositionError("lift expects a decomposition of the dual graph")
     gone_targets, gone_guards = dominated(H)
@@ -235,19 +257,52 @@ def lift_to_H(T: TreeDecomposition, H: AuxGraph) -> TreeDecomposition:
             for pid in t.home_pixels:
                 per_pixel[pid].append(H.tid(t.id))
     for mr in H.rects:
-        for pid in mr.pixel_ids:
-            per_pixel[pid].append(H.rid(mr.id))
+        if any(t not in gone_targets for t in H.ru[mr.id]):
+            for pid in mr.pixel_ids:
+                per_pixel[pid].append(H.rid(mr.id))
     for g in H.guards:
         if g.id not in gone_guards:
             for pid in g.home_pixels:
                 per_pixel[pid].append(H.gid(g.id))
-    bags = []
+    contents = []
     for bag in T.bags:
         content: set[int] = set()
         for pid in bag:
             content.update(per_pixel[pid])
-        bags.append(tuple(sorted(content)))
-    return TreeDecomposition(bags, list(T.tree_edges), "aux")
+        contents.append(content)
+    return _merge_subset_bags(T, contents)
+
+
+def _merge_subset_bags(T: TreeDecomposition,
+                       contents: list[set[int]]) -> TreeDecomposition:
+    """The decomposition with the tree of T and the bags `contents`, after
+    contracting every tree edge one of whose sides is a subset of the other.
+
+    One pass over the bags in pre-order from bag 0 puts each bag in a group
+    of merged bags; the top bag of a group contains all its members.  A bag
+    that is a subset of its parent's group's top joins that group; one that
+    strictly contains it joins the group and becomes its top.  Running
+    intersection keeps this complete: if a neighbour group's top were a
+    subset of the new top, it would already be a subset of the old one.  So
+    no bag of the result is a subset of a neighbour's, and the width is
+    unchanged.  The group of bag 0 is bag 0 of the result."""
+    order, parent = T.rooted()
+    group = [0] * len(contents)
+    top = [0]
+    for b in order[1:]:
+        g = group[parent[b]]
+        if contents[b] <= contents[top[g]]:
+            group[b] = g
+        elif contents[top[g]] < contents[b]:
+            group[b] = g
+            top[g] = b
+        else:
+            group[b] = len(top)
+            top.append(b)
+    edges = sorted((min(ga, gb), max(ga, gb)) for ga, gb in
+                   ((group[a], group[b]) for a, b in T.tree_edges) if ga != gb)
+    return TreeDecomposition([tuple(sorted(contents[b])) for b in top],
+                             edges, "aux")
 
 
 def aux_graph_edges(H: AuxGraph) -> tuple[int, list[tuple[int, int]]]:

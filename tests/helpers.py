@@ -6,9 +6,13 @@ are union-find components of cells not separated by an edge or a ray.
 """
 from __future__ import annotations
 
+from bisect import bisect_left
+
 import numpy as np
 
 from rguard.aux_graph import AuxGraph, dominated
+from rguard.dp_solver import (DOMINATED, LIT, PENDING, PROMISED, Certificate,
+                              Solution, _cons_to_set, _kind, _merge_sel)
 from rguard.pixelation import Pixelation
 from rguard.polygon_core import (OrthoPolygon, Pt, Rect, _point_in_scaled,
                                  point_in_polygon, reflex_vertices)
@@ -121,12 +125,33 @@ def grid_max_rects(px: Pixelation) -> list[Rect]:
     return out
 
 
-def validate_reduced_lift(H: AuxGraph, T: TreeDecomposition) -> DecompositionReport:
-    """validate_decomposition of T against H minus dominated(H), with the
-    kept vertices renumbered 0, 1, ... in id order; a dominated vertex left
-    in a bag is a problem too."""
+def lifted_away(H: AuxGraph) -> set[int]:
+    """Lifted ids that lift_to_H leaves out of every bag: the targets and
+    guards of dominated(H) and every rectangle none of whose targets is
+    kept."""
     targets, guards = dominated(H)
     gone = targets | {H.gid(g) for g in guards}
+    gone |= {H.rid(r) for r, ts in enumerate(H.ru)
+             if all(t in targets for t in ts)}
+    return gone
+
+
+def nice_tree_lift(T: TreeDecomposition, H: AuxGraph) -> TreeDecomposition:
+    """full_lift without the targets and guards of dominated(H), with every
+    rectangle kept and no bag merged: the input of nice_tree_solve in the
+    differential check of lift_to_H and solve_r2ds."""
+    targets, guards = dominated(H)
+    gone = targets | {H.gid(g) for g in guards}
+    return TreeDecomposition(
+        [tuple(v for v in bag if v not in gone) for bag in full_lift(T, H).bags],
+        list(T.tree_edges), "aux")
+
+
+def validate_reduced_lift(H: AuxGraph, T: TreeDecomposition) -> DecompositionReport:
+    """validate_decomposition of T against H minus lifted_away(H), with the
+    kept vertices renumbered 0, 1, ... in id order; a vertex of
+    lifted_away(H) left in a bag is a problem too."""
+    gone = lifted_away(H)
     keep = [v for v in range(H.n_vertices) if v not in gone]
     new_id = {v: i for i, v in enumerate(keep)}
     _n, edges = aux_graph_edges(H)
@@ -137,8 +162,182 @@ def validate_reduced_lift(H: AuxGraph, T: TreeDecomposition) -> DecompositionRep
         T.tree_edges, "aux")
     rep = validate_decomposition(len(keep), sub_edges, relabelled)
     stray = gone & {v for bag in T.bags for v in bag}
-    rep.problems += [f"dominated vertex {v} in a bag" for v in sorted(stray)]
+    rep.problems += [f"left-out vertex {v} in a bag" for v in sorted(stray)]
     return rep
+
+
+# -- the nice-tree DP, the reference for dp_solver.solve_r2ds -------------------
+
+
+def nice_tree_solve(H: AuxGraph, T: TreeDecomposition) -> Solution:
+    """The DP of solve_r2ds over a nice tree: the decomposition is expanded
+    into leaf, introduce, forget and join nodes, one vertex per introduce or
+    forget, and a key holds the states of the bag's vertices in sorted
+    order, so every introduce and forget re-packs it.  The reference for
+    solve_r2ds: status, size and witness must be equal; the chosen guards
+    may differ."""
+    nu = len(H.targets)
+    for ti in range(nu):
+        if not any(H.rg[ri] for ri in H.ur[ti]):
+            return Solution("infeasible", 0, [], [], witness_target=ti)
+    if nu == 0:
+        return Solution("optimal", 0, [], [])
+    nodes = _nice_tree(T)
+    tables: dict[int, dict] = {}
+    for idx, node in enumerate(nodes):
+        if node[0] == "leaf":
+            tables[idx] = {0: (0, None)}
+        elif node[0] == "intro":
+            _, child, bag, v, pos = node
+            tables[idx] = _nice_introduce(H, tables.pop(child), bag, v, pos)
+        elif node[0] == "forget":
+            _, child, _bag, v, pos = node
+            tables[idx] = _nice_forget(H, tables.pop(child), v, pos)
+        else:
+            _, left, right, bag = node
+            tables[idx] = _nice_join(H, tables.pop(left), tables.pop(right), bag)
+        assert tables[idx], "dead end in the nice-tree DP"
+    final = tables[len(nodes) - 1]
+    assert list(final) == [0], "root table is not a single empty-bag state"
+    value, sel = final[0]
+    chosen = sorted(_cons_to_set(sel))
+    assert value == len(chosen)
+    index_of = {gi: k for k, gi in enumerate(chosen)}
+    certs = []
+    for ti in range(nu):
+        ri, gi = next((ri, gi) for ri in H.ur[ti] for gi in H.rg[ri]
+                      if gi in index_of)
+        certs.append(Certificate(ti, ri, index_of[gi]))
+    return Solution("optimal", value, [H.guards[gi] for gi in chosen], certs)
+
+
+def _nice_tree(T: TreeDecomposition) -> list[tuple]:
+    """Leaf/intro/forget/join nodes of T rooted at bag 0, children before
+    parents, ending in an empty root bag.  Every child is brought to its
+    parent's bag (forgets, then introduces) before the children are joined."""
+    order, parent = T.rooted()
+    children: list[list[int]] = [[] for _ in T.bags]
+    for v in order[1:]:
+        children[parent[v]].append(v)
+    nodes: list[tuple] = []
+
+    def chain(idx: int, cur_bag: tuple, target_bag: tuple) -> tuple:
+        bag = list(cur_bag)
+        for v in sorted(set(cur_bag) - set(target_bag)):
+            pos = bag.index(v)
+            bag.pop(pos)
+            nodes.append(("forget", idx, tuple(bag), v, pos))
+            idx = len(nodes) - 1
+        for v in sorted(set(target_bag) - set(cur_bag)):
+            pos = bisect_left(bag, v)
+            bag.insert(pos, v)
+            nodes.append(("intro", idx, tuple(bag), v, pos))
+            idx = len(nodes) - 1
+        return idx, tuple(bag)
+
+    done: dict[int, tuple] = {}
+    for b in reversed(order):
+        tops = [chain(*done.pop(c), T.bags[b])[0] for c in children[b]]
+        if not tops:
+            nodes.append(("leaf",))
+            done[b] = chain(len(nodes) - 1, (), T.bags[b])
+            continue
+        idx = tops[0]
+        for other in tops[1:]:
+            nodes.append(("join", idx, other, T.bags[b]))
+            idx = len(nodes) - 1
+        done[b] = (idx, T.bags[b])
+    ridx, rbag = chain(*done[0], ())
+    assert rbag == () and ridx == len(nodes) - 1
+    return nodes
+
+
+def _positions(bag: tuple, lo: int, hi: int, ids: list[int]) -> int:
+    """The low bit of each position of bag holding a lifted id u with
+    lo <= u < hi and u - lo in the sorted list ids."""
+    out = 0
+    for p, u in enumerate(bag):
+        if lo <= u < hi:
+            j = bisect_left(ids, u - lo)
+            if j < len(ids) and ids[j] == u - lo:
+                out |= 1 << (2 * p)
+    return out
+
+
+def _put(out: dict, key: int, val: int, sel) -> None:
+    cur = out.get(key)
+    if cur is None or val < cur[0]:
+        out[key] = (val, sel)
+
+
+def _nice_introduce(H: AuxGraph, child: dict, bag: tuple, v: int,
+                    pos: int) -> dict:
+    kind, i = _kind(H, v)
+    rbase, gbase = H.rid(0), H.gid(0)
+    shift = 2 * pos
+    low = (1 << shift) - 1
+    out: dict = {}
+    if kind == "guard":
+        L = _positions(bag, rbase, gbase, H.gr[i])
+        for key, (val, sel) in child.items():
+            nk = (key & low) | ((key >> shift) << (shift + 2))
+            _put(out, nk, val, sel)
+            if (nk | nk >> 1) & L == L:
+                p = nk & L & ~(nk >> 1)
+                _put(out, nk ^ (p | p << 1 | 1 << shift), val + 1, (1, i, sel))
+    elif kind == "rect":
+        G = _positions(bag, gbase, H.n_vertices, H.rg[i])
+        targets = _positions(bag, 0, rbase, H.ru[i])
+        for key, (val, sel) in child.items():
+            nk = (key & low) | ((key >> shift) << (shift + 2))
+            if nk & G:
+                _put(out, nk | (LIT << shift) | targets, val, sel)
+            else:
+                _put(out, nk, val, sel)
+                _put(out, nk | (PROMISED << shift) | targets, val, sel)
+    else:
+        M = 3 * _positions(bag, rbase, gbase, H.ur[i])
+        for key, (val, sel) in child.items():
+            nk = (key & low) | ((key >> shift) << (shift + 2))
+            _put(out, nk | (DOMINATED << shift) if nk & M else nk, val, sel)
+    return out
+
+
+def _nice_forget(H: AuxGraph, child: dict, v: int, pos: int) -> dict:
+    kind, _i = _kind(H, v)
+    shift = 2 * pos
+    low = (1 << shift) - 1
+    drop = {"rect": PROMISED, "target": PENDING}.get(kind)
+    out: dict = {}
+    for key, (val, sel) in child.items():
+        if (key >> shift) & 3 != drop:
+            _put(out, (key & low) | ((key >> (shift + 2)) << shift), val, sel)
+    return out
+
+
+def _nice_join(H: AuxGraph, left: dict, right: dict, bag: tuple) -> dict:
+    """The right table bucketed on its guard bits and which rectangles are
+    non-dark; a left key is merged with its bucket."""
+    gmask = rlo = 0
+    for p, u in enumerate(bag):
+        kind = _kind(H, u)[0]
+        if kind == "guard":
+            gmask |= 1 << (2 * p)
+        elif kind == "rect":
+            rlo |= 1 << (2 * p)
+    buckets: dict[int, list] = {}
+    for kb, ent in right.items():
+        buckets.setdefault((kb & gmask) | ((kb | kb >> 1) & rlo), []).append(
+            (kb, ent))
+    out: dict = {}
+    for ka, (va, sa) in left.items():
+        shared = (ka & gmask).bit_count()
+        for kb, (vb, sb) in buckets.get((ka & gmask) | ((ka | ka >> 1) & rlo),
+                                        ()):
+            o = ka | kb
+            _put(out, o & ~((o >> 1) & rlo), va + vb - shared,
+                 _merge_sel(sa, sb))
+    return out
 
 
 def nonthin_plus() -> OrthoPolygon:

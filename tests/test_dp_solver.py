@@ -3,13 +3,16 @@ import random
 import time
 
 from helpers import (HOLED_SHAPES, SHAPES, fixture_polygons, full_lift,
+                     nice_tree_lift, nice_tree_solve, turned,
                      validate_reduced_lift)
 from test_acceptance import GUARD_MODES, TARGET_MODES, _corpus, _explicit_targets
 from rguard.aux_graph import AuxGraph, build_aux_graph, dominated
 from rguard.cli_io import loglog_slope
+from rguard import dp_solver
 from rguard.dp_solver import (DARK, DOMINATED, LIT, PENDING, PROMISED,
-                              _cons_to_set, _introduce, _join, _kind,
-                              _merge_sel, solve_r2ds, verify_solution)
+                              SolverError, _cons_to_set, _introduce, _join,
+                              _kind, _merge_sel, _slots, solve_r2ds,
+                              verify_solution)
 from rguard.guard_model import (Guard, GuardTask, TargetPoint, simplify_guards,
                                 simplify_targets)
 from rguard.instance_gen import (gen_holed_variant, gen_ktin_polygon,
@@ -179,15 +182,19 @@ def test_dominance_filtered_bags_stay_valid():
     assert removed
 
 
+def _infeasible_cases():
+    """(polygon, task) pairs with a target that no guard sees."""
+    return [(OrthoPolygon(SHAPES["L"]),
+             GuardTask.make(guard_modes=("pixels",), guard_pixels=())),
+            (OrthoPolygon(SHAPES["U"]),
+             GuardTask.make(guard_modes=("pixels",), guard_pixels=(0,))),
+            (OrthoPolygon(SHAPES["U"]),
+             GuardTask.make(guard_modes=("points",), guard_points=((0, 0),)))]
+
+
 def test_dominance_infeasible_witness_unchanged():
-    cases = [(OrthoPolygon(SHAPES["L"]), dict(guard_modes=("pixels",),
-                                              guard_pixels=())),
-             (OrthoPolygon(SHAPES["U"]), dict(guard_modes=("pixels",),
-                                              guard_pixels=(0,))),
-             (OrthoPolygon(SHAPES["U"]), dict(guard_modes=("points",),
-                                              guard_points=((0, 0),)))]
-    for poly, kw in cases:
-        ctx = solve(poly, **kw)
+    for poly, task in _infeasible_cases():
+        ctx = solve_task(poly, task)
         H = ctx.H
         first_unseen = min(ti for ti in range(len(H.targets))
                            if not any(H.rg[ri] for ri in H.ur[ti]))
@@ -197,34 +204,145 @@ def test_dominance_infeasible_witness_unchanged():
         assert solve_r2ds(H, ctx.T_aux).witness_target == first_unseen
 
 
+def _task_modes(px):
+    """The 24 task modes of the acceptance corpus for one pixelation."""
+    for tm in TARGET_MODES:
+        tpts = _explicit_targets(px) if tm == "points" else ()
+        for gm in GUARD_MODES:
+            for deg in (False, True):
+                yield (tm, gm, deg), GuardTask.make(
+                    target_mode=tm, target_points=tpts, guard_modes=gm,
+                    allow_degenerate=deg, doubled=False)
+
+
+def _corpus_slice():
+    """Every 29th tree of the acceptance corpus, two of its holed variants,
+    the fixtures (the HOLED_SHAPES among them)."""
+    corpus = _corpus()
+    return corpus[0:435:29] + corpus[435:485:25] + corpus[485:]
+
+
+def _combs_small():
+    """K=2 and K=3 combs of 6 and 40 teeth."""
+    return [gen_ktin_polygon(k, teeth, 31 + k) for k in (2, 3)
+            for teeth in (6, 40)]
+
+
 def test_dominance_reduction_matches_full_dp():
     """Differential check of the reduced DP against the DP over the full
     lifted bags on a slice of the acceptance corpus: trees, holed variants
     and the fixtures, across every target mode, guard mode and the
     degenerate flag."""
-    corpus = _corpus()
-    polys = corpus[0:435:29] + corpus[435:485:25] + corpus[485:]
+    polys = _corpus_slice()
     runs = 0
     for poly in polys:
         px = build_pixelation(poly)
-        for tm in TARGET_MODES:
-            tpts = _explicit_targets(px) if tm == "points" else ()
-            for gm in GUARD_MODES:
-                for deg in (False, True):
-                    task = GuardTask.make(target_mode=tm, target_points=tpts,
-                                          guard_modes=gm, allow_degenerate=deg,
-                                          doubled=False)
-                    ctx = solve_task(px, task)
-                    red = ctx.solution
-                    full = solve_r2ds(ctx.H, full_lift(ctx.T_dual, ctx.H))
-                    key = (poly.to_json(), tm, gm, deg)
-                    assert red.status == full.status, key
-                    assert red.size == full.size, key
-                    if red.status == "optimal":
-                        assert verify_solution(ctx.H, red), key
-                        assert verify_solution(ctx.H, full), key
-                    runs += 1
+        for mode, task in _task_modes(px):
+            ctx = solve_task(px, task)
+            red = ctx.solution
+            full = solve_r2ds(ctx.H, full_lift(ctx.T_dual, ctx.H))
+            key = (poly.to_json(), mode)
+            assert red.status == full.status, key
+            assert red.size == full.size, key
+            if red.status == "optimal":
+                assert verify_solution(ctx.H, red), key
+                assert verify_solution(ctx.H, full), key
+            runs += 1
     assert runs == 24 * len(polys)
+
+
+def _found_polygons():
+    """The two holed trees whose min-fill width depends on the orientation,
+    as given, mirrored and rotated by 90 degrees."""
+    polys = []
+    for n, h, seed in ((500, 8, 21), (200, 4, 24)):
+        poly = gen_holed_variant(scale_polygon(gen_tree_polygon(n, seed), 3),
+                                 h, seed)
+        polys += [poly, turned(poly, "mirror"), turned(poly, "rot90")]
+    return polys
+
+
+def _nice_tree_cases():
+    """(pixelation, task) pairs: the corpus slice and the small combs, each
+    in the 24 task modes, the default task on the orientation instances, and
+    the infeasible cases."""
+    cases = []
+    for poly in _corpus_slice() + _combs_small():
+        px = build_pixelation(poly)
+        cases += [(px, task) for _mode, task in _task_modes(px)]
+    cases += [(build_pixelation(poly), GuardTask.make())
+              for poly in _found_polygons()]
+    cases += [(build_pixelation(poly), task)
+              for poly, task in _infeasible_cases()]
+    return cases
+
+
+def _nice_tree_mismatches(cases):
+    """The cases on which solve_task and the nice-tree DP over
+    nice_tree_lift differ in status, size or witness, or give a solution that fails
+    verify_solution, or on which solve_task raises SolverError."""
+    bad = []
+    for px, task in cases:
+        key = (px.poly.to_json(), task)
+        try:
+            ctx = solve_task(px, task)
+        except SolverError as e:
+            bad.append((key, str(e)))
+            continue
+        got = ctx.solution
+        ref = nice_tree_solve(ctx.H, nice_tree_lift(ctx.T_dual, ctx.H))
+        if (got.status, got.size, got.witness_target) != \
+                (ref.status, ref.size, ref.witness_target):
+            bad.append((key, (got.size, ref.size)))
+        elif got.status == "optimal" and not (verify_solution(ctx.H, got)
+                                              and verify_solution(ctx.H, ref)):
+            bad.append((key, "certificate"))
+    return bad
+
+
+def test_dp_matches_nice_tree_dp():
+    """Differential check of the DP over the merged lift against the
+    nice-tree DP over nice_tree_lift (one vertex per introduce or forget,
+    no bag merging, every rectangle kept)."""
+    cases = _nice_tree_cases()
+    assert len(cases) == 24 * 32 + 6 + 3
+    assert _nice_tree_mismatches(cases) == []
+
+
+def test_nice_tree_check_catches_kept_promised(monkeypatch):
+    """A forget that keeps the keys in which a forgotten rectangle is still
+    promised lets a target be dominated by a rectangle no guard ever sees;
+    the differential check fails on it."""
+    def forget_keeping_promised(H, child, gone, slot):
+        targets = sum(1 << (2 * slot[u]) for u in gone if u < H.rid(0))
+        keep = ~sum(3 << (2 * slot[u]) for u in gone)
+        out = {}
+        for key, ent in child.items():
+            if key & targets == targets:
+                nk = key & keep
+                if nk not in out or ent[0] < out[nk][0]:
+                    out[nk] = ent
+        return out
+
+    cases = _nice_tree_cases()[:48]
+    assert _nice_tree_mismatches(cases) == []
+    monkeypatch.setattr(dp_solver, "_forget", forget_keeping_promised)
+    assert _nice_tree_mismatches(cases)
+
+
+def test_slots_distinct_within_bags():
+    """_slots gives the vertices of every bag distinct slots, fewer than
+    the largest bag holds, on the merged lifts of the orientation instances
+    and the combs."""
+    polys = _found_polygons() + [gen_ktin_polygon(k, 40, 31 + k)
+                                 for k in (2, 3)]
+    for poly in polys:
+        T = solve(poly).T_aux
+        order, _parent = T.rooted()
+        slot = _slots(T, order)
+        assert max(slot.values()) <= T.width
+        for bag in T.bags:
+            assert len({slot[u] for u in bag}) == len(bag), bag
 
 
 def _aux(px, task):
@@ -259,26 +377,16 @@ def test_dominance_grouping_matches_reference():
     """Grouping equal sets first drops exactly the vertices that pairwise
     containment over all vertices drops, on the corpus slice of
     test_dominance_reduction_matches_full_dp and on K=2 and K=3 combs."""
-    corpus = _corpus()
-    polys = corpus[0:435:29] + corpus[435:485:25] + corpus[485:]
-    polys += [gen_ktin_polygon(k, teeth, 31 + k) for k in (2, 3)
-              for teeth in (6, 40)]
+    polys = _corpus_slice() + _combs_small()
     checked = dropped = 0
     for poly in polys:
         px = build_pixelation(poly)
-        for tm in TARGET_MODES:
-            tpts = _explicit_targets(px) if tm == "points" else ()
-            for gm in GUARD_MODES:
-                for deg in (False, True):
-                    task = GuardTask.make(target_mode=tm, target_points=tpts,
-                                          guard_modes=gm, allow_degenerate=deg,
-                                          doubled=False)
-                    H = _aux(px, task)
-                    got = dominated(H)
-                    assert got == _reference_dominated(H), \
-                        (poly.to_json(), tm, gm, deg)
-                    checked += 1
-                    dropped += len(got[0]) + len(got[1])
+        for mode, task in _task_modes(px):
+            H = _aux(px, task)
+            got = dominated(H)
+            assert got == _reference_dominated(H), (poly.to_json(), mode)
+            checked += 1
+            dropped += len(got[0]) + len(got[1])
     assert checked == 24 * len(polys) and dropped
 
 
@@ -322,20 +430,30 @@ def test_dp_scales_linearly():
     assert loglog_slope(pixels, times) <= 1.3, (pixels, times)
 
 
-def _reference_join(H, left, right, bag):
+def test_lift_scales_linearly():
+    """Merging the subset bags is one pass over the lifted bags, so on the
+    combs the lift grows linearly with the pixels."""
+    combs = _combs()
+    duals = [(H, decompose_dual(px.dual)) for _n, px, H in combs]
+    times = _best_times([lambda H=H, T=T: lift_to_H(T, H) for H, T in duals])
+    pixels = [n for n, _px, _H in combs]
+    assert loglog_slope(pixels, times) <= 1.3, (pixels, times)
+
+
+def _reference_join(H, left, right, present, slot):
     """_join checked slot by slot: pairs with equal guard bits, each
     rectangle slot tested for compatibility and merged in turn."""
-    def slot(key, pos):
-        return (key >> (2 * pos)) & 3
+    def state(key, u):
+        return (key >> (2 * slot[u])) & 3
 
-    kinds = [_kind(H, u)[0] for u in bag]
-    guard_pos = [i for i, k in enumerate(kinds) if k == "guard"]
-    rect_pos = [i for i, k in enumerate(kinds) if k == "rect"]
-    target_pos = [i for i, k in enumerate(kinds) if k == "target"]
+    kinds = [(_kind(H, u)[0], u) for u in present]
+    guards = [u for k, u in kinds if k == "guard"]
+    rects = [u for k, u in kinds if k == "rect"]
+    targets = [u for k, u in kinds if k == "target"]
     gmask = selmask = 0
-    for p in guard_pos:
-        gmask |= 3 << (2 * p)
-        selmask |= 1 << (2 * p)
+    for u in guards:
+        gmask |= 3 << (2 * slot[u])
+        selmask |= 1 << (2 * slot[u])
     by_guard = {}
     for key, ent in right.items():
         by_guard.setdefault(key & gmask, []).append((key, ent))
@@ -345,8 +463,8 @@ def _reference_join(H, left, right, bag):
         for kb, (vb, sb) in by_guard.get(ka & gmask, ()):
             nk = ka & gmask
             ok = True
-            for p in rect_pos:
-                x, y = slot(ka, p), slot(kb, p)
+            for u in rects:
+                x, y = state(ka, u), state(kb, u)
                 if x == DARK and y == DARK:
                     s = DARK
                 elif x != DARK and y != DARK:
@@ -354,12 +472,12 @@ def _reference_join(H, left, right, bag):
                 else:
                     ok = False
                     break
-                nk |= s << (2 * p)
+                nk |= s << (2 * slot[u])
             if not ok:
                 continue
-            for p in target_pos:
-                s = DOMINATED if (slot(ka, p) | slot(kb, p)) else PENDING
-                nk |= s << (2 * p)
+            for u in targets:
+                s = DOMINATED if (state(ka, u) | state(kb, u)) else PENDING
+                nk |= s << (2 * slot[u])
             val = va + vb - shared
             cur = out.get(nk)
             if cur is None or val < cur[0]:
@@ -367,18 +485,19 @@ def _reference_join(H, left, right, bag):
     return out
 
 
-def _random_table(rng, H, bag, n):
-    """Up to n random states over bag: guards unselected/selected,
-    rectangles dark/promised/lit, targets pending/dominated; each with a
-    small value and a selection of one or two guards or none."""
+def _random_table(rng, H, present, slot, n):
+    """Up to n random states over the vertices present, each at its slot:
+    guards unselected/selected, rectangles dark/promised/lit, targets
+    pending/dominated; each with a small value and a selection of one or
+    two guards or none."""
     states = {"guard": 2, "rect": 3, "target": 2}
-    kinds = [_kind(H, u) for u in bag]
-    guards = [i for k, i in kinds if k == "guard"] or [0]
+    kinds = [(_kind(H, u), u) for u in present]
+    guards = [i for (k, i), _u in kinds if k == "guard"] or [0]
     table = {}
     for _ in range(n):
         key = 0
-        for p, (k, _i) in enumerate(kinds):
-            key |= rng.randrange(states[k]) << (2 * p)
+        for (k, _i), u in kinds:
+            key |= rng.randrange(states[k]) << (2 * slot[u])
         sel = None
         for _ in range(rng.randrange(3)):
             sel = (1, rng.choice(guards), sel)
@@ -420,28 +539,31 @@ def _assert_same_table(got, want, info):
 def test_join_matches_reference():
     """The bucketed join gives the same keys in the same order, the same
     values and the same selected guards as the slot-by-slot join, on seeded
-    random child tables over bags of holed instances and a hand-built bag."""
+    random child tables over bags of holed instances and a hand-built bag.
+    The positions of a sorted bag are one valid slot map."""
     rng = random.Random(6)
     pairs = 0
     for H, bag in _bag_cases():
+        slot = {u: p for p, u in enumerate(bag)}
         for n in (4, 40, 300):
-            left = _random_table(rng, H, bag, n)
-            right = _random_table(rng, H, bag, n)
-            want = _reference_join(H, left, right, bag)
-            _assert_same_table(_join(H, left, right, bag), want, bag)
+            left = _random_table(rng, H, bag, slot, n)
+            right = _random_table(rng, H, bag, slot, n)
+            want = _reference_join(H, left, right, bag, slot)
+            _assert_same_table(_join(H, left, right, list(bag), slot), want,
+                               bag)
             pairs += len(want)
     assert pairs > 1000
 
 
-def _reference_introduce(H, child, bag, v, pos):
+def _reference_introduce(H, child, present, v, slot):
     """_introduce with its masks built by walking the introduced vertex's
-    whole neighbour list through a map from bag vertex to position."""
+    whole neighbour list through the slot map, restricted to the vertices
+    present."""
     kind, i = _kind(H, v)
     rbase, gbase = H.rid(0), H.gid(0)
-    posmap = {u: i for i, u in enumerate(bag)}
+    posmap = {u: slot[u] for u in present}
     out = {}
-    shift = 2 * pos
-    lowmask = (1 << shift) - 1
+    shift = 2 * slot[v]
 
     def put(nk, val, sel):
         cur = out.get(nk)
@@ -453,8 +575,7 @@ def _reference_introduce(H, child, bag, v, pos):
         for ri in H.gr[i]:
             if rbase + ri in posmap:
                 L |= 1 << (2 * posmap[rbase + ri])
-        for key, (val, sel) in child.items():
-            nk = (key & lowmask) | ((key >> shift) << (shift + 2))
+        for nk, (val, sel) in child.items():
             put(nk, val, sel)
             if (nk | nk >> 1) & L == L:
                 p = nk & L & ~(nk >> 1)
@@ -467,8 +588,7 @@ def _reference_introduce(H, child, bag, v, pos):
         for t in H.ru[i]:
             if t in posmap:
                 target_bits |= 1 << (2 * posmap[t])
-        for key, (val, sel) in child.items():
-            base = (key & lowmask) | ((key >> shift) << (shift + 2))
+        for base, (val, sel) in child.items():
             if base & G:
                 put(base | (LIT << shift) | target_bits, val, sel)
             else:
@@ -479,26 +599,27 @@ def _reference_introduce(H, child, bag, v, pos):
         for ri in H.ur[i]:
             if rbase + ri in posmap:
                 M |= 3 << (2 * posmap[rbase + ri])
-        for key, (val, sel) in child.items():
-            nk = (key & lowmask) | ((key >> shift) << (shift + 2))
+        for nk, (val, sel) in child.items():
             put(nk | (DOMINATED << shift) if nk & M else nk, val, sel)
     return out
 
 
 def test_introduce_matches_reference():
-    """_introduce, which reads its masks off the bag, gives the same keys in
-    the same order, the same values and the same selected guards as the
-    neighbour-list walk, on seeded random child tables over the bags of
-    test_join_matches_reference with each bag vertex introduced in turn."""
+    """_introduce, which reads its masks off the vertices present, gives the
+    same keys in the same order, the same values and the same selected
+    guards as the neighbour-list walk, on seeded random child tables over
+    the bags of test_join_matches_reference with each bag vertex introduced
+    in turn into its slot, the vertex's position in the sorted bag."""
     rng = random.Random(7)
     states = 0
     for H, bag in _bag_cases():
+        slot = {u: p for p, u in enumerate(bag)}
         for pos, v in enumerate(bag):
-            child_bag = bag[:pos] + bag[pos + 1:]
+            present = list(bag[:pos] + bag[pos + 1:])
             for n in (4, 40, 300):
-                child = _random_table(rng, H, child_bag, n)
-                want = _reference_introduce(H, child, bag, v, pos)
-                _assert_same_table(_introduce(H, child, bag, v, pos), want,
-                                   (bag, v))
+                child = _random_table(rng, H, present, slot, n)
+                want = _reference_introduce(H, child, present, v, slot)
+                _assert_same_table(_introduce(H, child, present, v, slot),
+                                   want, (bag, v))
                 states += len(want)
     assert states > 1000

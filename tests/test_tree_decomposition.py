@@ -3,8 +3,8 @@ import time
 
 import pytest
 
-from helpers import (HOLED_SHAPES, SHAPES, TURNS, full_lift, turned,
-                     validate_reduced_lift)
+from helpers import (HOLED_SHAPES, SHAPES, TURNS, fixture_polygons,
+                     full_lift, lifted_away, turned, validate_reduced_lift)
 from rguard.aux_graph import build_aux_graph
 from rguard.cli_io import loglog_slope
 from rguard.guard_model import GuardTask, simplify_guards, simplify_targets
@@ -116,6 +116,38 @@ def test_lift_valid_and_width_bound():
         assert full.width + 1 <= 23 * (Td.width + 1)
         rep = validate_reduced_lift(H, lift_to_H(Td, H))
         assert rep.ok, rep.problems
+
+
+def test_lift_merges_subset_bags():
+    """lift_to_H merges every lifted bag that is a subset of a tree
+    neighbour's: the result is a valid reduced lift with the width of the
+    unmerged bags and within full_lift's, and no bag is a subset of a
+    neighbour's."""
+    polys = fixture_polygons() + [
+        gen_holed_variant(scale_polygon(gen_tree_polygon(30, 2), 3), 3, 2),
+        gen_tree_polygon(30, 5), gen_ktin_polygon(2, 40, 33),
+        gen_ktin_polygon(3, 40, 34)]
+    merged = 0
+    for poly in polys:
+        px = build_pixelation(poly)
+        Td = decompose_dual(px.dual)
+        for gm in (("all-points",), ("vertices",), ("all-pixel-guards",)):
+            task = GuardTask.make(guard_modes=gm)
+            H = build_aux_graph(px, enumerate_max_rects(px, False),
+                                simplify_targets(px, task),
+                                simplify_guards(px, task))
+            T = lift_to_H(Td, H)
+            rep = validate_reduced_lift(H, T)
+            assert rep.ok, rep.problems
+            full = full_lift(Td, H)
+            gone = lifted_away(H)
+            unmerged = [[v for v in bag if v not in gone] for bag in full.bags]
+            assert T.width == max(map(len, unmerged)) - 1 <= full.width
+            sets = [set(bag) for bag in T.bags]
+            for a, b in T.tree_edges:
+                assert not sets[a] <= sets[b] and not sets[b] <= sets[a]
+            merged += len(unmerged) - len(T.bags)
+    assert merged
 
 
 def test_lift_mutation_detected():
