@@ -18,7 +18,7 @@ from rguard.instance_gen import (DrawnGraph, FIXTURE_NAMES, GenError,
 from rguard.max_rectangles import enumerate_max_rects
 from rguard.oracle import OracleSizeError, oracle_min_guards
 from rguard.pipeline import solve_task
-from rguard.pixelation import (build_pixelation, count_holes, dump_pixelation,
+from rguard.pixelation import (build_pixelation, dump_pixelation,
                                estimate_thinness_K)
 from rguard.polygon_core import OrthoPolygon, PolygonError, scale_polygon
 from rguard.svg_render import render_svg
@@ -89,7 +89,7 @@ def cmd_diag(args) -> int:
     print(f"pixels: {px.pixel_count}")
     print(f"thin: {'true' if px.is_thin else 'false'}")
     print(f"K: {estimate_thinness_K(px)}")
-    print(f"holes: {count_holes(poly)}")
+    print(f"holes: {len(poly.holes)}")
     print(f"width: {T.width}")
     print(f"maxrect-incidence: {max(incidence)}")
     if args.dump:

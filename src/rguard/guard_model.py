@@ -9,6 +9,7 @@ points per pixel and preserves optimal guard sets.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from rguard.pixelation import Pixelation
@@ -52,16 +53,24 @@ class GuardTask:
 
     @classmethod
     def from_json_obj(cls, obj: dict) -> "GuardTask":
-        if "degenerate" not in obj:
-            raise TaskError("task JSON must set \"degenerate\" explicitly")
-        t = obj.get("targets", {})
-        g = obj.get("guards", {})
+        """Unlike `make`, coerces nothing: malformed fields raise TaskError."""
+        if not isinstance(obj, dict):
+            raise TaskError("task JSON must be an object")
+        if not isinstance(obj.get("degenerate"), bool):
+            raise TaskError("task JSON must set \"degenerate\" to true or false")
+        t = _json_field(obj, "targets", dict, {})
+        g = _json_field(obj, "guards", dict, {})
+        pixels = _json_field(g, "pixels", list, [])
+        if any(type(pid) is not int for pid in pixels):
+            raise TaskError(f"pixel-guard ids {pixels!r} are not all integers")
         return cls.make(
             target_mode=t.get("mode", "all"),
-            target_points=[_parse_half_point(p) for p in t.get("points", [])],
-            guard_modes=tuple(g.get("modes", ["all-points"])),
-            guard_points=[_parse_half_point(p) for p in g.get("points", [])],
-            guard_pixels=g.get("pixels", []),
+            target_points=[_parse_half_point(p)
+                           for p in _json_field(t, "points", list, [])],
+            guard_modes=tuple(_json_field(g, "modes", list, ["all-points"])),
+            guard_points=[_parse_half_point(p)
+                          for p in _json_field(g, "points", list, [])],
+            guard_pixels=pixels,
             allow_degenerate=obj["degenerate"],
             doubled=True)
 
@@ -76,12 +85,21 @@ class GuardTask:
         }
 
 
+def _json_field(obj: dict, name: str, kind: type, default):
+    v = obj.get(name, default)
+    if not isinstance(v, kind):
+        raise TaskError(f"task field {name!r} is not a {kind.__name__}: {v!r}")
+    return v
+
+
 def _parse_half_point(p) -> Pt:
     """JSON point with integer or half-integer coordinates -> doubled ints."""
-    if len(p) != 2:
+    if not isinstance(p, list) or len(p) != 2:
         raise TaskError(f"bad point {p!r}")
     out = []
     for v in p:
+        if type(v) not in (int, float) or not math.isfinite(v):
+            raise TaskError(f"coordinate {v!r} is not a number")
         d = round(2 * v)
         if d != 2 * v:
             raise TaskError(f"coordinate {v!r} is not a multiple of 1/2")

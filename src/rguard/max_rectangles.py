@@ -5,16 +5,18 @@ Every positive-area maximal rectangle is a stack of pixel chains (runs of
 pixels joined across interior vertical sides, each a strip from wall to
 wall) cut to the x-range they share.  One pass over the pixel sides builds
 the chains and links each to the chains above and below it; a walk up the
-stacks from every chain then emits each maximal rectangle once, in time
-proportional to the pixels plus the rectangles' heights in chains.  This
-serves thin and non-thin polygons alike.  Every degenerate member is a
-maximal chain of collinear pixel sides, filtered to exact maximality with
-local half-unit expansion tests (coordinates are doubled, so "+1" is half an
-input unit and stays within the neighboring cells).
+stacks from every chain then emits each maximal rectangle once, with the
+pixels it touches read off the stack and the chains next to it, in time
+proportional to the pixels plus the rectangles' heights in chains and their
+pixel incidences.  This serves thin and non-thin polygons alike.  Every
+degenerate member is a maximal chain of collinear pixel sides, filtered to
+exact maximality with local half-unit expansion tests (coordinates are
+doubled, so "+1" is half an input unit and stays within the neighboring
+cells); it touches the pixels at the corners of its sides.
 """
 from __future__ import annotations
 
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 
 from rguard.guard_model import fattenable
@@ -39,10 +41,9 @@ def enumerate_max_rects(px: Pixelation, allow_degenerate: bool) -> list[MaxRect]
     rects = _positive_rects(px)
     segs = _degenerate_segments(px) if allow_degenerate else []
     out: list[MaxRect] = []
-    for r in sorted(set(rects), key=Rect.as_tuple):
-        out.append(MaxRect(len(out), r, False, _pixels_touching(px, r)))
-    for r in sorted(set(segs), key=Rect.as_tuple):
-        out.append(MaxRect(len(out), r, True, _pixels_touching(px, r)))
+    for found, degenerate in ((rects, False), (segs, True)):
+        for r, pids in sorted(found, key=lambda t: t[0].as_tuple()):
+            out.append(MaxRect(len(out), r, degenerate, pids))
     px.memo[key] = out
     return out
 
@@ -59,8 +60,9 @@ def classify_degenerate(px: Pixelation, seg: Rect) -> bool:
 # -- positive-area rectangles -----------------------------------------------------
 
 
-def _positive_rects(px: Pixelation) -> list[Rect]:
-    """The positive-area maximal rectangles, each once, from its bottom chain.
+def _positive_rects(px: Pixelation) -> list[tuple[Rect, tuple[int, ...]]]:
+    """The positive-area maximal rectangles, each once, from its bottom chain,
+    each with the pixels it touches.
 
     A chain is a maximal run of pixels joined across interior 'v' sides: a
     strip of one height running from wall to wall.  A maximal rectangle is
@@ -71,6 +73,11 @@ def _positive_rects(px: Pixelation) -> list[Rect]:
     and otherwise emits the rectangle and branches into each chain above
     that overlaps (a, b).  Linking chains across interior 'h' sides in the
     order of `px.sides` lists those above and below each chain left to right.
+
+    The rectangle touches the pixels that meet [a, b] in the chains of its
+    stack, in the chains just below its bottom chain and in those just above
+    its top chain.  A pixel touching it only at a corner lies in one of
+    these, or the polygon would pinch at that corner.
     """
     pix = px.pixels
     # a chain is named by its first pixel; 'v' sides come in x order, so the
@@ -78,10 +85,12 @@ def _positive_rects(px: Pixelation) -> list[Rect]:
     head = list(range(len(pix)))
     x0 = [r.xmin for r in pix]
     x1 = [r.xmax for r in pix]   # per chain: the right end
+    run: dict[int, list[int]] = {}   # a chain's pixels, left to right, if 2+
     for s in px.sides:
         if s.axis == "v" and not s.on_boundary:
             c = head[s.pix_hi] = head[s.pix_lo]
             x1[c] = x1[s.pix_hi]
+            run.setdefault(c, [c]).append(s.pix_hi)
     above: dict[int, list[int]] = {}
     below: dict[int, list[int]] = {}
     for s in px.sides:
@@ -93,9 +102,20 @@ def _positive_rects(px: Pixelation) -> list[Rect]:
             if not down or down[-1] != lo:
                 down.append(lo)
 
-    def holder(row: list[int], a: int) -> int:
-        """Index in row of the chain starting at or left of a, or -1."""
-        return bisect_right(row, a, key=x0.__getitem__) - 1
+    def meets(row: list[int], a: int, b: int) -> list[int]:
+        """The chains of row whose x-range meets [a, b]."""
+        return row[bisect_left(row, a, key=x1.__getitem__):
+                   bisect_right(row, b, key=x0.__getitem__)]
+
+    def pixels_meeting(c: int, a: int, b: int) -> list[int]:
+        """The pixels of chain c whose x-range meets [a, b]."""
+        ps = run.get(c, [c])
+        i = max(bisect_left(ps, a, key=x0.__getitem__) - 1, 0)
+        return ps[i:bisect_right(ps, b, key=x0.__getitem__)]
+
+    def container(chains: list[int], a: int, b: int) -> int | None:
+        """The one of chains whose x-range contains [a, b], or None."""
+        return next((d for d in chains if x0[d] <= a and b <= x1[d]), None)
 
     out = []
     for c0 in range(len(pix)):
@@ -105,44 +125,48 @@ def _positive_rects(px: Pixelation) -> list[Rect]:
         todo = [(c0, x0[c0], x1[c0])]
         while todo:
             c, a, b = todo.pop()
-            i = holder(down, a)
-            if i >= 0 and x1[down[i]] >= b:
+            low = meets(down, a, b)
+            if container(low, a, b) is not None:
                 continue
-            while True:
-                up = above.get(c, [])
-                i = holder(up, a)
-                if i < 0 or x1[up[i]] < b:
-                    break
-                c = up[i]
-            out.append(Rect(a, pix[c0].ymin, b, pix[c].ymax))
-            for d in up[max(i, 0):]:
-                if x0[d] >= b:
-                    break
-                if x1[d] > a:
+            high = meets(above.get(c, []), a, b)
+            while (d := container(high, a, b)) is not None:
+                c = d
+                high = meets(above.get(c, []), a, b)
+            pids = pixels_meeting(c0, a, b)
+            d = c0
+            while d != c:   # up the stack
+                d = container(meets(above[d], a, b), a, b)
+                pids += pixels_meeting(d, a, b)
+            for d in low + high:
+                pids += pixels_meeting(d, a, b)
+            out.append((Rect(a, pix[c0].ymin, b, pix[c].ymax),
+                        tuple(sorted(pids))))
+            for d in high:
+                if a < x1[d] and x0[d] < b:
                     todo.append((d, max(a, x0[d]), min(b, x1[d])))
     return out
 
 
-def _degenerate_segments(px: Pixelation) -> list[Rect]:
+def _degenerate_segments(px: Pixelation) -> list[tuple[Rect, tuple[int, ...]]]:
     """Maximal chains of collinear pixel sides that neither extend into a
-    pixel interior nor fatten to positive area."""
-    by_line: dict[tuple[str, int], list[Side]] = {}
-    for s in px.sides:
-        by_line.setdefault((s.axis, s.c), []).append(s)
+    pixel interior nor fatten to positive area, each with the pixels it
+    touches: those at the corners of its sides.  `px.sides` is sorted by
+    axis, line and position, so a chain is a run of its sides, each starting
+    where the one before ends."""
     out = []
-    for (axis, c), group in sorted(by_line.items()):
-        group.sort(key=lambda s: s.lo)
-        chain: list[Side] = []
-        for s in group + [None]:
-            if chain and (s is None or s.lo != chain[-1].hi):
-                out.extend(_chain_candidate(px, axis, c, chain))
-                chain = []
-            if s is not None:
-                chain.append(s)
+    chain: list[Side] = []
+    for s in px.sides + [None]:
+        if chain and (s is None or (s.axis, s.c, s.lo)
+                      != (chain[-1].axis, chain[-1].c, chain[-1].hi)):
+            out.extend(_chain_candidate(px, chain))
+            chain = []
+        if s is not None:
+            chain.append(s)
     return out
 
 
-def _chain_candidate(px: Pixelation, axis: str, c: int, chain: list[Side]):
+def _chain_candidate(px: Pixelation, chain: list[Side]):
+    axis, c = chain[0].axis, chain[0].c
     lo, hi = chain[0].lo, chain[-1].hi
     if axis == "v":
         seg = Rect(c, lo, c, hi)
@@ -160,47 +184,6 @@ def _chain_candidate(px: Pixelation, axis: str, c: int, chain: list[Side]):
     fatten_hi = all(s.pix_hi is not None for s in chain)
     if fatten_lo or fatten_hi:
         return []
-    return [seg]
-
-
-# -- shared helpers ---------------------------------------------------------------
-
-
-def _pixels_touching(px: Pixelation, r: Rect) -> tuple[int, ...]:
-    """All pixels whose closed rectangle meets r.
-
-    Candidates are pixels incident to any arrangement corner lying on or in
-    r; conforming adjacency guarantees this covers every contact.
-    """
-    cand: set[int] = set()
-    for pid, rect in _seed_pixels(px, r):
-        cand.add(pid)
-    found = set()
-    stack = list(cand)
-    while stack:
-        pid = stack.pop()
-        if pid in found:
-            continue
-        if not px.pixels[pid].intersects(r):
-            continue
-        found.add(pid)
-        rect = px.pixels[pid]
-        for p in ((rect.xmin, rect.ymin), (rect.xmax, rect.ymin),
-                  (rect.xmin, rect.ymax), (rect.xmax, rect.ymax)):
-            if (r.xmin <= p[0] <= r.xmax and r.ymin <= p[1] <= r.ymax):
-                for q in px.corner_pixels[px.corner_ids[p]]:
-                    if q not in found:
-                        stack.append(q)
-    return tuple(sorted(found))
-
-
-def _seed_pixels(px: Pixelation, r: Rect):
-    """A starting pixel inside r (corner of r is always an arrangement corner
-    for maximal rectangles; fall back to locate_point otherwise)."""
-    p = (r.xmin, r.ymin)
-    if p in px.corner_ids:
-        for pid in px.corner_pixels[px.corner_ids[p]]:
-            yield pid, px.pixels[pid]
-        return
-    for pid in px.locate_point(p):
-        yield pid, px.pixels[pid]
+    pids = {p for s in chain for k in (s.corner_a, s.corner_b)
+            for p in px.corner_pixels[k]}
+    return [(seg, tuple(sorted(pids)))]

@@ -123,7 +123,7 @@ class Pixelation:
         for u, v in edges:
             adj[u].append(v)
             adj[v].append(u)
-        self._dual = DualGraph(len(self.pixels), edges, [sorted(a) for a in adj])
+        self.dual = DualGraph(len(self.pixels), edges, [sorted(a) for a in adj])
 
         if sum(r.area for r in self.pixels) != abs(self.poly.area2()) // 2:
             raise PixelationError("pixel areas do not cover the polygon")
@@ -131,15 +131,12 @@ class Pixelation:
     # -- derived structure ------------------------------------------------------
 
     @property
-    def dual(self) -> DualGraph:
-        return self._dual
-
-    @property
     def pixel_count(self) -> int:
         return len(self.pixels)
 
     @cached_property
     def is_thin(self) -> bool:
+        """True iff no pixel corner is interior (shared by 4 pixels)."""
         return not any(self.corner_interior)
 
     @cached_property
@@ -156,19 +153,6 @@ class Pixelation:
 def build_pixelation(poly: OrthoPolygon) -> Pixelation:
     """Compute the pixelation of a validated polygon."""
     return Pixelation(poly)
-
-
-def dual_graph(px: Pixelation) -> DualGraph:
-    return px.dual
-
-
-def is_thin(px: Pixelation) -> bool:
-    """True iff no pixel corner is interior (shared by 4 pixels)."""
-    return px.is_thin
-
-
-def count_holes(poly: OrthoPolygon) -> int:
-    return len(poly.holes)
 
 
 def estimate_thinness_K(px: Pixelation) -> int:

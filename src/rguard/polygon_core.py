@@ -173,9 +173,14 @@ class OrthoPolygon:
             holes = obj.get("holes", [])
         except (TypeError, KeyError) as exc:
             raise PolygonError(f"malformed polygon JSON: {exc}") from exc
-        for ring in [outer] + list(holes):
+        if not (isinstance(holes, list)
+                and all(isinstance(r, list) for r in [outer] + holes)):
+            raise PolygonError("polygon rings must be lists of points")
+        for ring in [outer] + holes:
             for p in ring:
-                if len(p) != 2 or not all(isinstance(v, int) for v in p):
+                # type(True) is bool: JSON true and false are not coordinates
+                if not (isinstance(p, list) and len(p) == 2
+                        and all(type(v) is int for v in p)):
                     raise PolygonError(f"non-integer polygon coordinate {p}")
         poly = cls(outer, holes)
         report = validate(poly)

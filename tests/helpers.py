@@ -125,6 +125,30 @@ def grid_max_rects(px: Pixelation) -> list[Rect]:
     return out
 
 
+def flood_pixels(px: Pixelation, r: Rect) -> tuple[int, ...]:
+    """All pixels whose closed rectangle meets r, by a flood fill over the
+    pixelation corners lying on or in r, from the pixels at r's lower-left
+    corner (or containing it); the reference for `MaxRect.pixel_ids`."""
+    p = (r.xmin, r.ymin)
+    if p in px.corner_ids:
+        stack = list(px.corner_pixels[px.corner_ids[p]])
+    else:
+        stack = px.locate_point(p)
+    found: set[int] = set()
+    while stack:
+        pid = stack.pop()
+        if pid in found or not px.pixels[pid].intersects(r):
+            continue
+        found.add(pid)
+        q = px.pixels[pid]
+        for c in ((q.xmin, q.ymin), (q.xmax, q.ymin),
+                  (q.xmin, q.ymax), (q.xmax, q.ymax)):
+            if r.contains_point(c):
+                stack.extend(v for v in px.corner_pixels[px.corner_ids[c]]
+                             if v not in found)
+    return tuple(sorted(found))
+
+
 def lifted_away(H: AuxGraph) -> set[int]:
     """Lifted ids that lift_to_H leaves out of every bag: the targets and
     guards of dominated(H) and every rectangle none of whose targets is

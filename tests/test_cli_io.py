@@ -56,7 +56,7 @@ def test_solve_infeasible_exit2(tmp_path, l_polygon):
     assert "witness" in sol
 
 
-def test_input_errors_exit1(tmp_path, task_file):
+def test_input_errors_exit1(tmp_path, task_file, l_polygon, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text('{"outer": [[0,0],[2,2],[0,2]]}', encoding="utf-8")
     out = tmp_path / "x.json"
@@ -71,6 +71,27 @@ def test_input_errors_exit1(tmp_path, task_file):
     assert main(["solve", "--polygon", str(bad), "--task", str(t),
                  "--out", str(out)]) == 1
     assert main(["nonsense"]) == 1
+    # malformed fields are neither coerced nor raised out of main
+    pixels = {"modes": ["pixels"], "pixels": [0.7]}
+    for obj in ({"degenerate": "no"},
+                {"degenerate": False, "guards": pixels},
+                {"degenerate": False, "guards": {**pixels, "pixels": [True]}},
+                {"degenerate": False,
+                 "targets": {"mode": "points", "points": [["a", 1]]}},
+                {"degenerate": False, "targets": "all"},
+                [False]):
+        write(t, obj)
+        capsys.readouterr()
+        assert main(["solve", "--polygon", str(l_polygon), "--task", str(t),
+                     "--out", str(out)]) == 1, obj
+        assert capsys.readouterr().err.startswith("error: "), obj
+    ring = json.loads(l_polygon.read_text())["outer"]
+    for obj in ({"outer": ring, "holes": 5}, {"outer": ring, "holes": [7]},
+                {"outer": ring[:-1] + [[0, True]]}):
+        write(bad, obj)
+        capsys.readouterr()
+        assert main(["diag", "--polygon", str(bad)]) == 1, obj
+        assert capsys.readouterr().err.startswith("error: "), obj
 
 
 def test_diag_output(l_polygon, capsys):

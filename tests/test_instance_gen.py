@@ -8,7 +8,7 @@ from rguard.instance_gen import (FIXTURE_NAMES, DrawnGraph, GenError,
                                  gen_holed_variant, gen_ktin_polygon,
                                  gen_tree_polygon)
 from rguard.oracle import oracle_min_guards, oracle_vertex_cover
-from rguard.pixelation import build_pixelation, count_holes, estimate_thinness_K
+from rguard.pixelation import build_pixelation, estimate_thinness_K
 from rguard.polygon_core import scale_polygon, validate
 
 
@@ -48,7 +48,7 @@ def test_holed_variant():
     base = scale_polygon(gen_tree_polygon(9, 1), 3)
     assert gen_holed_variant(base, 0, 0) == base
     two = gen_holed_variant(base, 2, 3)
-    assert validate(two).ok and count_holes(two) == 2
+    assert validate(two).ok and len(two.holes) == 2
     px = build_pixelation(two)
     assert len(px.dual.edges) >= px.pixel_count  # cycles appeared
     with pytest.raises(GenError):
@@ -90,7 +90,7 @@ def test_hardness_small_identity():
     assert validate(poly).ok
     px = build_pixelation(poly)
     assert px.is_thin
-    assert count_holes(poly) == g.faces_bounded() == 0
+    assert len(poly.holes) == g.faces_bounded() == 0
     vc = oracle_vertex_cover(2, [(0, 1)])
     res = oracle_min_guards(px, GuardTask.make(), max_pixels=100)
     assert res.size == len(g.edges) + vc == 2
@@ -103,7 +103,7 @@ def test_hardness_k3_structure():
     assert validate(poly).ok
     px = build_pixelation(poly)
     assert px.is_thin
-    assert count_holes(poly) == g.faces_bounded() == 1
+    assert len(poly.holes) == g.faces_bounded() == 1
 
 
 def test_hardness_s_v_guards_attached_edges():

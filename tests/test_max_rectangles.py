@@ -3,7 +3,7 @@ import time
 import pytest
 
 from helpers import (HOLED_SHAPES, SHAPES, TURNS, fixture_polygons,
-                     grid_max_rects, nonthin_plus, turned)
+                     flood_pixels, grid_max_rects, nonthin_plus, turned)
 from rguard.cli_io import loglog_slope
 from rguard.guard_model import GuardTask
 from rguard.instance_gen import (gen_holed_variant, gen_ktin_polygon,
@@ -78,29 +78,57 @@ def test_max_rects_match_grid_reference():
             assert mine == set(grid_max_rects(px)), p
 
 
+def thick_staircase(m: int) -> OrthoPolygon:
+    return rects_union_polygon([(i, i, i + 3, i + 3) for i in range(m)])
+
+
+def offset_comb(t: int) -> OrthoPolygon:
+    """A spine with t teeth above and t below, offset from each other."""
+    teeth = [r for i in range(t) for r in ((4 * i + 1, 11, 4 * i + 2, 20),
+                                           (4 * i + 3, 1, 4 * i + 4, 10))]
+    return rects_union_polygon([(0, 10, 4 * t + 2, 11)] + teeth)
+
+
 def test_max_rects_skip_the_grid():
     # the solver path never builds the occupancy grid, and the rectangles of
     # a thick staircase (non-thin, many grid lines on both axes) take linear
-    # time
+    # time; so do those of an offset comb, where every tooth's rectangle
+    # reads its pixels off a spine chain and a row of teeth that grow with t
     for poly in (nonthin_plus(), nonthin_samples()[-1]):
         px = build_pixelation(poly)
         assert not px.is_thin
         solve_task(px, GuardTask.make())
         assert "cover" not in vars(px)
     sizes = [125, 250, 500, 1000]
-    times = []
-    for m in sizes:
-        px = build_pixelation(
-            rects_union_polygon([(i, i, i + 3, i + 3) for i in range(m)]))
-        best = float("inf")
-        for _ in range(3):
-            px.memo.clear()
-            t0 = time.perf_counter()
-            enumerate_max_rects(px, False)
-            best = min(best, time.perf_counter() - t0)
-        times.append(best)
-        assert "cover" not in vars(px)
-    assert loglog_slope(sizes, times) <= 1.3, times
+    for family in (thick_staircase, offset_comb):
+        times = []
+        for m in sizes:
+            px = build_pixelation(family(m))
+            best = float("inf")
+            for _ in range(3):
+                px.memo.clear()
+                t0 = time.perf_counter()
+                enumerate_max_rects(px, False)
+                best = min(best, time.perf_counter() - t0)
+            times.append(best)
+            assert "cover" not in vars(px)
+        assert loglog_slope(sizes, times) <= 1.3, (family.__name__, times)
+
+
+def test_pixel_ids_match_flood_fill():
+    polys = [gen_tree_polygon(n, s) for n in (30, 100, 400) for s in range(3)]
+    polys += [OrthoPolygon(o, h) for o, h in HOLED_SHAPES.values()]
+    polys += nonthin_samples()
+    polys.append(rects_union_polygon(
+        [c for i in range(50) for c in ((i, i, i + 1, i + 1),
+                                        (i + 1, i, i + 2, i + 1))]))
+    polys.append(thick_staircase(50))
+    for poly in polys:
+        for p in [poly] + [turned(poly, how) for how in TURNS]:
+            px = build_pixelation(p)
+            for allow in (False, True):
+                for m in enumerate_max_rects(px, allow):
+                    assert m.pixel_ids == flood_pixels(px, m.rect), (p, m)
 
 
 def test_no_containment_between_results():

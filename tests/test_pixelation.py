@@ -1,8 +1,8 @@
 from helpers import SHAPES, HOLED_SHAPES, brute_force_pixels, fixture_polygons, \
     nonthin_plus
 from rguard.instance_gen import gen_tree_polygon
-from rguard.pixelation import (build_pixelation, count_holes, dual_graph,
-                               dump_pixelation, estimate_thinness_K, is_thin)
+from rguard.pixelation import (build_pixelation, dump_pixelation,
+                               estimate_thinness_K)
 from rguard.polygon_core import OrthoPolygon
 
 
@@ -19,7 +19,7 @@ def test_unit_square_single_pixel():
 def test_l_shape_pixels_and_dual_path():
     px = build_pixelation(OrthoPolygon(SHAPES["L"]))
     assert rects(px) == {(0, 0, 1, 1), (1, 0, 2, 1), (0, 1, 1, 2)}
-    d = dual_graph(px)
+    d = px.dual
     assert len(d.edges) == 2
     degs = sorted(len(a) for a in d.adj)
     assert degs == [1, 1, 2]  # path through the corner pixel
@@ -28,7 +28,7 @@ def test_l_shape_pixels_and_dual_path():
 def test_u_shape_five_pixel_path():
     px = build_pixelation(OrthoPolygon(SHAPES["U"]))
     assert px.pixel_count == 5
-    d = dual_graph(px)
+    d = px.dual
     assert len(d.edges) == 4
     assert sorted(len(a) for a in d.adj) == [1, 1, 2, 2, 2]
 
@@ -36,7 +36,7 @@ def test_u_shape_five_pixel_path():
 def test_plus_shape_star_dual():
     px = build_pixelation(OrthoPolygon(SHAPES["plus"]))
     assert px.pixel_count == 5
-    assert sorted(len(a) for a in dual_graph(px).adj) == [1, 1, 1, 1, 4]
+    assert sorted(len(a) for a in px.dual.adj) == [1, 1, 1, 1, 4]
 
 
 def test_holed_square_cycle():
@@ -75,10 +75,10 @@ def test_conforming_sides():
 
 
 def test_thinness_flags():
-    assert is_thin(build_pixelation(OrthoPolygon(SHAPES["L"])))
-    assert is_thin(build_pixelation(OrthoPolygon(SHAPES["unit"])))
+    assert build_pixelation(OrthoPolygon(SHAPES["L"])).is_thin
+    assert build_pixelation(OrthoPolygon(SHAPES["unit"])).is_thin
     px = build_pixelation(nonthin_plus())
-    assert not is_thin(px)
+    assert not px.is_thin
     # the notch rays cross two full-width cuts: a 2x2 interior-corner grid
     assert estimate_thinness_K(px) == 3
 
@@ -113,7 +113,7 @@ def test_generated_tree_polygons_are_trees():
         poly = gen_tree_polygon(24, seed)
         px = build_pixelation(poly)
         assert px.is_thin
-        assert count_holes(poly) == 0
+        assert len(poly.holes) == 0
         assert len(px.dual.edges) == px.pixel_count - 1
 
 
