@@ -10,6 +10,7 @@ import json
 import math
 import sys
 
+from rguard.dp_solver import SolverError
 from rguard.guard_model import GuardTask, TaskError
 from rguard.instance_gen import (DrawnGraph, FIXTURE_NAMES, GenError,
                                  fixture_graph, gen_hardness_instance,
@@ -22,7 +23,7 @@ from rguard.pixelation import (build_pixelation, dump_pixelation,
                                estimate_thinness_K)
 from rguard.polygon_core import OrthoPolygon, PolygonError, scale_polygon
 from rguard.svg_render import render_svg
-from rguard.tree_decomposition import decompose_dual
+from rguard.tree_decomposition import DecompositionError, decompose_dual
 
 
 class _Parser(argparse.ArgumentParser):
@@ -277,7 +278,8 @@ def main(argv=None) -> int:
     except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except (GenError, PolygonError, TaskError) as exc:
+    except (GenError, PolygonError, TaskError, SolverError,
+            DecompositionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

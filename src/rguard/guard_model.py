@@ -1,11 +1,16 @@
 """Targets U, guards Γ, the exact r-guarding predicate, and the reduction of
 both sets to finitely many representatives per pixel.
 
-Representatives are canonical: pixel centers for interiors and side midpoints
-for sides (exact integers thanks to the global coordinate doubling).  Target
-reduction prefers interiors, then open sides, then corners; guard reduction
-prefers corners, then open sides, then interiors.  Each leaves at most 4
-points per pixel and preserves optimal guard sets.
+Both reductions are one firing pass over the cells of the pixel complex:
+pixel interiors, open sides and corners.  Taking the cell kinds in a fixed
+order, a cell fires when it holds a point of the set and no cell it touches
+has fired before it; a fired cell keeps one point and marks every cell it
+touches.  Targets take the order interior, side, corner; guards take corner,
+side, interior.  Kept points are canonical: pixel centers for interiors and
+side midpoints for sides (exact integers thanks to the global coordinate
+doubling) when the set holds them, else the least point of the set in the
+cell.  Each reduction leaves at most 4 points per pixel and preserves
+optimal guard sets.
 """
 from __future__ import annotations
 
@@ -169,50 +174,47 @@ def fattenable(px: Pixelation, r: Rect) -> bool:
 
 
 class _PointSet:
-    """Finite queries against 'all points', 'boundary points' or explicit sets."""
+    """Finite queries against 'all points', 'boundary points' or explicit
+    sets: a point of the set in one cell of the pixel complex (the canonical
+    one when the set holds it, else the least), or None."""
 
     def __init__(self, px: Pixelation, all_points: bool, boundary: bool,
                  extras: tuple[Pt, ...]):
         self.px = px
         self.all_points = all_points
         self.boundary = boundary
-        self.extras = sorted(set(extras))
         self._by_pixel: dict[int, list[Pt]] = {}
-        self._extra_set = set(self.extras)
-        for pt in self.extras:
+        # each point maps to itself, so a kept corner of the set is the
+        # task's or the polygon's own tuple, not a second copy of it
+        self._extras = {pt: pt for pt in extras}
+        for pt in sorted(self._extras):
             pids = px.locate_point(pt)
             if not pids:
                 raise TaskError(f"point {pt} lies outside the polygon")
             for pid in pids:
                 self._by_pixel.setdefault(pid, []).append(pt)
 
-    def has_corner(self, c: Pt, boundary_corner: bool) -> bool:
-        if self.all_points or (self.boundary and boundary_corner):
-            return True
-        return c in self._extra_set
+    def corner_point(self, cid: int) -> Pt | None:
+        c = self.px.corners[cid]
+        if self.all_points or (self.boundary and not self.px.corner_interior[cid]):
+            return c
+        return self._extras.get(c)
 
-    def side_interior_point(self, side) -> Pt | None:
+    def side_point(self, side) -> Pt | None:
         """Some point from the open side, preferring the midpoint."""
         if self.all_points or (self.boundary and side.on_boundary):
             return side.midpoint()
         pid = side.pix_lo if side.pix_lo is not None else side.pix_hi
-        best = None
-        for pt in self._by_pixel.get(pid, ()):
-            if _on_open_side(side, pt) and (best is None or pt < best):
-                best = pt
-        return best
+        return min((pt for pt in self._by_pixel.get(pid, ())
+                    if _on_open_side(side, pt)), default=None)
 
-    def pixel_interior_point(self, pid: int) -> Pt | None:
-        if self.all_points:
-            r = self.px.pixels[pid]
-            return ((r.xmin + r.xmax) // 2, (r.ymin + r.ymax) // 2)
+    def interior_point(self, pid: int) -> Pt | None:
         r = self.px.pixels[pid]
-        best = None
-        for pt in self._by_pixel.get(pid, ()):
-            if r.xmin < pt[0] < r.xmax and r.ymin < pt[1] < r.ymax:
-                if best is None or pt < best:
-                    best = pt
-        return best
+        if self.all_points:
+            return ((r.xmin + r.xmax) // 2, (r.ymin + r.ymax) // 2)
+        return min((pt for pt in self._by_pixel.get(pid, ())
+                    if r.xmin < pt[0] < r.xmax and r.ymin < pt[1] < r.ymax),
+                   default=None)
 
 
 def _on_open_side(side, pt: Pt) -> bool:
@@ -221,114 +223,102 @@ def _on_open_side(side, pt: Pt) -> bool:
     return pt[1] == side.c and side.lo < pt[0] < side.hi
 
 
-def _vertices_of(px: Pixelation) -> list[Pt]:
-    out = []
-    for ring in px.poly.rings:
-        out.extend(ring)
-    return sorted(set(out))
+def _vertices_of(px: Pixelation) -> tuple[Pt, ...]:
+    return tuple(p for ring in px.poly.rings for p in ring)
 
 
 # -- simplification ---------------------------------------------------------------
 
+_TARGET_ORDER = ("interior", "side", "corner")
+_FIRED, _MARKED = 1, 2
+
+
+def _fire(px: Pixelation, pset: _PointSet,
+          order: tuple[str, ...]) -> list[tuple[Pt, str, tuple[int, ...]]]:
+    """The points pset keeps, taking the cell kinds in `order` (see the
+    module docstring), as sorted (point, kind, home pixels).
+
+    A pixel touches its sides and corners, a side its two end corners.  The
+    pixelation lists no sides per corner, so a side reads whether its end
+    corners fired instead of being marked by them."""
+    sides, corner_pixels = px.sides, px.corner_pixels
+    pixel_mark = bytearray(px.pixel_count)
+    side_mark = bytearray(len(sides))
+    corner_mark = bytearray(len(px.corners))
+    out: list[tuple[Pt, str, tuple[int, ...]]] = []
+
+    def interiors() -> None:
+        for pid, m in enumerate(pixel_mark):
+            if m or (pt := pset.interior_point(pid)) is None:
+                continue
+            out.append((pt, "interior", (pid,)))
+            for sid in px.pixel_sides[pid]:
+                s = sides[sid]
+                side_mark[sid] = corner_mark[s.corner_a] = \
+                    corner_mark[s.corner_b] = _MARKED
+
+    def open_sides() -> None:
+        for sid, m in enumerate(side_mark):
+            s = sides[sid]
+            if (m or corner_mark[s.corner_a] == _FIRED
+                    or corner_mark[s.corner_b] == _FIRED
+                    or (pt := pset.side_point(s)) is None):
+                continue
+            homes = tuple(sorted(p for p in (s.pix_lo, s.pix_hi) if p is not None))
+            out.append((pt, "side", homes))
+            for pid in homes:
+                pixel_mark[pid] = _MARKED
+            corner_mark[s.corner_a] = corner_mark[s.corner_b] = _MARKED
+
+    def corners() -> None:
+        for cid, m in enumerate(corner_mark):
+            if m or (pt := pset.corner_point(cid)) is None:
+                continue
+            corner_mark[cid] = _FIRED
+            out.append((pt, "corner", tuple(sorted(corner_pixels[cid]))))
+            for pid in corner_pixels[cid]:
+                pixel_mark[pid] = _MARKED
+
+    passes = {"interior": interiors, "side": open_sides, "corner": corners}
+    for kind in order:
+        passes[kind]()
+    out.sort()
+    return out
+
 
 def simplify_targets(px: Pixelation, task: GuardTask) -> list[TargetPoint]:
-    """Finite U' ⊆ U, at most 4 per pixel, guarding-equivalent to U.
-
-    Priority: pixel interiors, then open sides whose incident pixels did not
-    fire, then corners with no fired incident pixel or side.
-    """
+    """Finite U' ⊆ U, at most 4 per pixel, guarding-equivalent to U: the
+    cells that fire taking pixel interiors, then open sides, then corners."""
     mode = task.target_mode
-    if mode == "vertices":
-        pts = []
-        for v in _vertices_of(px):
-            cidx = px.corner_ids.get(v)
-            if cidx is None:
-                raise TaskError(f"polygon vertex {v} is not an arrangement corner")
-            pts.append((v, "corner", tuple(sorted(px.corner_pixels[cidx]))))
-        return [TargetPoint(i, p, k, h) for i, (p, k, h) in enumerate(pts)]
-
+    extras = (task.target_points if mode == "points"
+              else _vertices_of(px) if mode == "vertices" else ())
     uset = _PointSet(px, all_points=(mode == "all"),
-                     boundary=(mode == "boundary"),
-                     extras=task.target_points if mode == "points" else ())
-    fired_pixels: dict[int, Pt] = {}
-    for pid in range(px.pixel_count):
-        pt = uset.pixel_interior_point(pid)
-        if pt is not None:
-            fired_pixels[pid] = pt
-    fired_sides: dict[int, Pt] = {}
-    for sid, side in enumerate(px.sides):
-        incident = [p for p in (side.pix_lo, side.pix_hi) if p is not None]
-        if any(p in fired_pixels for p in incident):
-            continue
-        pt = uset.side_interior_point(side)
-        if pt is not None:
-            fired_sides[sid] = pt
-    out: list[tuple[Pt, str, tuple[int, ...]]] = []
-    for pid, pt in sorted(fired_pixels.items()):
-        out.append((pt, "interior", (pid,)))
-    for sid, pt in sorted(fired_sides.items()):
-        side = px.sides[sid]
-        homes = tuple(sorted(p for p in (side.pix_lo, side.pix_hi) if p is not None))
-        out.append((pt, "side", homes))
-    for cidx, c in enumerate(px.corners):
-        boundary_corner = not px.corner_interior[cidx]
-        if not uset.has_corner(c, boundary_corner):
-            continue
-        if any(pid in fired_pixels for pid in px.corner_pixels[cidx]):
-            continue
-        if any(sid in fired_sides for sid in _corner_sides(px, cidx)):
-            continue
-        out.append((c, "corner", tuple(sorted(px.corner_pixels[cidx]))))
-    out.sort()
-    return [TargetPoint(i, p, k, h) for i, (p, k, h) in enumerate(out)]
+                     boundary=(mode == "boundary"), extras=extras)
+    return [TargetPoint(i, *rep)
+            for i, rep in enumerate(_fire(px, uset, _TARGET_ORDER))]
 
 
 def simplify_guards(px: Pixelation, task: GuardTask) -> list[Guard]:
     """Finite Γ' with at most 4 point-guards per pixel; for any S ⊆ Γ there is
     an S' ⊆ Γ' no larger that guards at least as much.
 
-    Priority: corners, then open sides with no endpoint in Γ, then pixel
-    interiors with no corner/side point in Γ.  Pixel-guards pass through.
+    Point-guards are the cells that fire taking corners, then open sides,
+    then pixel interiors.  Pixel-guards pass through.
     """
     point_modes = [m for m in task.guard_modes
                    if m in ("all-points", "boundary-points", "vertices", "points")]
     pts: list[tuple[Pt, str, tuple[int, ...]]] = []
     if point_modes:
-        extras = list(task.guard_points if "points" in point_modes else ())
+        extras = task.guard_points if "points" in point_modes else ()
         if "vertices" in point_modes:
-            extras.extend(_vertices_of(px))
+            extras += _vertices_of(px)
         gset = _PointSet(px, all_points="all-points" in point_modes,
                          boundary="boundary-points" in point_modes,
-                         extras=tuple(extras))
-        fired_corners: set[int] = set()
-        for cidx, c in enumerate(px.corners):
-            if gset.has_corner(c, not px.corner_interior[cidx]):
-                fired_corners.add(cidx)
-                pts.append((c, "corner", tuple(sorted(px.corner_pixels[cidx]))))
-        fired_sides: dict[int, Pt] = {}
-        for sid, side in enumerate(px.sides):
-            if side.corner_a in fired_corners or side.corner_b in fired_corners:
-                continue
-            pt = gset.side_interior_point(side)
-            if pt is not None:
-                fired_sides[sid] = pt
-                homes = tuple(sorted(p for p in (side.pix_lo, side.pix_hi)
-                                     if p is not None))
-                pts.append((pt, "side", homes))
-        for pid in range(px.pixel_count):
-            cids = [px.corner_ids[c] for c in _pixel_corner_points(px, pid)]
-            if any(ci in fired_corners for ci in cids):
-                continue
-            if any(sid in fired_sides for sid in px.pixel_sides[pid]):
-                continue
-            pt = gset.pixel_interior_point(pid)
-            if pt is not None:
-                pts.append((pt, "interior", (pid,)))
-    pts.sort()
+                         extras=extras)
+        pts = _fire(px, gset, _TARGET_ORDER[::-1])
 
-    out: list[Guard] = []
-    for p, _kind, homes in pts:
-        out.append(Guard(len(out), "point", p, None, homes))
+    out = [Guard(i, "point", p, None, homes)
+           for i, (p, _kind, homes) in enumerate(pts)]
     pixel_ids: list[int] = []
     if "all-pixel-guards" in task.guard_modes:
         pixel_ids = list(range(px.pixel_count))
@@ -338,25 +328,10 @@ def simplify_guards(px: Pixelation, task: GuardTask) -> list[Guard]:
                 raise TaskError(f"pixel-guard id {pid} out of range")
         pixel_ids = sorted(set(task.guard_pixels))
     for pid in pixel_ids:
-        homes = set()
-        for c in _pixel_corner_points(px, pid):
-            homes.update(px.corner_pixels[px.corner_ids[c]])
+        homes = {q for sid in px.pixel_sides[pid]
+                 for c in (px.sides[sid].corner_a, px.sides[sid].corner_b)
+                 for q in px.corner_pixels[c]}
         out.append(Guard(len(out), "pixel", None, pid, tuple(sorted(homes))))
-    return out
-
-
-def _pixel_corner_points(px: Pixelation, pid: int):
-    r = px.pixels[pid]
-    return ((r.xmin, r.ymin), (r.xmax, r.ymin), (r.xmin, r.ymax), (r.xmax, r.ymax))
-
-
-def _corner_sides(px: Pixelation, cidx: int) -> list[int]:
-    out = []
-    for pid in px.corner_pixels[cidx]:
-        for sid in px.pixel_sides[pid]:
-            s = px.sides[sid]
-            if s.corner_a == cidx or s.corner_b == cidx:
-                out.append(sid)
     return out
 
 

@@ -170,14 +170,13 @@ def _chain_candidate(px: Pixelation, chain: list[Side]):
     lo, hi = chain[0].lo, chain[-1].hi
     if axis == "v":
         seg = Rect(c, lo, c, hi)
-        ends = [(c, lo, 0, -1), (c, hi, 0, 1)]
+        probes = [(c, lo - 1), (c, hi + 1)]
     else:
         seg = Rect(lo, c, hi, c)
-        ends = [(lo, c, -1, 0), (hi, c, 1, 0)]
+        probes = [(lo - 1, c), (hi + 1, c)]
     # extension beyond an endpoint into some incident pixel => not maximal
-    for ex, ey, dx, dy in ends:
-        probe = (ex + dx, ey + dy)
-        for pid in px.corner_pixels[px.corner_ids[(ex, ey)]]:
+    for probe, end in zip(probes, (chain[0].corner_a, chain[-1].corner_b)):
+        for pid in px.corner_pixels[end]:
             if px.pixels[pid].contains_point(probe):
                 return []
     fatten_lo = all(s.pix_lo is not None for s in chain)

@@ -106,7 +106,7 @@ def _ring_area2(ring: tuple[Pt, ...]) -> int:
 
 
 def _rotate_to_min(ring: tuple[Pt, ...]) -> tuple[Pt, ...]:
-    k = ring.index(min(ring))
+    k = ring.index(min(ring)) if ring else 0
     return ring[k:] + ring[:k]
 
 
@@ -125,7 +125,7 @@ class OrthoPolygon:
             tuple((int(x) * f, int(y) * f) for x, y in outer))
         hs = [tuple((int(x) * f, int(y) * f) for x, y in h) for h in holes]
         self.holes: tuple[tuple[Pt, ...], ...] = tuple(
-            sorted((_rotate_to_min(h) for h in hs), key=lambda r: r[0]))
+            sorted((_rotate_to_min(h) for h in hs), key=lambda r: r[:1]))
 
     @property
     def rings(self) -> tuple[tuple[Pt, ...], ...]:

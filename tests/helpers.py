@@ -6,6 +6,7 @@ are union-find components of cells not separated by an edge or a ray.
 """
 from __future__ import annotations
 
+import time
 from bisect import bisect_left
 
 import numpy as np
@@ -13,6 +14,8 @@ import numpy as np
 from rguard.aux_graph import AuxGraph, dominated
 from rguard.dp_solver import (DOMINATED, LIT, PENDING, PROMISED, Certificate,
                               Solution, _cons_to_set, _kind, _merge_sel)
+from rguard.guard_model import (Guard, GuardTask, TargetPoint, TaskError,
+                                _PointSet)
 from rguard.pixelation import Pixelation
 from rguard.polygon_core import (OrthoPolygon, Pt, Rect, _point_in_scaled,
                                  point_in_polygon, reflex_vertices)
@@ -57,6 +60,19 @@ def turned(poly: OrthoPolygon, how: str) -> OrthoPolygon:
     return OrthoPolygon([fwd(*p) for p in poly.outer[::step]],
                         [[fwd(*p) for p in h[::step]] for h in poly.holes],
                         doubled=True)
+
+
+def best_times(calls) -> list[float]:
+    """The least time of each call over 5 rounds.  The calls take
+    milliseconds, so a burst of other load can hit one size only; running
+    every call once per round spreads it over all."""
+    times = [float("inf")] * len(calls)
+    for _ in range(5):
+        for i, call in enumerate(calls):
+            t0 = time.perf_counter()
+            call()
+            times[i] = min(times[i], time.perf_counter() - t0)
+    return times
 
 
 def fixture_polygons() -> list[OrthoPolygon]:
@@ -147,6 +163,136 @@ def flood_pixels(px: Pixelation, r: Rect) -> tuple[int, ...]:
                 stack.extend(v for v in px.corner_pixels[px.corner_ids[c]]
                              if v not in found)
     return tuple(sorted(found))
+
+
+# -- the priority loops, the reference for simplify_targets / simplify_guards --
+
+
+def _ref_vertices(px: Pixelation) -> list[Pt]:
+    return sorted({p for ring in px.poly.rings for p in ring})
+
+
+def reference_targets(px: Pixelation, task: GuardTask) -> list[TargetPoint]:
+    """simplify_targets as a loop per cell kind: pixel interiors, then open
+    sides whose incident pixels did not fire, then corners with no fired
+    incident pixel or side; `vertices` targets are the polygon vertices."""
+    mode = task.target_mode
+    if mode == "vertices":
+        pts = []
+        for v in _ref_vertices(px):
+            cidx = px.corner_ids.get(v)
+            if cidx is None:
+                raise TaskError(f"polygon vertex {v} is not an arrangement corner")
+            pts.append((v, "corner", tuple(sorted(px.corner_pixels[cidx]))))
+        return [TargetPoint(i, p, k, h) for i, (p, k, h) in enumerate(pts)]
+
+    uset = _PointSet(px, all_points=(mode == "all"),
+                     boundary=(mode == "boundary"),
+                     extras=task.target_points if mode == "points" else ())
+    fired_pixels: dict[int, Pt] = {}
+    for pid in range(px.pixel_count):
+        pt = uset.interior_point(pid)
+        if pt is not None:
+            fired_pixels[pid] = pt
+    fired_sides: dict[int, Pt] = {}
+    for sid, side in enumerate(px.sides):
+        incident = [p for p in (side.pix_lo, side.pix_hi) if p is not None]
+        if any(p in fired_pixels for p in incident):
+            continue
+        pt = uset.side_point(side)
+        if pt is not None:
+            fired_sides[sid] = pt
+    out: list[tuple[Pt, str, tuple[int, ...]]] = []
+    for pid, pt in sorted(fired_pixels.items()):
+        out.append((pt, "interior", (pid,)))
+    for sid, pt in sorted(fired_sides.items()):
+        side = px.sides[sid]
+        homes = tuple(sorted(p for p in (side.pix_lo, side.pix_hi) if p is not None))
+        out.append((pt, "side", homes))
+    for cidx, c in enumerate(px.corners):
+        if uset.corner_point(cidx) is None:
+            continue
+        if any(pid in fired_pixels for pid in px.corner_pixels[cidx]):
+            continue
+        if any(sid in fired_sides for sid in _ref_corner_sides(px, cidx)):
+            continue
+        out.append((c, "corner", tuple(sorted(px.corner_pixels[cidx]))))
+    out.sort()
+    return [TargetPoint(i, p, k, h) for i, (p, k, h) in enumerate(out)]
+
+
+def reference_guards(px: Pixelation, task: GuardTask) -> list[Guard]:
+    """simplify_guards as a loop per cell kind: corners, then open sides with
+    no endpoint in Γ, then pixel interiors with no corner or side point in
+    Γ; pixel-guard homes come from the corner points of the pixel."""
+    point_modes = [m for m in task.guard_modes
+                   if m in ("all-points", "boundary-points", "vertices", "points")]
+    pts: list[tuple[Pt, str, tuple[int, ...]]] = []
+    if point_modes:
+        extras = list(task.guard_points if "points" in point_modes else ())
+        if "vertices" in point_modes:
+            extras.extend(_ref_vertices(px))
+        gset = _PointSet(px, all_points="all-points" in point_modes,
+                         boundary="boundary-points" in point_modes,
+                         extras=tuple(extras))
+        fired_corners: set[int] = set()
+        for cidx, c in enumerate(px.corners):
+            if gset.corner_point(cidx) is not None:
+                fired_corners.add(cidx)
+                pts.append((c, "corner", tuple(sorted(px.corner_pixels[cidx]))))
+        fired_sides: dict[int, Pt] = {}
+        for sid, side in enumerate(px.sides):
+            if side.corner_a in fired_corners or side.corner_b in fired_corners:
+                continue
+            pt = gset.side_point(side)
+            if pt is not None:
+                fired_sides[sid] = pt
+                homes = tuple(sorted(p for p in (side.pix_lo, side.pix_hi)
+                                     if p is not None))
+                pts.append((pt, "side", homes))
+        for pid in range(px.pixel_count):
+            cids = [px.corner_ids[c] for c in _ref_pixel_corner_points(px, pid)]
+            if any(ci in fired_corners for ci in cids):
+                continue
+            if any(sid in fired_sides for sid in px.pixel_sides[pid]):
+                continue
+            pt = gset.interior_point(pid)
+            if pt is not None:
+                pts.append((pt, "interior", (pid,)))
+    pts.sort()
+
+    out: list[Guard] = []
+    for p, _kind, homes in pts:
+        out.append(Guard(len(out), "point", p, None, homes))
+    pixel_ids: list[int] = []
+    if "all-pixel-guards" in task.guard_modes:
+        pixel_ids = list(range(px.pixel_count))
+    elif "pixels" in task.guard_modes:
+        for pid in task.guard_pixels:
+            if not 0 <= pid < px.pixel_count:
+                raise TaskError(f"pixel-guard id {pid} out of range")
+        pixel_ids = sorted(set(task.guard_pixels))
+    for pid in pixel_ids:
+        homes = set()
+        for c in _ref_pixel_corner_points(px, pid):
+            homes.update(px.corner_pixels[px.corner_ids[c]])
+        out.append(Guard(len(out), "pixel", None, pid, tuple(sorted(homes))))
+    return out
+
+
+def _ref_pixel_corner_points(px: Pixelation, pid: int):
+    r = px.pixels[pid]
+    return ((r.xmin, r.ymin), (r.xmax, r.ymin), (r.xmin, r.ymax), (r.xmax, r.ymax))
+
+
+def _ref_corner_sides(px: Pixelation, cidx: int) -> list[int]:
+    out = []
+    for pid in px.corner_pixels[cidx]:
+        for sid in px.pixel_sides[pid]:
+            s = px.sides[sid]
+            if s.corner_a == cidx or s.corner_b == cidx:
+                out.append(sid)
+    return out
 
 
 def lifted_away(H: AuxGraph) -> set[int]:

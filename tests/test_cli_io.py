@@ -5,7 +5,10 @@ import sys
 
 import pytest
 
+from rguard import cli_io
 from rguard.cli_io import loglog_slope, main
+from rguard.dp_solver import SolverError
+from rguard.tree_decomposition import DecompositionError
 
 TASK_ALL = {"targets": {"mode": "all"}, "guards": {"modes": ["all-points"]},
             "degenerate": False}
@@ -92,6 +95,30 @@ def test_input_errors_exit1(tmp_path, task_file, l_polygon, capsys):
         capsys.readouterr()
         assert main(["diag", "--polygon", str(bad)]) == 1, obj
         assert capsys.readouterr().err.startswith("error: "), obj
+
+
+def test_empty_rings_report_too_few_vertices(tmp_path, l_polygon, capsys):
+    bad = tmp_path / "bad.json"
+    ring = json.loads(l_polygon.read_text())["outer"]
+    for obj in ({"outer": []}, {"outer": ring, "holes": [[]]}):
+        write(bad, obj)
+        capsys.readouterr()
+        assert main(["diag", "--polygon", str(bad)]) == 1, obj
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1, err
+        assert "too-few-vertices" in err, err
+
+
+@pytest.mark.parametrize("exc", [SolverError("dead end in DP"),
+                                 DecompositionError("empty dual graph")])
+def test_solve_errors_exit1(tmp_path, l_polygon, task_file, capsys,
+                            monkeypatch, exc):
+    def failing(poly, task):
+        raise exc
+    monkeypatch.setattr(cli_io, "solve_task", failing)
+    assert main(["solve", "--polygon", str(l_polygon), "--task",
+                 str(task_file), "--out", str(tmp_path / "sol.json")]) == 1
+    assert capsys.readouterr().err == f"error: {exc}\n"
 
 
 def test_diag_output(l_polygon, capsys):

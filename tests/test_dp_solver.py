@@ -1,8 +1,7 @@
 import itertools
 import random
-import time
 
-from helpers import (HOLED_SHAPES, SHAPES, fixture_polygons, full_lift,
+from helpers import (HOLED_SHAPES, SHAPES, best_times, fixture_polygons, full_lift,
                      nice_tree_lift, nice_tree_solve, turned,
                      validate_reduced_lift)
 from test_acceptance import GUARD_MODES, TARGET_MODES, _corpus, _explicit_targets
@@ -390,19 +389,6 @@ def test_dominance_grouping_matches_reference():
     assert checked == 24 * len(polys) and dropped
 
 
-def _best_times(calls):
-    """The least time of each call over 5 rounds.  The calls take
-    milliseconds, so a burst of other load can hit one size only; running
-    every call once per round spreads it over all."""
-    times = [float("inf")] * len(calls)
-    for _ in range(5):
-        for i, call in enumerate(calls):
-            t0 = time.perf_counter()
-            call()
-            times[i] = min(times[i], time.perf_counter() - t0)
-    return times
-
-
 def _combs():
     """(pixel count, pixelation, H) of K=3 combs of 50 to 400 teeth."""
     out = []
@@ -414,7 +400,7 @@ def _combs():
 
 def test_dominance_scales_linearly():
     combs = _combs()
-    times = _best_times([lambda H=H: dominated(H) for _n, _px, H in combs])
+    times = best_times([lambda H=H: dominated(H) for _n, _px, H in combs])
     pixels = [n for n, _px, _H in combs]
     assert loglog_slope(pixels, times) <= 1.3, (pixels, times)
 
@@ -425,7 +411,7 @@ def test_dp_scales_linearly():
     the bag, so its time grows linearly with the pixels."""
     combs = _combs()
     lifts = [(H, lift_to_H(decompose_dual(px.dual), H)) for _n, px, H in combs]
-    times = _best_times([lambda H=H, T=T: solve_r2ds(H, T) for H, T in lifts])
+    times = best_times([lambda H=H, T=T: solve_r2ds(H, T) for H, T in lifts])
     pixels = [n for n, _px, _H in combs]
     assert loglog_slope(pixels, times) <= 1.3, (pixels, times)
 
@@ -435,7 +421,7 @@ def test_lift_scales_linearly():
     combs the lift grows linearly with the pixels."""
     combs = _combs()
     duals = [(H, decompose_dual(px.dual)) for _n, px, H in combs]
-    times = _best_times([lambda H=H, T=T: lift_to_H(T, H) for H, T in duals])
+    times = best_times([lambda H=H, T=T: lift_to_H(T, H) for H, T in duals])
     pixels = [n for n, _px, _H in combs]
     assert loglog_slope(pixels, times) <= 1.3, (pixels, times)
 

@@ -1,8 +1,6 @@
-import time
-
 import pytest
 
-from helpers import (HOLED_SHAPES, SHAPES, TURNS, fixture_polygons,
+from helpers import (HOLED_SHAPES, SHAPES, TURNS, best_times, fixture_polygons,
                      flood_pixels, grid_max_rects, nonthin_plus, turned)
 from rguard.cli_io import loglog_slope
 from rguard.guard_model import GuardTask
@@ -101,17 +99,13 @@ def test_max_rects_skip_the_grid():
         assert "cover" not in vars(px)
     sizes = [125, 250, 500, 1000]
     for family in (thick_staircase, offset_comb):
-        times = []
-        for m in sizes:
-            px = build_pixelation(family(m))
-            best = float("inf")
-            for _ in range(3):
-                px.memo.clear()
-                t0 = time.perf_counter()
-                enumerate_max_rects(px, False)
-                best = min(best, time.perf_counter() - t0)
-            times.append(best)
-            assert "cover" not in vars(px)
+        pxs = [build_pixelation(family(m)) for m in sizes]
+
+        def rects(px):
+            px.memo.clear()
+            enumerate_max_rects(px, False)
+        times = best_times([lambda px=px: rects(px) for px in pxs])
+        assert not any("cover" in vars(px) for px in pxs)
         assert loglog_slope(sizes, times) <= 1.3, (family.__name__, times)
 
 
