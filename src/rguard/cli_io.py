@@ -282,6 +282,9 @@ def main(argv=None) -> int:
             DecompositionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    except MemoryError:
+        print("error: out of memory (MemoryError)", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

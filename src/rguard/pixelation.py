@@ -10,36 +10,41 @@ parallel to the sweep front are derived directly from the cross-sections
 before/after each event, so no separate ray-shooting structure is needed.
 The first sweep yields the horizontal cuts; the second splits its slabs by
 those cuts, which yields the pixels.  Interval lists are plain
-bisect-maintained Python lists, but each reflex ray scans every component
-and wall of its event column, so a column with k rays costs O(k^2).  No
-slabs are stored: `max_rectangles` reads both decompositions' slabs off the
-pixel sides.
+bisect-maintained Python lists, and each event walks the sorted lists of its
+column in step.  No slabs are stored: `max_rectangles` reads both
+decompositions' slabs off the pixel sides.
+
+The mesh is conforming: two pixels that touch along a line share a whole
+side.  So on one line at most one side starts at a given corner, and a side
+is named by its first corner (its west end for 'h', its south end for 'v').
 """
 from __future__ import annotations
 
 from bisect import bisect_right, insort
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, partial
+from itertools import compress, repeat, starmap
 from operator import itemgetter
+from typing import NamedTuple
 
 import numpy as np
 
 from rguard.polygon_core import OrthoPolygon, Pt, Rect, half
 
 
-@dataclass(frozen=True, slots=True)
-class Side:
+class Side(NamedTuple):
     """One pixelation-graph edge: a full pixel side.
 
     Conforming-mesh property: a side is either shared by exactly two pixels
-    or lies on the polygon boundary.
+    or lies on the polygon boundary.  A named tuple: sides are many and
+    immutable, and a tuple is cheap to build.
     """
 
     axis: str              # 'v' (vertical) or 'h'
     c: int                 # the fixed coordinate
     lo: int
     hi: int
-    corner_a: int          # corner id at (c, lo) / (lo, c)
+    corner_a: int          # corner id at (c, lo) / (lo, c): the first corner
     corner_b: int          # corner id at (c, hi) / (hi, c)
     pix_lo: int | None     # pixel on the smaller-coordinate side (west/south)
     pix_hi: int | None     # pixel on the larger-coordinate side
@@ -51,6 +56,10 @@ class Side:
     def midpoint(self) -> Pt:
         m = (self.lo + self.hi) // 2
         return (self.c, m) if self.axis == "v" else (m, self.c)
+
+
+# Side._make without its length check
+_new_side = partial(tuple.__new__, Side)
 
 
 @dataclass(slots=True)
@@ -78,54 +87,105 @@ class Pixelation:
         # pass 1: y-sweep derives the horizontal cuts only
         h_cuts = _sweep(h_edges, h_rays, v_edges, None)[0]
         # pass 2: x-sweep splits its slabs by those cuts into the pixels
-        self.pixels = _sweep(v_edges, v_rays, h_edges, h_cuts)[1]
-        self._build_graph()
+        boxes = _sweep(v_edges, v_rays, h_edges, h_cuts)[1]
+        self.pixels: list[Rect] = list(starmap(Rect, boxes))
+        self._build_graph(boxes)
 
     # -- pixelation graph -----------------------------------------------------
 
-    def _build_graph(self) -> None:
-        corner_pixels: dict[Pt, list[int]] = {}
-        for pid, r in enumerate(self.pixels):
-            for p in ((r.xmin, r.ymin), (r.xmax, r.ymin),
-                      (r.xmin, r.ymax), (r.xmax, r.ymax)):
-                corner_pixels.setdefault(p, []).append(pid)
-        self.corners: list[Pt] = sorted(corner_pixels)
-        self.corner_ids: dict[Pt, int] = {p: i for i, p in enumerate(self.corners)}
-        self.corner_pixels: list[list[int]] = [corner_pixels[p] for p in self.corners]
-        self.corner_interior: list[bool] = [len(v) == 4 for v in self.corner_pixels]
+    def _build_graph(self, boxes: list[tuple[int, int, int, int]]) -> None:
+        """Corners, sides and the dual graph from the pixel boxes
+        (xmin, ymin, xmax, ymax).
 
-        half_sides: dict[tuple, list] = {}
-        for pid, r in enumerate(self.pixels):
-            half_sides.setdefault(("v", r.xmin, r.ymin, r.ymax), [None, None])[1] = pid
-            half_sides.setdefault(("v", r.xmax, r.ymin, r.ymax), [None, None])[0] = pid
-            half_sides.setdefault(("h", r.ymin, r.xmin, r.xmax), [None, None])[1] = pid
-            half_sides.setdefault(("h", r.ymax, r.xmin, r.xmax), [None, None])[0] = pid
+        A corner (x, y) is first the integer x * span + y - ybase, which
+        sorts in (x, y) order; its id is its rank.  Each pixel then names
+        its four sides by their first corners: west and south start at its
+        south-west corner, east at its south-east and north at its
+        north-west one.  'v' sides come out in corner-id order, and 'h'
+        sides, stably sorted by y, in (y, x) order of their first corner:
+        together the (axis, c, lo, hi) order of the sides.
+        """
+        ybase = min((b[1] for b in boxes), default=0)
+        span = max((b[3] for b in boxes), default=0) - ybase + 1
+        sw = [x0 * span + y0 - ybase for x0, y0, _, _ in boxes]
+        se = [x1 * span + y0 - ybase for _, y0, x1, _ in boxes]
+        nw = [x0 * span + y1 - ybase for x0, _, _, y1 in boxes]
+        ne = [x1 * span + y1 - ybase for _, _, x1, y1 in boxes]
+        keys = sorted(set(sw).union(se, nw, ne))
+        rank = dict(zip(keys, range(len(keys))))
+        sw, se, nw, ne = (list(map(rank.__getitem__, ks))
+                          for ks in (sw, se, nw, ne))
+        # corners and sides share the boxes' int objects rather than hold
+        # decoded copies, which would outlive the build
+        coord = {v: v for b in boxes for v in b}
+        cx = [coord[k // span] for k in keys]
+        cy = [coord[k % span + ybase] for k in keys]
+        n_c = len(keys)
+        del rank, keys, coord
+        self.corners: list[Pt] = list(zip(cx, cy))
 
+        # per first corner: the side's last corner (0 for no side: a last
+        # corner follows its first in id order) and the pixels below and
+        # above it (west and east for 'v')
+        cp: list[list[int]] = [[] for _ in range(n_c)]
+        v_end, v_lo, v_hi = [0] * n_c, [None] * n_c, [None] * n_c
+        h_end, h_lo, h_hi = [0] * n_c, [None] * n_c, [None] * n_c
+        for pid, (a, b, c, d) in enumerate(zip(sw, se, nw, ne)):
+            cp[a].append(pid)
+            cp[b].append(pid)
+            cp[c].append(pid)
+            cp[d].append(pid)
+            v_end[a], v_hi[a] = c, pid     # west side
+            v_end[b], v_lo[b] = d, pid     # east side
+            h_end[a], h_hi[a] = b, pid     # south side
+            h_end[c], h_lo[c] = d, pid     # north side
+        # two sides starting at one corner would overwrite each other's end
+        if ([v_end[a] for a in sw] != nw or [v_end[b] for b in se] != ne
+                or [h_end[a] for a in sw] != se or [h_end[c] for c in nw] != ne):
+            raise PixelationError("pixel sides do not conform")
+        self.corner_pixels: list[list[int]] = cp
+        self.corner_interior: list[bool] = [len(v) == 4 for v in cp]
+
+        hs = list(compress(range(n_c), h_end))
+        hs.sort(key=cy.__getitem__)
+        vs = list(compress(range(n_c), v_end))
         self.sides: list[Side] = []
-        self.pixel_sides: list[list[int]] = [[] for _ in self.pixels]
         edges = []
-        cid = self.corner_ids
-        for key in sorted(half_sides):
-            axis, c, lo, hi = key
-            lo_pix, hi_pix = half_sides[key]
-            a = cid[(c, lo) if axis == "v" else (lo, c)]
-            b = cid[(c, hi) if axis == "v" else (hi, c)]
-            side = Side(axis, c, lo, hi, a, b, lo_pix, hi_pix)
-            sid = len(self.sides)
-            self.sides.append(side)
-            for pid in (lo_pix, hi_pix):
-                if pid is not None:
-                    self.pixel_sides[pid].append(sid)
-            if lo_pix is not None and hi_pix is not None:
-                edges.append((min(lo_pix, hi_pix), max(lo_pix, hi_pix)))
+        for axis, firsts, end, lo, hi, c, along in (
+                ("h", hs, h_end, h_lo, h_hi, cy, cx),
+                ("v", vs, v_end, v_lo, v_hi, cx, cy)):
+            lasts = list(map(end.__getitem__, firsts))
+            los = list(map(lo.__getitem__, firsts))
+            his = list(map(hi.__getitem__, firsts))
+            self.sides += map(_new_side, zip(
+                repeat(axis), map(c.__getitem__, firsts),
+                map(along.__getitem__, firsts), map(along.__getitem__, lasts),
+                firsts, lasts, los, his))
+            edges += [(p, q) if p < q else (q, p) for p, q in zip(los, his)
+                      if p is not None and q is not None]
+
+        # side ids by first corner; a pixel's sides in id order are its
+        # south, north, west and east ones
+        h_sid, v_sid = [0] * n_c, [0] * n_c
+        for sid, a in enumerate(hs):
+            h_sid[a] = sid
+        for sid, a in enumerate(vs, len(hs)):
+            v_sid[a] = sid
+        self.pixel_sides: list[list[int]] = [
+            [h_sid[a], h_sid[c], v_sid[a], v_sid[b]]
+            for a, b, c in zip(sw, se, nw)]
+
         edges.sort()
-        adj: list[list[int]] = [[] for _ in self.pixels]
+        # in sorted edge order each list receives its smaller neighbours,
+        # then its larger ones, both ascending: it comes out sorted
+        adj: list[list[int]] = [[] for _ in boxes]
         for u, v in edges:
             adj[u].append(v)
             adj[v].append(u)
-        self.dual = DualGraph(len(self.pixels), edges, [sorted(a) for a in adj])
+        self.dual = DualGraph(len(boxes), edges, adj)
 
-        if sum(r.area for r in self.pixels) != abs(self.poly.area2()) // 2:
+        area = sum((x1 - x0) * (y1 - y0) for x0, y0, x1, y1 in boxes)
+        if area != abs(self.poly.area2()) // 2:
             raise PixelationError("pixel areas do not cover the polygon")
 
     # -- derived structure ------------------------------------------------------
@@ -133,6 +193,11 @@ class Pixelation:
     @property
     def pixel_count(self) -> int:
         return len(self.pixels)
+
+    @cached_property
+    def corner_ids(self) -> dict[Pt, int]:
+        """Corner id by point."""
+        return dict(zip(self.corners, range(len(self.corners))))
 
     @cached_property
     def is_thin(self) -> bool:
@@ -213,93 +278,53 @@ def _oriented_features(poly: OrthoPolygon):
     """
     v_edges, h_edges, v_rays, h_rays = [], [], [], []
     for ring in poly.rings:
-        m = len(ring)
-        for i in range(m):
-            (x1, y1), (x2, y2) = ring[i], ring[(i + 1) % m]
+        nxt = ring[1:] + ring[:1]
+        for (x1, y1), (x2, y2) in zip(ring, nxt):
             if x1 == x2:
                 v_edges.append((x1, min(y1, y2), max(y1, y2), y2 < y1))
             else:
                 h_edges.append((y1, min(x1, x2), max(x1, x2), x2 > x1))
-        for i in range(m):
-            ax, ay = ring[i - 1]
-            bx, by = ring[i]
-            cx, cy = ring[(i + 1) % m]
-            cross = (bx - ax) * (cy - by) - (by - ay) * (cx - bx)
-            if cross >= 0:
+        for (ax, ay), (bx, by), (cx, cy) in zip(ring[-1:] + ring[:-1], ring, nxt):
+            if (bx - ax) * (cy - by) - (by - ay) * (cx - bx) >= 0:
                 continue  # interior on the left: reflex corners turn right
-            din = (bx - ax, by - ay)
-            dout = (cx - bx, cy - by)
-            if din[0] == 0:  # incoming edge vertical: extend it through b
-                v_rays.append((bx, by, 1 if din[1] > 0 else -1))
-                h_rays.append((by, bx, 1 if dout[0] < 0 else -1))
-            else:            # outgoing edge vertical: extend it backwards
-                v_rays.append((bx, by, 1 if dout[1] < 0 else -1))
-                h_rays.append((by, bx, 1 if din[0] > 0 else -1))
+            if ax == bx:  # incoming edge vertical: extend it through b
+                v_rays.append((bx, by, 1 if by > ay else -1))
+                h_rays.append((by, bx, 1 if cx < bx else -1))
+            else:         # outgoing edge vertical: extend it backwards
+                v_rays.append((bx, by, 1 if cy < by else -1))
+                h_rays.append((by, bx, 1 if bx > ax else -1))
     return v_edges, h_edges, v_rays, h_rays
 
 
 def _merge_intervals(ivs):
     """Union of closed intervals; touching intervals merge."""
-    if not ivs:
-        return []
-    ivs = sorted(ivs)
-    out = [list(ivs[0])]
-    for lo, hi in ivs[1:]:
-        if lo <= out[-1][1]:
-            if hi > out[-1][1]:
-                out[-1][1] = hi
+    out = []
+    for iv in sorted(ivs):
+        if out and iv[0] <= out[-1][1]:
+            if iv[1] > out[-1][1]:
+                out[-1] = (out[-1][0], iv[1])
         else:
-            out.append([lo, hi])
-    return [(lo, hi) for lo, hi in out]
-
-
-class _ActiveCuts:
-    """Perpendicular cuts currently crossing the sweep line, keyed by their
-    fixed coordinate.  Expired entries are dropped lazily during queries."""
-
-    __slots__ = ("ys", "span")
-
-    def __init__(self):
-        self.ys: list[int] = []
-        self.span: dict[int, tuple[int, int]] = {}
-
-    def activate(self, y: int, x1: int, x2: int) -> None:
-        if y not in self.span:
-            insort(self.ys, y)
-        self.span[y] = (x1, x2)
-
-    def query(self, lo: int, hi: int, x: int, xstart: int) -> list[int]:
-        out = []
-        i = bisect_right(self.ys, lo)
-        while i < len(self.ys) and self.ys[i] < hi:
-            y = self.ys[i]
-            x1, x2 = self.span[y]
-            if x2 < x:
-                del self.ys[i]
-                del self.span[y]
-                continue
-            if x1 < x:
-                if x1 > xstart:
-                    raise PixelationError("cut starts inside a slab")
-                out.append(y)
-            i += 1
-        return out
+            out.append(iv)
+    return out
 
 
 def _sweep(par_edges, par_rays, perp_edges, perp_cuts):
     """One left-to-right sweep.  Callers pass transposed features to sweep
-    the other axis (all tuples are (sweep-coordinate, lo, hi, ...)).
+    the other axis (edges and rays are (sweep-coordinate, lo, hi, ...)).
 
     par_edges: (x, lo, hi, opens) walls parallel to the sweep front;
     par_rays:  (x, y0, dir) reflex rays parallel to the front (derived here);
     perp_edges: perpendicular boundary edges (m, xlo, xhi, opens), consulted
     to decide whether touching cross-section intervals merge;
-    perp_cuts: perpendicular reflex cuts (m, x1, x2) splitting slabs into
+    perp_cuts: perpendicular reflex cuts (x1, m, x2) splitting slabs into
     pixels, or None to derive and return this axis' cuts only.
 
-    Returns (cuts, pixels) with cuts as (x, lo, hi); pixels is None when
-    perp_cuts is None, else the pixel Rects, each slab's stack bottom-up in
-    the order the slabs close.
+    Returns (cuts, pixels) with cuts as (lo, x, hi); pixels is None when
+    perp_cuts is None, else the pixel boxes (xmin, ymin, xmax, ymax), each
+    slab's stack bottom-up in the order the slabs close.
+
+    Every list an event touches is sorted by its low end and disjoint, so
+    each lookup below is a pointer that only moves forward.
     """
     events: dict[int, list] = {}
     for x, lo, hi, opens in par_edges:
@@ -322,13 +347,17 @@ def _sweep(par_edges, par_rays, perp_edges, perp_cuts):
         return i >= 0 and lst[i][0] <= x < lst[i][1]
 
     split = perp_cuts is not None
-    activations = sorted((x1, m, x2) for (m, x1, x2) in perp_cuts) if split else []
+    activations = sorted(perp_cuts) if split else []
     act_i = 0
-    active = _ActiveCuts()
+    # perpendicular cuts crossing the sweep line: their sorted coordinates,
+    # and each one's x-range; expired ones are dropped when met
+    act_ys: list[int] = []
+    act_span: dict[int, tuple[int, int]] = {}
 
-    comps: list[list] = []  # [lo, hi, xstart], disjoint, sorted by lo
+    comps: list[tuple[int, int]] = []  # (lo, hi), disjoint, sorted by lo
+    xstart: dict[int, int] = {}        # a component's lo -> where its slab began
     cuts_out: list[tuple[int, int, int]] = []
-    pixels_out = [] if split else None
+    boxes = [] if split else None
     key_lo = itemgetter(0)
 
     for x in sorted(events):
@@ -336,119 +365,147 @@ def _sweep(par_edges, par_rays, perp_edges, perp_cuts):
         opens_.sort()
         closes_.sort()
         rays_.sort()
-        bounds = [iv[0] for iv in opens_] + [iv[1] for iv in opens_] + \
-                 [iv[0] for iv in closes_] + [iv[1] for iv in closes_] + \
-                 [r[0] for r in rays_]
+        bounds = [y for iv in opens_ + closes_ for y in iv]
+        bounds += [y0 for y0, _ in rays_]
         lo_b, hi_b = min(bounds), max(bounds)
 
         # affected components: overlapping or touching [lo_b, hi_b]
         i0 = bisect_right(comps, lo_b, key=key_lo)
         if i0 > 0 and comps[i0 - 1][1] >= lo_b:
             i0 -= 1
-        j0 = i0
-        affected = []
-        while j0 < len(comps) and comps[j0][0] <= hi_b:
-            affected.append(comps[j0])
-            j0 += 1
+        j0 = bisect_right(comps, hi_b, i0, key=key_lo)
+        affected = comps[i0:j0]
 
         # new open set near the event: (old ∪ opens) − closes; touching pieces
         # merge unless a perpendicular edge continues past x
-        pieces = sorted([(c[0], c[1]) for c in affected] + opens_)
-        for a, b in zip(pieces, pieces[1:]):
-            if a[1] > b[0]:
-                raise PixelationError("overlapping interior intervals")
-        merged = []
-        for lo, hi in pieces:
-            if merged and merged[-1][1] == lo and not blocked(lo, x):
-                merged[-1][1] = hi
-            else:
-                merged.append([lo, hi])
-        after = []
-        for lo, hi in merged:
-            cur = lo
-            for rl, rh in closes_:
-                if rh <= lo or rl >= hi:
+        merged: list[tuple[int, int]] = []
+        for iv in sorted(affected + opens_):
+            if merged:
+                plo, phi = merged[-1]
+                if phi > iv[0]:
+                    raise PixelationError("overlapping interior intervals")
+                if phi == iv[0] and not blocked(phi, x):
+                    merged[-1] = (plo, iv[1])
                     continue
-                if rl > cur:
-                    after.append((cur, rl))
-                cur = max(cur, rh)
-            if cur < hi:
-                after.append((cur, hi))
+            merged.append(iv)
+        if closes_:
+            after = []
+            p, n_cl = 0, len(closes_)
+            for iv in merged:
+                lo, hi = iv
+                while p < n_cl and closes_[p][1] <= lo:
+                    p += 1
+                cur, q = lo, p
+                while q < n_cl and closes_[q][0] < hi:
+                    rl, rh = closes_[q]
+                    if rh > lo:
+                        if rl > cur:
+                            after.append((cur, rl))
+                        if rh > cur:
+                            cur = rh
+                    q += 1
+                if cur == lo:
+                    after.append(iv)
+                elif cur < hi:
+                    after.append((cur, hi))
+        else:
+            after = merged
 
-        # reflex rays at x: spans read off the before/after cross-sections
+        # reflex rays at x: spans read off the before/after cross-sections,
+        # from the component holding points just above (d>0) / below y0
         ray_ivs = []
+        ib = ia = 0
+        n_b, n_a = len(affected), len(after)
         for y0, d in rays_:
-            b_comp = _containing(affected, y0, d)
-            a_comp = _containing(after, y0, d)
-            if b_comp is None or a_comp is None:
-                raise PixelationError(f"reflex ray at ({x},{y0}) sees no interior")
             if d > 0:
-                ray_ivs.append((y0, min(b_comp[1], a_comp[1])))
+                while ib < n_b and affected[ib][1] <= y0:
+                    ib += 1
+                while ia < n_a and after[ia][1] <= y0:
+                    ia += 1
+                if ib < n_b and ia < n_a:
+                    (b_lo, b_hi), (a_lo, a_hi) = affected[ib], after[ia]
+                    if b_lo <= y0 and a_lo <= y0:
+                        ray_ivs.append((y0, b_hi if b_hi < a_hi else a_hi))
+                        continue
             else:
-                ray_ivs.append((max(b_comp[0], a_comp[0]), y0))
+                while ib < n_b and affected[ib][1] < y0:
+                    ib += 1
+                while ia < n_a and after[ia][1] < y0:
+                    ia += 1
+                if ib < n_b and ia < n_a:
+                    (b_lo, b_hi), (a_lo, a_hi) = affected[ib], after[ia]
+                    if b_lo < y0 and a_lo < y0:
+                        ray_ivs.append((b_lo if b_lo > a_lo else a_lo, y0))
+                        continue
+            raise PixelationError(f"reflex ray at ({x},{y0}) sees no interior")
         ray_ivs = _merge_intervals(ray_ivs)
-        cuts_out.extend((x, lo, hi) for lo, hi in ray_ivs)
+        cuts_out += [(lo, x, hi) for lo, hi in ray_ivs]
 
         walls = _merge_intervals(opens_ + closes_ + ray_ivs)
+        n_w = len(walls)
 
         # close every affected component overlapped by a wall's interior
-        survivors: dict[tuple[int, int], int] = {}
-        for lo, hi, xstart in affected:
-            w = _overlapping_wall(walls, lo, hi)
-            if w is None:
-                survivors[(lo, hi)] = xstart
+        survivors = []
+        w = 0
+        for iv in affected:
+            lo, hi = iv
+            while w < n_w and walls[w][1] <= lo:
+                w += 1
+            if w == n_w or walls[w][0] >= hi:
+                survivors.append(iv)
                 continue
-            if not (w[0] <= lo and hi <= w[1]):
+            if not (walls[w][0] <= lo and hi <= walls[w][1]):
                 raise PixelationError("wall partially covers a slab")
+            x0 = xstart.pop(lo)
             if split:
-                ys = [lo] + active.query(lo, hi, x, xstart) + [hi]
-                pixels_out.extend(Rect(xstart, a, x, b)
-                                  for a, b in zip(ys, ys[1:]))
+                # the slab's stack of pixels, split by the cuts crossing it
+                y_lo = lo
+                i = bisect_right(act_ys, lo)
+                while i < len(act_ys) and act_ys[i] < hi:
+                    y = act_ys[i]
+                    x1, x2 = act_span[y]
+                    if x2 < x:
+                        del act_ys[i], act_span[y]
+                        continue
+                    if x1 < x:
+                        if x1 > x0:
+                            raise PixelationError("cut starts inside a slab")
+                        boxes.append((x0, y_lo, x, y))
+                        y_lo = y
+                    i += 1
+                boxes.append((x0, y_lo, x, hi))
 
-        # rebuild the affected window
-        new_window = []
-        for lo, hi in after:
-            if (lo, hi) in survivors:
-                new_window.append([lo, hi, survivors.pop((lo, hi))])
+        # the new window: intervals a wall overlaps start a slab at x, the
+        # others must be the surviving components
+        kept = []
+        w = 0
+        for iv in after:
+            lo, hi = iv
+            while w < n_w and walls[w][1] <= lo:
+                w += 1
+            if w == n_w or walls[w][0] >= hi:
+                kept.append(iv)
             else:
-                if _overlapping_wall(walls, lo, hi) is None:
-                    raise PixelationError("fresh interval without a wall")
-                new_window.append([lo, hi, x])
-        if survivors:
+                xstart[lo] = x
+        if kept != survivors:
+            if set(kept) - set(survivors):
+                raise PixelationError("fresh interval without a wall")
             raise PixelationError("surviving slab lost its interval")
-        comps[i0:j0] = new_window
+        comps[i0:j0] = after
 
         if split:
             while act_i < len(activations) and activations[act_i][0] <= x:
                 x1, m, x2 = activations[act_i]
                 if x1 != x:
                     raise PixelationError("cut activation missed its event")
-                active.activate(m, x1, x2)
+                if m not in act_span:
+                    insort(act_ys, m)
+                act_span[m] = (x1, x2)
                 act_i += 1
 
     if comps:
         raise PixelationError("sweep finished with open slabs")
-    return cuts_out, pixels_out
-
-
-def _containing(comps, y0, d):
-    """Entry whose open interval holds points just above (d>0) / below y0."""
-    if d > 0:
-        for c in comps:
-            if c[0] <= y0 < c[1]:
-                return (c[0], c[1])
-    else:
-        for c in comps:
-            if c[0] < y0 <= c[1]:
-                return (c[0], c[1])
-    return None
-
-
-def _overlapping_wall(walls, lo, hi):
-    for w in walls:
-        if w[0] < hi and w[1] > lo:
-            return w
-    return None
+    return cuts_out, boxes
 
 
 # -- grid cover for exact containment queries -----------------------------------

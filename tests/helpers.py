@@ -7,7 +7,7 @@ are union-find components of cells not separated by an edge or a ray.
 from __future__ import annotations
 
 import time
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
 
 import numpy as np
 
@@ -602,3 +602,230 @@ def brute_force_pixels(poly: OrthoPolygon) -> set[tuple[int, int, int, int]]:
             "brute-force component is not a rectangle"
         out.add(rect)
     return out
+
+
+# -- the tuple-keyed pixelation, the reference for Pixelation -------------------
+#
+# The sweep with per-ray scans of each event column and the graph built from
+# tuple-keyed corner and side dicts, kept as they were before sides were named
+# by their first corner.  `pixelation_fields` reads the same fields off a
+# `Pixelation`, so the two compare field for field.
+
+
+def pixelation_fields(px: Pixelation) -> dict:
+    """Every field of a pixelation as plain data."""
+    return {
+        "pixels": [r.as_tuple() for r in px.pixels],
+        "corners": list(px.corners),
+        "corner_ids": dict(px.corner_ids),
+        "corner_pixels": [list(v) for v in px.corner_pixels],
+        "corner_interior": list(px.corner_interior),
+        "sides": [(s.axis, s.c, s.lo, s.hi, s.corner_a, s.corner_b,
+                   s.pix_lo, s.pix_hi) for s in px.sides],
+        "pixel_sides": [list(v) for v in px.pixel_sides],
+        "dual_n": px.dual.n,
+        "dual_edges": list(px.dual.edges),
+        "dual_adj": [list(v) for v in px.dual.adj],
+    }
+
+
+def reference_pixelation(poly: OrthoPolygon) -> dict:
+    """The fields of `pixelation_fields`, from the reference construction."""
+    v_edges, h_edges, v_rays, h_rays = _ref_oriented_features(poly)
+    h_cuts = _ref_sweep(h_edges, h_rays, v_edges, None)[0]
+    pixels = _ref_sweep(v_edges, v_rays, h_edges, h_cuts)[1]
+
+    corner_pixels: dict[Pt, list[int]] = {}
+    for pid, (x0, y0, x1, y1) in enumerate(pixels):
+        for p in ((x0, y0), (x1, y0), (x0, y1), (x1, y1)):
+            corner_pixels.setdefault(p, []).append(pid)
+    corners = sorted(corner_pixels)
+    cid = {p: i for i, p in enumerate(corners)}
+
+    half_sides: dict[tuple, list] = {}
+    for pid, (x0, y0, x1, y1) in enumerate(pixels):
+        half_sides.setdefault(("v", x0, y0, y1), [None, None])[1] = pid
+        half_sides.setdefault(("v", x1, y0, y1), [None, None])[0] = pid
+        half_sides.setdefault(("h", y0, x0, x1), [None, None])[1] = pid
+        half_sides.setdefault(("h", y1, x0, x1), [None, None])[0] = pid
+    sides = []
+    pixel_sides: list[list[int]] = [[] for _ in pixels]
+    edges = []
+    for key in sorted(half_sides):
+        axis, c, lo, hi = key
+        lo_pix, hi_pix = half_sides[key]
+        a = cid[(c, lo) if axis == "v" else (lo, c)]
+        b = cid[(c, hi) if axis == "v" else (hi, c)]
+        for pid in (lo_pix, hi_pix):
+            if pid is not None:
+                pixel_sides[pid].append(len(sides))
+        sides.append((axis, c, lo, hi, a, b, lo_pix, hi_pix))
+        if lo_pix is not None and hi_pix is not None:
+            edges.append((min(lo_pix, hi_pix), max(lo_pix, hi_pix)))
+    edges.sort()
+    adj: list[list[int]] = [[] for _ in pixels]
+    for u, v in edges:
+        adj[u].append(v)
+        adj[v].append(u)
+    assert sum((x1 - x0) * (y1 - y0) for x0, y0, x1, y1 in pixels) \
+        == abs(poly.area2()) // 2
+    return {
+        "pixels": pixels,
+        "corners": corners,
+        "corner_ids": cid,
+        "corner_pixels": [corner_pixels[p] for p in corners],
+        "corner_interior": [len(corner_pixels[p]) == 4 for p in corners],
+        "sides": sides,
+        "pixel_sides": pixel_sides,
+        "dual_n": len(pixels),
+        "dual_edges": edges,
+        "dual_adj": [sorted(a) for a in adj],
+    }
+
+
+def _ref_oriented_features(poly: OrthoPolygon):
+    v_edges, h_edges, v_rays, h_rays = [], [], [], []
+    for ring in poly.rings:
+        m = len(ring)
+        for i in range(m):
+            (x1, y1), (x2, y2) = ring[i], ring[(i + 1) % m]
+            if x1 == x2:
+                v_edges.append((x1, min(y1, y2), max(y1, y2), y2 < y1))
+            else:
+                h_edges.append((y1, min(x1, x2), max(x1, x2), x2 > x1))
+        for i in range(m):
+            ax, ay = ring[i - 1]
+            bx, by = ring[i]
+            cx, cy = ring[(i + 1) % m]
+            if (bx - ax) * (cy - by) - (by - ay) * (cx - bx) >= 0:
+                continue
+            din = (bx - ax, by - ay)
+            dout = (cx - bx, cy - by)
+            if din[0] == 0:
+                v_rays.append((bx, by, 1 if din[1] > 0 else -1))
+                h_rays.append((by, bx, 1 if dout[0] < 0 else -1))
+            else:
+                v_rays.append((bx, by, 1 if dout[1] < 0 else -1))
+                h_rays.append((by, bx, 1 if din[0] > 0 else -1))
+    return v_edges, h_edges, v_rays, h_rays
+
+
+def _ref_merge_intervals(ivs):
+    if not ivs:
+        return []
+    ivs = sorted(ivs)
+    out = [list(ivs[0])]
+    for lo, hi in ivs[1:]:
+        if lo <= out[-1][1]:
+            out[-1][1] = max(out[-1][1], hi)
+        else:
+            out.append([lo, hi])
+    return [(lo, hi) for lo, hi in out]
+
+
+def _ref_containing(comps, y0, d):
+    for c in comps:
+        if (c[0] <= y0 < c[1]) if d > 0 else (c[0] < y0 <= c[1]):
+            return (c[0], c[1])
+    return None
+
+
+def _ref_overlapping_wall(walls, lo, hi):
+    for w in walls:
+        if w[0] < hi and w[1] > lo:
+            return w
+    return None
+
+
+def _ref_sweep(par_edges, par_rays, perp_edges, perp_cuts):
+    """(cuts as (x, lo, hi), pixels as (xmin, ymin, xmax, ymax) or None)."""
+    events: dict[int, list] = {}
+    for x, lo, hi, opens in par_edges:
+        events.setdefault(x, [[], [], []])[0 if opens else 1].append((lo, hi))
+    for x, y0, d in par_rays:
+        events.setdefault(x, [[], [], []])[2].append((y0, d))
+    perp_by_c: dict[int, list[tuple[int, int]]] = {}
+    for m, xlo, xhi, _opens in perp_edges:
+        perp_by_c.setdefault(m, []).append((xlo, xhi))
+
+    def blocked(m: int, x: int) -> bool:
+        return any(lo <= x < hi for lo, hi in perp_by_c.get(m, ()))
+
+    split = perp_cuts is not None
+    activations = sorted((x1, m, x2) for (m, x1, x2) in perp_cuts) if split else []
+    act_i = 0
+    active: dict[int, tuple[int, int]] = {}   # cut coordinate -> x-range
+    comps: list[list] = []  # [lo, hi, xstart], disjoint, sorted by lo
+    cuts_out, pixels_out = [], ([] if split else None)
+    for x in sorted(events):
+        opens_, closes_, rays_ = (sorted(lst) for lst in events[x])
+        bounds = [y for iv in opens_ + closes_ for y in iv] + [r[0] for r in rays_]
+        lo_b, hi_b = min(bounds), max(bounds)
+        i0 = bisect_right([c[0] for c in comps], lo_b)
+        if i0 > 0 and comps[i0 - 1][1] >= lo_b:
+            i0 -= 1
+        j0 = i0
+        while j0 < len(comps) and comps[j0][0] <= hi_b:
+            j0 += 1
+        affected = comps[i0:j0]
+        pieces = sorted([(c[0], c[1]) for c in affected] + opens_)
+        for a, b in zip(pieces, pieces[1:]):
+            assert a[1] <= b[0], "overlapping interior intervals"
+        merged = []
+        for lo, hi in pieces:
+            if merged and merged[-1][1] == lo and not blocked(lo, x):
+                merged[-1][1] = hi
+            else:
+                merged.append([lo, hi])
+        after = []
+        for lo, hi in merged:
+            cur = lo
+            for rl, rh in closes_:
+                if rh <= lo or rl >= hi:
+                    continue
+                if rl > cur:
+                    after.append((cur, rl))
+                cur = max(cur, rh)
+            if cur < hi:
+                after.append((cur, hi))
+        ray_ivs = []
+        for y0, d in rays_:
+            b_comp = _ref_containing(affected, y0, d)
+            a_comp = _ref_containing(after, y0, d)
+            assert b_comp is not None and a_comp is not None
+            if d > 0:
+                ray_ivs.append((y0, min(b_comp[1], a_comp[1])))
+            else:
+                ray_ivs.append((max(b_comp[0], a_comp[0]), y0))
+        ray_ivs = _ref_merge_intervals(ray_ivs)
+        cuts_out.extend((x, lo, hi) for lo, hi in ray_ivs)
+        walls = _ref_merge_intervals(opens_ + closes_ + ray_ivs)
+        survivors: dict[tuple[int, int], int] = {}
+        for lo, hi, xstart in affected:
+            w = _ref_overlapping_wall(walls, lo, hi)
+            if w is None:
+                survivors[(lo, hi)] = xstart
+                continue
+            assert w[0] <= lo and hi <= w[1], "wall partially covers a slab"
+            if split:
+                cut_ys = sorted(y for y, (x1, x2) in active.items()
+                                if lo < y < hi and x1 < x <= x2)
+                assert all(active[y][0] <= xstart for y in cut_ys), \
+                    "cut starts inside a slab"
+                ys = [lo] + cut_ys + [hi]
+                pixels_out.extend((xstart, a, x, b) for a, b in zip(ys, ys[1:]))
+        new_window = []
+        for lo, hi in after:
+            if (lo, hi) in survivors:
+                new_window.append([lo, hi, survivors.pop((lo, hi))])
+            else:
+                assert _ref_overlapping_wall(walls, lo, hi) is not None
+                new_window.append([lo, hi, x])
+        assert not survivors, "surviving slab lost its interval"
+        comps[i0:j0] = new_window
+        while split and act_i < len(activations) and activations[act_i][0] <= x:
+            x1, m, x2 = activations[act_i]
+            active[m] = (x1, x2)
+            act_i += 1
+    assert not comps, "sweep finished with open slabs"
+    return cuts_out, pixels_out

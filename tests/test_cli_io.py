@@ -121,6 +121,17 @@ def test_solve_errors_exit1(tmp_path, l_polygon, task_file, capsys,
     assert capsys.readouterr().err == f"error: {exc}\n"
 
 
+def test_solve_out_of_memory_exit1(tmp_path, l_polygon, task_file, capsys,
+                                   monkeypatch):
+    def exhausted(poly, task):
+        raise MemoryError
+    monkeypatch.setattr(cli_io, "solve_task", exhausted)
+    assert main(["solve", "--polygon", str(l_polygon), "--task",
+                 str(task_file), "--out", str(tmp_path / "sol.json")]) == 1
+    assert capsys.readouterr().err == "error: out of memory (MemoryError)\n"
+    assert not (tmp_path / "sol.json").exists()
+
+
 def test_diag_output(l_polygon, capsys):
     assert main(["diag", "--polygon", str(l_polygon)]) == 0
     out = capsys.readouterr().out

@@ -1,9 +1,11 @@
-from helpers import SHAPES, HOLED_SHAPES, brute_force_pixels, fixture_polygons, \
-    nonthin_plus
-from rguard.instance_gen import gen_tree_polygon
+from helpers import SHAPES, HOLED_SHAPES, TURNS, brute_force_pixels, \
+    fixture_polygons, nonthin_plus, pixelation_fields, reference_pixelation, \
+    turned
+from rguard.instance_gen import (gen_holed_variant, gen_ktin_polygon,
+                                 gen_tree_polygon, rects_union_polygon)
 from rguard.pixelation import (build_pixelation, dump_pixelation,
                                estimate_thinness_K)
-from rguard.polygon_core import OrthoPolygon
+from rguard.polygon_core import OrthoPolygon, scale_polygon
 
 
 def rects(px):
@@ -59,6 +61,27 @@ def test_matches_brute_force_on_generated():
         poly = gen_tree_polygon(6 + 3 * seed, seed)
         px = build_pixelation(poly)
         assert {r.as_tuple() for r in px.pixels} == brute_force_pixels(poly)
+
+
+def thin_staircase(m: int) -> OrthoPolygon:
+    """A staircase of width 1: every step is two unit cells."""
+    return rects_union_polygon([c for i in range(m) for c in (
+        (i, i, i + 1, i + 1), (i + 1, i, i + 2, i + 1))])
+
+
+def test_matches_reference_field_for_field():
+    # sides named by their first corner and the pointer-walk sweep give the
+    # tuple-keyed construction's fields, orders included
+    polys = fixture_polygons() + [nonthin_plus()]
+    polys += [gen_tree_polygon(n, s) for n in (40, 300) for s in range(3)]
+    polys += [gen_holed_variant(scale_polygon(gen_tree_polygon(n, s), 3), h, s)
+              for n, h, s in ((20, 2, 1), (60, 5, 2))]
+    polys += [gen_ktin_polygon(k, t, s) for k, t, s in ((2, 12, 31), (3, 10, 32))]
+    polys += [thin_staircase(m) for m in (1, 5, 30)]
+    for poly in polys:
+        for p in [poly] + [turned(poly, how) for how in TURNS]:
+            assert pixelation_fields(build_pixelation(p)) == \
+                reference_pixelation(p), p
 
 
 def test_area_conservation():
