@@ -2,6 +2,7 @@
 auxiliary graph, decomposition, lift, and the DP, with per-phase timings."""
 from __future__ import annotations
 
+import gc
 import time
 from dataclasses import dataclass, field
 
@@ -29,6 +30,42 @@ class SolveContext:
 
 
 def solve_task(poly_or_px, task: GuardTask) -> SolveContext:
+    """Solve `task` on a polygon or on an existing pixelation.
+
+    The cyclic garbage collector is paused for the solve.  The pipeline
+    makes no reference cycles (test_solve_makes_no_reference_cycles), so
+    its collections would only re-walk the live objects of the solve.
+    Before returning, the solve pays the young-generation pass that the
+    pause made due, and an older generation that this pass would make due,
+    timed as `timings["gc"]` (0.0 when none was due).  The caller's setting
+    is restored: a caller that turned the collector off keeps it off, and
+    no pass runs for it.  The setting is global to the process, so a solve
+    in another thread may see the collector resume when this one returns."""
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        ctx = _solve(poly_or_px, task)
+        timings = ctx.timings
+        timings["gc"] = 0.0
+        count, threshold = gc.get_count(), gc.get_threshold()
+        if enabled and count[0] > threshold[0]:
+            # a pass counts toward the next generation's threshold; take an
+            # older generation that this pass would make due as well, or
+            # the caller's next allocation walks the solve's survivors
+            gen = 0
+            while gen < 2 and count[gen + 1] >= threshold[gen + 1]:
+                gen += 1
+            t0 = time.perf_counter()
+            gc.collect(gen)
+            timings["gc"] = time.perf_counter() - t0
+        timings["total"] = sum(timings.values())
+        return ctx
+    finally:
+        if enabled:
+            gc.enable()
+
+
+def _solve(poly_or_px, task: GuardTask) -> SolveContext:
     timings: dict[str, float] = {}
     t0 = time.perf_counter()
     if isinstance(poly_or_px, OrthoPolygon):
@@ -63,6 +100,5 @@ def solve_task(poly_or_px, task: GuardTask) -> SolveContext:
     t0 = time.perf_counter()
     solution = solve_r2ds(H, T_aux)
     timings["dp"] = time.perf_counter() - t0
-    timings["total"] = sum(timings.values())
     return SolveContext(px, targets, guards, rects, H, T_dual, T_aux,
                         solution, timings)

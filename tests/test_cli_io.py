@@ -191,7 +191,7 @@ def test_bench_ktin_times_full_solve(tmp_path):
         rows = list(csv.DictReader(f))
     for size in ("40", "80"):
         phases = {r["phase"] for r in rows if r["size"] == size}
-        assert {"pixelate", "decompose", "dp", "total"} <= phases
+        assert {"pixelate", "decompose", "dp", "gc", "total"} <= phases
 
 
 def test_loglog_slope_exact():
