@@ -93,9 +93,9 @@ def guards_via_path2(H: AuxGraph, target_id: int, guard_id: int) -> bool:
     return False
 
 
-def dominated(H: AuxGraph) -> tuple[set[int], set[int]]:
-    """Ids of the targets and guards of H that an optimal guard set can do
-    without.
+def dominated(H: AuxGraph) -> tuple[set[int], set[int], set[int]]:
+    """Ids of the targets, rectangles and guards of H that an optimal guard
+    set can do without.
 
     A guard goes if its rectangle set is contained in another guard's: any
     selection of it can be swapped for the larger one.  A target goes if its
@@ -104,13 +104,16 @@ def dominated(H: AuxGraph) -> tuple[set[int], set[int]]:
     lowest id goes, and containment is then tested between the groups'
     lowest ids only, whose sets are distinct.  Containment is transitive, so
     every dropped vertex has a kept one that stands in for it, and the
-    optimal size over the kept vertices is that of H.
+    optimal size over the kept vertices is that of H.  A rectangle goes if
+    none of its targets is kept: no kept target is covered through it.
     """
     targets, pairs = _contained_pairs(H.ur, H.ru)
     targets.update(big for _small, big in pairs)
     guards, pairs = _contained_pairs(H.gr, H.rg)
     guards.update(small for small, _big in pairs)
-    return targets, guards
+    rects = {r for r, ts in enumerate(H.ru)
+             if all(t in targets for t in ts)}
+    return targets, rects, guards
 
 
 def _contained_pairs(sets: list[list[int]], members: list[list[int]]):
@@ -140,22 +143,3 @@ def _contained_pairs(sets: list[list[int]], members: list[list[int]]):
                 pairs.append((a, b))
     return dups, pairs
 
-
-def to_dot(H: AuxGraph) -> str:
-    """Graphviz export for debugging."""
-    lines = ["graph H {"]
-    for t in H.targets:
-        lines.append(f'  u{t.id} [shape=circle,label="u{t.id}"];')
-    for r in H.rects:
-        style = ",style=dashed" if r.degenerate else ""
-        lines.append(f'  r{r.id} [shape=box,label="r{r.id}"{style}];')
-    for g in H.guards:
-        lines.append(f'  g{g.id} [shape=diamond,label="g{g.id}"];')
-    for ti, rs in enumerate(H.ur):
-        for ri in rs:
-            lines.append(f"  u{ti} -- r{ri};")
-    for gi, rs in enumerate(H.gr):
-        for ri in rs:
-            lines.append(f"  g{gi} -- r{ri};")
-    lines.append("}")
-    return "\n".join(lines) + "\n"

@@ -6,6 +6,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import io
 import json
 import math
 import sys
@@ -57,9 +58,32 @@ def _load_task(path: str) -> GuardTask:
         raise InputError(f"guard_model: {exc}") from exc
 
 
+def _load_graph(path: str) -> DrawnGraph:
+    try:
+        with open(path, encoding="utf-8") as f:
+            return DrawnGraph.from_json_obj(json.load(f))
+    except OSError as exc:
+        raise InputError(f"graph file: {exc}") from exc
+    except KeyError as exc:
+        raise InputError(f"instance_gen: missing key {exc}") from exc
+    except (json.JSONDecodeError, AttributeError, IndexError, TypeError,
+            ValueError) as exc:
+        raise InputError(f"instance_gen: {exc}") from exc
+
+
+def _ints(text: str, option: str) -> list[int]:
+    try:
+        return [int(s) for s in text.split(",")]
+    except ValueError as exc:
+        raise InputError(f"{option}: {exc}") from exc
+
+
 def _write(path: str, text: str) -> None:
-    with open(path, "w", encoding="utf-8") as f:
-        f.write(text)
+    try:
+        with open(path, "w", encoding="utf-8", newline="") as f:
+            f.write(text)
+    except OSError as exc:
+        raise InputError(f"output file: {exc}") from exc
 
 
 def cmd_solve(args) -> int:
@@ -126,8 +150,7 @@ def cmd_gen(args) -> int:
         poly = gen_holed_variant(base, args.holes, args.seed)
     else:  # hardness
         if args.graph_file:
-            with open(args.graph_file, encoding="utf-8") as f:
-                g = DrawnGraph.from_json_obj(json.load(f))
+            g = _load_graph(args.graph_file)
         else:
             g = fixture_graph(args.graph)
         poly, meta = gen_hardness_instance(g)
@@ -159,8 +182,8 @@ def loglog_slope(sizes, times) -> float:
 
 
 def cmd_bench(args) -> int:
-    sizes = [int(s) for s in args.sizes.split(",")]
-    seeds = [int(s) for s in args.seeds.split(",")]
+    sizes = _ints(args.sizes, "--sizes")
+    seeds = _ints(args.seeds, "--seeds")
     task = GuardTask.make()
     k = args.k if args.family == "ktin" else 1
     rows = []
@@ -181,12 +204,13 @@ def cmd_bench(args) -> int:
                              "vertices": poly.n, "phase": phase,
                              "seconds": f"{seconds:.6f}"})
     if args.csv:
-        with open(args.csv, "w", newline="", encoding="utf-8") as f:
-            w = csv.DictWriter(f, fieldnames=["family", "k", "size", "seed",
-                                              "pixels", "vertices", "phase",
-                                              "seconds"])
-            w.writeheader()
-            w.writerows(rows)
+        f = io.StringIO()
+        w = csv.DictWriter(f, fieldnames=["family", "k", "size", "seed",
+                                          "pixels", "vertices", "phase",
+                                          "seconds"])
+        w.writeheader()
+        w.writerows(rows)
+        _write(args.csv, f.getvalue())
 
     meds = {s: sorted(v)[len(v) // 2] for s, v in totals.items()}
     for s in sizes:

@@ -1,5 +1,6 @@
 """Exact restricted distance-2 dominating set on the auxiliary graph, by
-dynamic programming over the lifted tree decomposition itself.
+dynamic programming over the lifted tree decomposition itself, whose bags
+may leave out the vertices of `aux_graph.dominated(H)`.
 
 Per-bag states use two bits per vertex: guards are selected/unselected,
 rectangles are dark (never adjacent to a selected guard), promised (will be)
@@ -87,10 +88,10 @@ class SolverError(RuntimeError):
 def solve_r2ds(H: AuxGraph, T: TreeDecomposition) -> Solution:
     """Minimum S ⊆ Γ' such that every target has a 2-path to S, or an
     infeasibility witness.  T must be a lifted decomposition of H.  It may
-    leave the targets and guards of `aux_graph.dominated(H)` out of its bags,
-    and the rectangles with no kept target, as `lift_to_H` does: the optimal
-    size is that of the full bags, though the chosen guards may differ.  The
-    witness and the certificates are computed on the whole of H.
+    leave the vertices of `aux_graph.dominated(H)` out of its bags, as
+    `lift_to_H` does: the optimal size is that of the full bags, though the
+    chosen guards may differ.  The witness and the certificates are computed
+    on the whole of H.
 
     The tables are built bottom-up from bag 0 as the root; the root's
     table, once it has forgotten its bag, holds the single empty state."""

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from rguard.pixelation import build_pixelation
-from rguard.polygon_core import OrthoPolygon, Pt, Rect
+from rguard.polygon_core import OrthoPolygon, Pt, Rect, _ring_area2
 
 
 class GenError(ValueError):
@@ -73,8 +73,8 @@ def rects_union_polygon(rects: list[tuple[int, int, int, int]]) -> OrthoPolygon:
             cur = nxt[cur]
         rings.append(_merge_collinear(ring))
 
-    outer = [r for r in rings if _area2(r) > 0]
-    holes = [r for r in rings if _area2(r) < 0]
+    outer = [r for r in rings if _ring_area2(r) > 0]
+    holes = [r for r in rings if _ring_area2(r) < 0]
     if len(outer) != 1:
         raise GenError("union is not a single connected region")
     return OrthoPolygon(outer[0], holes)
@@ -89,14 +89,6 @@ def _merge_collinear(ring: list[Pt]) -> list[Pt]:
             continue
         out.append(p)
     return out
-
-
-def _area2(ring: list[Pt]) -> int:
-    s = 0
-    for i, (x1, y1) in enumerate(ring):
-        x2, y2 = ring[(i + 1) % len(ring)]
-        s += x1 * y2 - x2 * y1
-    return s
 
 
 # -- random tree polygons -------------------------------------------------------

@@ -239,10 +239,11 @@ def validate(poly: OrthoPolygon) -> ValidationReport:
     # Holes strictly inside the outer ring and outside each other.  With no
     # edge contacts anywhere, one vertex per ring decides containment.
     for hi, hole in enumerate(poly.holes):
-        if not _point_in_ring(hole[0], poly.outer):
+        x, y = hole[0]
+        if not _point_in_scaled((poly.outer,), 2 * x, 2 * y):
             rep.add("hole-outside", "hole not inside outer ring", hi + 1)
         for hj, other in enumerate(poly.holes):
-            if hi != hj and _point_in_ring(hole[0], other):
+            if hi != hj and _point_in_scaled((other,), 2 * x, 2 * y):
                 rep.add("hole-in-hole", f"hole inside hole {hj}", hi + 1)
 
     # Reflex-count identity for hole-free polygons (sanity of orientation).
@@ -344,40 +345,9 @@ def _check_edge_disjointness(poly: OrthoPolygon, rep: ValidationReport) -> None:
                 f"({contacts} contacts for {poly.n} vertices)")
 
 
-def _point_in_ring(q: Pt, ring: tuple[Pt, ...]) -> bool:
-    """Point strictly inside / on the ring?  Closed test, exact."""
-    qx, qy = q
-    m = len(ring)
-    inside = False
-    for i in range(m):
-        (x1, y1), (x2, y2) = ring[i], ring[(i + 1) % m]
-        if x1 == x2:
-            if qx == x1 and min(y1, y2) <= qy <= max(y1, y2):
-                return True  # on a vertical edge
-            if (min(y1, y2) <= qy < max(y1, y2)) and x1 > qx:
-                inside = not inside
-        else:
-            if qy == y1 and min(x1, x2) <= qx <= max(x1, x2):
-                return True  # on a horizontal edge
-    return inside
-
-
 def point_in_polygon(poly: OrthoPolygon, q: Pt) -> bool:
     """Closed containment of a doubled-coordinate point in P."""
-    for ring in poly.rings:
-        # boundary contact counts as inside for every ring
-        qx, qy = q
-        m = len(ring)
-        for i in range(m):
-            (x1, y1), (x2, y2) = ring[i], ring[(i + 1) % m]
-            if x1 == x2:
-                if qx == x1 and min(y1, y2) <= qy <= max(y1, y2):
-                    return True
-            elif qy == y1 and min(x1, x2) <= qx <= max(x1, x2):
-                return True
-    if not _point_in_ring(q, poly.outer):
-        return False
-    return not any(_point_in_ring(q, h) for h in poly.holes)
+    return _point_in_scaled(poly.rings, 2 * q[0], 2 * q[1])
 
 
 def rect_inside(poly: OrthoPolygon, r: Rect) -> bool:
@@ -397,7 +367,7 @@ def rect_inside(poly: OrthoPolygon, r: Rect) -> bool:
             if r.ymin < y < r.ymax and x1 < r.xmax and x2 > r.xmin:
                 return False
         cx, cy = r.xmin + r.xmax, r.ymin + r.ymax  # center, 4x scale
-        return _point_in_scaled(poly, cx, cy)
+        return _point_in_scaled(poly.rings, cx, cy)
     if r.width == 0 and r.height == 0:
         return point_in_polygon(poly, (r.xmin, r.ymin))
     # segment: collect crossing coordinates along it, test component midpoints
@@ -414,7 +384,7 @@ def rect_inside(poly: OrthoPolygon, r: Rect) -> bool:
                         cuts.add(y)
         ys = sorted(cuts)
         for a, b in zip(ys, ys[1:]):
-            if not _point_in_scaled(poly, 2 * x, a + b):
+            if not _point_in_scaled(poly.rings, 2 * x, a + b):
                 return False
         return all(point_in_polygon(poly, (x, y)) for y in ys)
     # horizontal segment, mirror of the vertical case
@@ -430,15 +400,17 @@ def rect_inside(poly: OrthoPolygon, r: Rect) -> bool:
                     cuts.add(x)
     xs = sorted(cuts)
     for a, b in zip(xs, xs[1:]):
-        if not _point_in_scaled(poly, a + b, 2 * y):
+        if not _point_in_scaled(poly.rings, a + b, 2 * y):
             return False
     return all(point_in_polygon(poly, (x, y)) for x in xs)
 
 
-def _point_in_scaled(poly: OrthoPolygon, qx4: int, qy4: int) -> bool:
-    """Point containment with the query given at twice the doubled scale."""
+def _point_in_scaled(rings: tuple[tuple[Pt, ...], ...], qx4: int,
+                     qy4: int) -> bool:
+    """Closed containment of a point, given at twice the doubled scale, in
+    the region the rings bound."""
     inside = False
-    for ring in poly.rings:
+    for ring in rings:
         m = len(ring)
         for i in range(m):
             (x1, y1), (x2, y2) = ring[i], ring[(i + 1) % m]

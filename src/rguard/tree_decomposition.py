@@ -241,15 +241,23 @@ def lift_to_H(T: TreeDecomposition, H: AuxGraph) -> TreeDecomposition:
     """Replace each pixel of every bag by the targets it contains, the guards
     and rectangles intersecting it; pixels themselves are dropped.
 
-    The targets and guards in `dominated(H)` are left out, and so is every
-    rectangle none of whose targets is kept, so the result is a
+    The vertices of `dominated(H)` are left out, so the result is a
     decomposition of H minus those vertices: leaving vertices out of every
-    bag keeps a decomposition valid for the rest of the graph.  A lifted bag
-    that is a subset of a tree neighbour's is then merged into it (see
-    `_merge_subset_bags`), which keeps the width."""
+    bag keeps a decomposition valid for the rest of the graph.
+
+    The walk that lifts the bags, in pre-order from bag 0, also contracts
+    every tree edge one of whose sides is a subset of the other.  It puts
+    each bag in a group of merged bags and keeps only the lifted content of
+    the group's top, which contains all its members.  A bag that is a subset
+    of its parent's group's top joins that group; one that strictly contains
+    it joins the group and becomes its top.  Running intersection keeps this
+    complete: if a neighbour group's top were a subset of the new top, it
+    would already be a subset of the old one.  So no bag of the result is a
+    subset of a neighbour's, and the width is unchanged.  The group of bag 0
+    is bag 0 of the result."""
     if T.universe != "dual":
         raise DecompositionError("lift expects a decomposition of the dual graph")
-    gone_targets, gone_guards = dominated(H)
+    gone_targets, gone_rects, gone_guards = dominated(H)
     n_pix = 1 + max((v for bag in T.bags for v in bag), default=0)
     per_pixel: list[list[int]] = [[] for _ in range(n_pix)]
     for t in H.targets:
@@ -257,89 +265,34 @@ def lift_to_H(T: TreeDecomposition, H: AuxGraph) -> TreeDecomposition:
             for pid in t.home_pixels:
                 per_pixel[pid].append(H.tid(t.id))
     for mr in H.rects:
-        if any(t not in gone_targets for t in H.ru[mr.id]):
+        if mr.id not in gone_rects:
             for pid in mr.pixel_ids:
                 per_pixel[pid].append(H.rid(mr.id))
     for g in H.guards:
         if g.id not in gone_guards:
             for pid in g.home_pixels:
                 per_pixel[pid].append(H.gid(g.id))
-    contents = []
-    for bag in T.bags:
+
+    def lifted(bag: tuple[int, ...]) -> set[int]:
         content: set[int] = set()
         for pid in bag:
             content.update(per_pixel[pid])
-        contents.append(content)
-    return _merge_subset_bags(T, contents)
+        return content
 
-
-def _merge_subset_bags(T: TreeDecomposition,
-                       contents: list[set[int]]) -> TreeDecomposition:
-    """The decomposition with the tree of T and the bags `contents`, after
-    contracting every tree edge one of whose sides is a subset of the other.
-
-    One pass over the bags in pre-order from bag 0 puts each bag in a group
-    of merged bags; the top bag of a group contains all its members.  A bag
-    that is a subset of its parent's group's top joins that group; one that
-    strictly contains it joins the group and becomes its top.  Running
-    intersection keeps this complete: if a neighbour group's top were a
-    subset of the new top, it would already be a subset of the old one.  So
-    no bag of the result is a subset of a neighbour's, and the width is
-    unchanged.  The group of bag 0 is bag 0 of the result."""
     order, parent = T.rooted()
-    group = [0] * len(contents)
-    top = [0]
+    group = [0] * len(T.bags)
+    top = [lifted(T.bags[0])]
     for b in order[1:]:
         g = group[parent[b]]
-        if contents[b] <= contents[top[g]]:
+        content = lifted(T.bags[b])
+        if content <= top[g]:
             group[b] = g
-        elif contents[top[g]] < contents[b]:
+        elif top[g] < content:
             group[b] = g
-            top[g] = b
+            top[g] = content
         else:
             group[b] = len(top)
-            top.append(b)
+            top.append(content)
     edges = sorted((min(ga, gb), max(ga, gb)) for ga, gb in
                    ((group[a], group[b]) for a, b in T.tree_edges) if ga != gb)
-    return TreeDecomposition([tuple(sorted(contents[b])) for b in top],
-                             edges, "aux")
-
-
-def aux_graph_edges(H: AuxGraph) -> tuple[int, list[tuple[int, int]]]:
-    """Vertex count and edge list of H in the lifted id space."""
-    edges = []
-    for ti, rs in enumerate(H.ur):
-        for ri in rs:
-            edges.append((H.tid(ti), H.rid(ri)))
-    for gi, rs in enumerate(H.gr):
-        for ri in rs:
-            edges.append((H.rid(ri), H.gid(gi)))
-    return H.n_vertices, edges
-
-
-def exact_treewidth_at_most(n: int, adj: list[list[int]], k: int) -> bool:
-    """Exact check tw(G) <= k by memoized elimination search (tiny graphs)."""
-    nb0 = tuple(frozenset(a) for a in adj)
-    memo: dict[frozenset, bool] = {}
-
-    def rec(alive: frozenset, nb: dict[int, frozenset]) -> bool:
-        if len(alive) <= k + 1:
-            return True
-        key = frozenset((v, nb[v]) for v in alive)
-        if key in memo:
-            return memo[key]
-        ok = False
-        for v in sorted(alive):
-            if len(nb[v]) <= k:
-                nxt = dict(nb)
-                ns = nb[v]
-                for a in ns:
-                    nxt[a] = (nxt[a] | ns) - {a, v}
-                del nxt[v]
-                if rec(alive - {v}, nxt):
-                    ok = True
-                    break
-        memo[key] = ok
-        return ok
-
-    return rec(frozenset(range(n)), {v: nb0[v] for v in range(n)})
+    return TreeDecomposition([tuple(sorted(c)) for c in top], edges, "aux")

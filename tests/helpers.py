@@ -20,7 +20,7 @@ from rguard.pixelation import Pixelation
 from rguard.polygon_core import (OrthoPolygon, Pt, Rect, _point_in_scaled,
                                  point_in_polygon, reflex_vertices)
 from rguard.tree_decomposition import (DecompositionReport, TreeDecomposition,
-                                       aux_graph_edges, validate_decomposition)
+                                       validate_decomposition)
 
 SHAPES: dict[str, list[Pt]] = {
     "unit": [(0, 0), (1, 0), (1, 1), (0, 1)],
@@ -296,25 +296,113 @@ def _ref_corner_sides(px: Pixelation, cidx: int) -> list[int]:
 
 
 def lifted_away(H: AuxGraph) -> set[int]:
-    """Lifted ids that lift_to_H leaves out of every bag: the targets and
-    guards of dominated(H) and every rectangle none of whose targets is
-    kept."""
-    targets, guards = dominated(H)
-    gone = targets | {H.gid(g) for g in guards}
-    gone |= {H.rid(r) for r, ts in enumerate(H.ru)
-             if all(t in targets for t in ts)}
-    return gone
+    """Lifted ids of the vertices of dominated(H), which lift_to_H leaves
+    out of every bag."""
+    targets, rects, guards = dominated(H)
+    return ({H.tid(t) for t in targets} | {H.rid(r) for r in rects}
+            | {H.gid(g) for g in guards})
 
 
 def nice_tree_lift(T: TreeDecomposition, H: AuxGraph) -> TreeDecomposition:
     """full_lift without the targets and guards of dominated(H), with every
     rectangle kept and no bag merged: the input of nice_tree_solve in the
     differential check of lift_to_H and solve_r2ds."""
-    targets, guards = dominated(H)
-    gone = targets | {H.gid(g) for g in guards}
+    targets, _rects, guards = dominated(H)
+    gone = {H.tid(t) for t in targets} | {H.gid(g) for g in guards}
     return TreeDecomposition(
         [tuple(v for v in bag if v not in gone) for bag in full_lift(T, H).bags],
         list(T.tree_edges), "aux")
+
+
+def two_pass_lift(T: TreeDecomposition, H: AuxGraph) -> TreeDecomposition:
+    """lift_to_H in two passes, the reference for its one-pass walk: first
+    the lifted content of every bag of T without the targets and guards of
+    dominated(H) and without every rectangle none of whose targets is kept,
+    then, in pre-order from bag 0, every tree edge one of whose sides is a
+    subset of the other contracted into groups of bags, each group's top
+    containing all its members."""
+    targets, _rects, guards = dominated(H)
+    gone = targets | {H.gid(g) for g in guards}
+    gone |= {H.rid(r) for r, ts in enumerate(H.ru)
+             if all(t in targets for t in ts)}
+    contents = [{v for v in bag if v not in gone} for bag in full_lift(T, H).bags]
+    order, parent = T.rooted()
+    group = [0] * len(contents)
+    top = [0]
+    for b in order[1:]:
+        g = group[parent[b]]
+        if contents[b] <= contents[top[g]]:
+            group[b] = g
+        elif contents[top[g]] < contents[b]:
+            group[b] = g
+            top[g] = b
+        else:
+            group[b] = len(top)
+            top.append(b)
+    edges = sorted((min(ga, gb), max(ga, gb)) for ga, gb in
+                   ((group[a], group[b]) for a, b in T.tree_edges) if ga != gb)
+    return TreeDecomposition([tuple(sorted(contents[b])) for b in top],
+                             edges, "aux")
+
+
+def aux_graph_edges(H: AuxGraph) -> tuple[int, list[tuple[int, int]]]:
+    """Vertex count and edge list of H in the lifted id space."""
+    edges = []
+    for ti, rs in enumerate(H.ur):
+        for ri in rs:
+            edges.append((H.tid(ti), H.rid(ri)))
+    for gi, rs in enumerate(H.gr):
+        for ri in rs:
+            edges.append((H.rid(ri), H.gid(gi)))
+    return H.n_vertices, edges
+
+
+def exact_treewidth_at_most(n: int, adj: list[list[int]], k: int) -> bool:
+    """Exact check tw(G) <= k by memoized elimination search (tiny graphs)."""
+    nb0 = tuple(frozenset(a) for a in adj)
+    memo: dict[frozenset, bool] = {}
+
+    def rec(alive: frozenset, nb: dict[int, frozenset]) -> bool:
+        if len(alive) <= k + 1:
+            return True
+        key = frozenset((v, nb[v]) for v in alive)
+        if key in memo:
+            return memo[key]
+        ok = False
+        for v in sorted(alive):
+            if len(nb[v]) <= k:
+                nxt = dict(nb)
+                ns = nb[v]
+                for a in ns:
+                    nxt[a] = (nxt[a] | ns) - {a, v}
+                del nxt[v]
+                if rec(alive - {v}, nxt):
+                    ok = True
+                    break
+        memo[key] = ok
+        return ok
+
+    return rec(frozenset(range(n)), {v: nb0[v] for v in range(n)})
+
+
+def to_dot(H: AuxGraph) -> str:
+    """Graphviz export of H for debugging."""
+    lines = ["graph H {"]
+    for t in H.targets:
+        lines.append(f'  u{t.id} [shape=circle,label="u{t.id}"];')
+    for r in H.rects:
+        style = ",style=dashed" if r.degenerate else ""
+        lines.append(f'  r{r.id} [shape=box,label="r{r.id}"{style}];')
+    for g in H.guards:
+        lines.append(f'  g{g.id} [shape=diamond,label="g{g.id}"];')
+    for ti, rs in enumerate(H.ur):
+        for ri in rs:
+            lines.append(f"  u{ti} -- r{ri};")
+    for gi, rs in enumerate(H.gr):
+        for ri in rs:
+            lines.append(f"  g{gi} -- r{ri};")
+    lines.append("}")
+    return "\n".join(lines) + "\n"
 
 
 def validate_reduced_lift(H: AuxGraph, T: TreeDecomposition) -> DecompositionReport:
@@ -567,7 +655,7 @@ def brute_force_pixels(poly: OrthoPolygon) -> set[tuple[int, int, int, int]]:
     inside = {}
     for i in range(bb.xmin, bb.xmax):
         for j in range(bb.ymin, bb.ymax):
-            if _point_in_scaled(poly, 2 * i + 1, 2 * j + 1):
+            if _point_in_scaled(poly.rings, 2 * i + 1, 2 * j + 1):
                 inside[(i, j)] = (i, j)
 
     def find(c):

@@ -1,5 +1,5 @@
-from helpers import SHAPES
-from rguard.aux_graph import build_aux_graph, guards_via_path2, to_dot
+from helpers import SHAPES, to_dot
+from rguard.aux_graph import build_aux_graph, guards_via_path2
 from rguard.guard_model import GuardTask, guard_covers_point, simplify_guards, \
     simplify_targets
 from rguard.instance_gen import gen_tree_polygon

@@ -97,6 +97,31 @@ def test_input_errors_exit1(tmp_path, task_file, l_polygon, capsys):
         assert capsys.readouterr().err.startswith("error: "), obj
 
 
+def test_bad_options_and_files_exit1(tmp_path, l_polygon, task_file, capsys):
+    """Malformed bench lists, unreadable graph files and unwritable output
+    paths end in one error line and exit 1, not in a traceback."""
+    graphs = {"missing": None, "bad_json": "{bad", "no_edges": '{"vertices": {}}'}
+    for name, text in graphs.items():
+        if text is not None:
+            (tmp_path / name).write_text(text, encoding="utf-8")
+    nowhere = str(tmp_path / "no-such-dir" / "out")
+    solve = ["solve", "--polygon", str(l_polygon), "--task", str(task_file)]
+    cases = [["bench", "--sizes", "10,x"],
+             ["bench", "--sizes", "10", "--seeds", "a"],
+             ["bench", "--sizes", "10", "--csv", nowhere],
+             [*solve, "--out", nowhere],
+             [*solve, "--out", str(tmp_path / "sol.json"), "--svg", nowhere],
+             ["gen", "tree", "--pixels", "9", "--out", nowhere],
+             ["gen", "hardness", "--meta", nowhere]]
+    cases += [["gen", "hardness", "--graph-file", str(tmp_path / name)]
+              for name in graphs]
+    for argv in cases:
+        capsys.readouterr()
+        assert main(argv) == 1, argv
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1, (argv, err)
+
+
 def test_empty_rings_report_too_few_vertices(tmp_path, l_polygon, capsys):
     bad = tmp_path / "bad.json"
     ring = json.loads(l_polygon.read_text())["outer"]

@@ -148,22 +148,24 @@ def _graph(ur, gr, n_rects):
 
 def test_dominance_equal_guards_keep_lowest_id():
     H = _graph(ur=[[0]], gr=[[2], [0, 1], [0, 1], [0, 1]], n_rects=3)
-    _targets, guards = dominated(H)
+    _targets, _rects, guards = dominated(H)
     assert guards == {2, 3}
 
 
 def test_dominance_strict_subset_guard_dropped():
     H = _graph(ur=[[0], [2]], gr=[[0, 1, 2], [0, 1], [2], [3]], n_rects=4)
-    _targets, guards = dominated(H)
+    _targets, _rects, guards = dominated(H)
     assert guards == {1, 2}
 
 
 def test_dominance_strict_superset_target_dropped():
     H = _graph(ur=[[0, 1], [1], [1, 2], [1], [3]], gr=[[0, 1, 2, 3]],
                n_rects=4)
-    targets, _guards = dominated(H)
+    targets, rects, _guards = dominated(H)
     # 0 and 2 contain {1}; 3 equals 1 and has the higher id; 4 is alone
     assert targets == {0, 2, 3}
+    # rectangles 0 and 2 have only dropped targets
+    assert rects == {0, 2}
 
 
 def test_dominance_filtered_bags_stay_valid():
@@ -173,8 +175,7 @@ def test_dominance_filtered_bags_stay_valid():
     for poly in polys:
         for gm in GUARD_MODES:
             ctx = solve(poly, guard_modes=gm)
-            targets, guards = dominated(ctx.H)
-            removed += len(targets) + len(guards)
+            removed += sum(map(len, dominated(ctx.H)))
             rep = validate_reduced_lift(ctx.H, ctx.T_aux)
             assert rep.ok, rep.problems
             assert ctx.T_aux.width <= full_lift(ctx.T_dual, ctx.H).width
@@ -369,7 +370,8 @@ def _reference_dominated(H):
                if len(H.ur[small]) < len(H.ur[big]) or small < big}
     guards = {small for small, big in contained_pairs(H.gr, H.rg)
               if len(H.gr[small]) < len(H.gr[big]) or big < small}
-    return targets, guards
+    rects = {r for r, ts in enumerate(H.ru) if targets.issuperset(ts)}
+    return targets, rects, guards
 
 
 def test_dominance_grouping_matches_reference():
@@ -385,7 +387,7 @@ def test_dominance_grouping_matches_reference():
             got = dominated(H)
             assert got == _reference_dominated(H), (poly.to_json(), mode)
             checked += 1
-            dropped += len(got[0]) + len(got[1])
+            dropped += sum(map(len, got))
     assert checked == 24 * len(polys) and dropped
 
 
@@ -417,8 +419,8 @@ def test_dp_scales_linearly():
 
 
 def test_lift_scales_linearly():
-    """Merging the subset bags is one pass over the lifted bags, so on the
-    combs the lift grows linearly with the pixels."""
+    """The lift builds and merges the bags in one pass over them, so on the
+    combs it grows linearly with the pixels."""
     combs = _combs()
     duals = [(H, decompose_dual(px.dual)) for _n, px, H in combs]
     times = best_times([lambda H=H, T=T: lift_to_H(T, H) for H, T in duals])

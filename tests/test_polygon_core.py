@@ -92,6 +92,8 @@ def test_rect_inside_matches_cover_on_random_rects():
             y2 = rng.randrange(y1, bb.ymax + 2)
             r = Rect(x1, y1, x2, y2)
             assert rect_inside(poly, r) == cov.rect_inside(r), r
+            q = Rect(x1, y1, x1, y1)
+            assert point_in_polygon(poly, (x1, y1)) == cov.rect_inside(q), q
 
 
 def test_json_round_trip_and_reject():

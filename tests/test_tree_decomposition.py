@@ -3,8 +3,12 @@ import time
 
 import pytest
 
-from helpers import (HOLED_SHAPES, SHAPES, TURNS, fixture_polygons,
-                     full_lift, lifted_away, turned, validate_reduced_lift)
+from helpers import (HOLED_SHAPES, SHAPES, TURNS, aux_graph_edges,
+                     exact_treewidth_at_most, fixture_polygons, full_lift,
+                     lifted_away, turned, two_pass_lift, validate_reduced_lift)
+from test_dp_solver import (_aux, _combs_small, _corpus_slice, _found_polygons,
+                            _task_modes)
+from test_max_rectangles import thick_staircase
 from rguard.aux_graph import build_aux_graph
 from rguard.cli_io import loglog_slope
 from rguard.guard_model import GuardTask, simplify_guards, simplify_targets
@@ -14,8 +18,7 @@ from rguard.max_rectangles import enumerate_max_rects
 from rguard.pixelation import DualGraph, build_pixelation
 from rguard.polygon_core import OrthoPolygon, scale_polygon
 from rguard.tree_decomposition import (DecompositionError, TreeDecomposition,
-                                       aux_graph_edges, decompose_dual,
-                                       exact_treewidth_at_most, lift_to_H,
+                                       decompose_dual, lift_to_H,
                                        validate_decomposition)
 
 
@@ -148,6 +151,31 @@ def test_lift_merges_subset_bags():
                 assert not sets[a] <= sets[b] and not sets[b] <= sets[a]
             merged += len(unmerged) - len(T.bags)
     assert merged
+
+
+def test_lift_matches_two_pass_lift():
+    """lift_to_H, which builds and merges the bags in one walk, gives the
+    bags and tree edges, in order, of two_pass_lift, which lifts every bag
+    first and merges them after: on the corpus slice and the small combs in
+    the 24 task modes, the orientation instances as given, mirrored and
+    rotated, and a 5-step thick staircase, each with the default task."""
+    cases = []
+    for poly in _corpus_slice() + _combs_small():
+        px = build_pixelation(poly)
+        cases += [(px, task) for _mode, task in _task_modes(px)]
+    cases += [(build_pixelation(poly), GuardTask.make())
+              for poly in _found_polygons() + [thick_staircase(5)]]
+    merged = 0
+    for px, task in cases:
+        H = _aux(px, task)
+        Td = decompose_dual(px.dual)
+        want = two_pass_lift(Td, H)
+        got = lift_to_H(Td, H)
+        key = (px.poly.to_json(), task)
+        assert got.bags == want.bags, key
+        assert got.tree_edges == want.tree_edges, key
+        merged += len(got.bags) < len(Td.bags)
+    assert len(cases) == 24 * 32 + 7 and merged
 
 
 def test_lift_mutation_detected():
