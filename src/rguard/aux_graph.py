@@ -3,6 +3,8 @@
 Edges are containment/intersection relations; guarding is equivalent to a
 length-2 path through a shared rectangle.  Adjacency is assembled from the
 precomputed per-pixel incidence lists, never from all-pairs geometry.
+`reduce` names the vertices the DP need not see and the guards every
+optimal solution takes.
 """
 from __future__ import annotations
 
@@ -114,6 +116,91 @@ def dominated(H: AuxGraph) -> tuple[set[int], set[int], set[int]]:
     rects = {r for r, ts in enumerate(H.ru)
              if all(t in targets for t in ts)}
     return targets, rects, guards
+
+
+@dataclass(slots=True)
+class Reduction:
+    """Ids of the targets, rectangles and guards of H that the DP need not
+    see, and the forced guards, in the order they were found.  The forced
+    guards are among the left-out guards: the answer takes them all."""
+    targets: set[int]
+    rects: set[int]
+    guards: set[int]
+    forced: list[int]
+
+
+def reduce(H: AuxGraph) -> Reduction:
+    """dominated(H), then forced guards and guard containment, repeated
+    until a round forces no guard.
+
+    A kept target that exactly one kept guard sees forces that guard: every
+    solution over the kept guards contains it.  A round takes every forced
+    guard, drops every target that one of its rectangles covers and every
+    rectangle left with no kept target, then drops each kept guard whose
+    set of kept rectangles is empty or contained in another kept guard's,
+    grouped as in dominated(H).  The optimal size of H is the number of
+    forced guards plus that of the kept rest.  A kept target keeps all its
+    rectangles and dominated(H) left no two kept targets comparable, so
+    target containment finds nothing more.
+
+    A round takes time linear in the edges of H: the rectangles' guard lists
+    are filtered to the kept guards once, so the scan for forced guards
+    reads each rectangle of a kept target once, and the targets of the
+    rectangles that the forced guards light are dropped once per
+    rectangle."""
+    targets, rects, guards = dominated(H)
+    forced: list[int] = []
+    # kept targets of each rectangle
+    left = [sum(t not in targets for t in ts) for ts in H.ru]
+    while True:
+        new = _forced(H.ur, targets, _kept(H.rg, rects, guards))
+        if not new:
+            return Reduction(targets, rects, guards, forced)
+        forced += sorted(new)
+        guards |= new
+        for r in {r for g in new for r in H.gr[g]}:
+            for t in H.ru[r]:
+                if t not in targets:
+                    targets.add(t)
+                    for r2 in H.ur[t]:
+                        left[r2] -= 1
+                        if not left[r2]:
+                            rects.add(r2)
+        sets = _kept(H.gr, guards, rects)
+        guards.update(g for g, s in enumerate(sets) if not s)
+        dups, pairs = _contained_pairs(sets, _kept(H.rg, rects, guards))
+        guards |= dups
+        guards.update(small for small, _big in pairs)
+
+
+def _forced(ur: list[list[int]], targets: set[int],
+            seen_by: list[list[int]]) -> set[int]:
+    """The guards that some target not in targets sees alone: the one guard
+    in seen_by[r] over all its rectangles r, when there is exactly one."""
+    out = set()
+    for t, rs in enumerate(ur):
+        if t in targets:
+            continue
+        only = -1
+        for r in rs:
+            gs = seen_by[r]
+            if not gs:
+                continue
+            if len(gs) > 1 or only not in (-1, gs[0]):
+                break
+            only = gs[0]
+        else:
+            if only >= 0:
+                out.add(only)
+    return out
+
+
+def _kept(lists: list[list[int]], gone_rows: set[int],
+          gone: set[int]) -> list[list[int]]:
+    """lists without the ids in gone, and with an empty list for each row
+    in gone_rows."""
+    return [[] if i in gone_rows else [x for x in xs if x not in gone]
+            for i, xs in enumerate(lists)]
 
 
 def _contained_pairs(sets: list[list[int]], members: list[list[int]]):

@@ -9,6 +9,7 @@ import csv
 import io
 import json
 import math
+import os
 import sys
 
 from rguard.dp_solver import SolverError
@@ -86,9 +87,26 @@ def _write(path: str, text: str) -> None:
         raise InputError(f"output file: {exc}") from exc
 
 
+def _check_writable(path: str) -> None:
+    """Raise InputError now if path cannot be opened for writing.  An
+    existing file is left as it is, and a file made by the check is
+    removed."""
+    existed = os.path.lexists(path)
+    try:
+        open(path, "a", encoding="utf-8").close()
+    except OSError as exc:
+        raise InputError(f"output file: {exc}") from exc
+    if not existed:
+        os.remove(path)
+
+
 def cmd_solve(args) -> int:
     poly = _load_polygon(args.polygon)
     task = _load_task(args.task)
+    # an output that cannot be written fails before the solve, not after
+    for path in (args.out, args.svg):
+        if path:
+            _check_writable(path)
     try:
         ctx = solve_task(poly, task)
     except TaskError as exc:

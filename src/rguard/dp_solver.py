@@ -1,6 +1,9 @@
 """Exact restricted distance-2 dominating set on the auxiliary graph, by
 dynamic programming over the lifted tree decomposition itself, whose bags
-may leave out the vertices of `aux_graph.dominated(H)`.
+may leave out the vertices of `aux_graph.reduce(H)`: the dominated
+vertices, the forced guards, the targets those guards cover and the
+rectangles left with no target.  The DP chooses guards for the rest only;
+with the default task, on thin trees and combs the rest is empty.
 
 Per-bag states use two bits per vertex: guards are selected/unselected,
 rectangles are dark (never adjacent to a selected guard), promised (will be)
@@ -34,6 +37,7 @@ joined.
 from __future__ import annotations
 
 from bisect import bisect_left
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 from rguard.aux_graph import AuxGraph, guards_via_path2
@@ -85,13 +89,16 @@ class SolverError(RuntimeError):
     pass
 
 
-def solve_r2ds(H: AuxGraph, T: TreeDecomposition) -> Solution:
+def solve_r2ds(H: AuxGraph, T: TreeDecomposition,
+               forced: Sequence[int] = ()) -> Solution:
     """Minimum S ⊆ Γ' such that every target has a 2-path to S, or an
     infeasibility witness.  T must be a lifted decomposition of H.  It may
-    leave the vertices of `aux_graph.dominated(H)` out of its bags, as
-    `lift_to_H` does: the optimal size is that of the full bags, though the
-    chosen guards may differ.  The witness and the certificates are computed
-    on the whole of H.
+    leave out of its bags the vertices that `aux_graph.reduce(H)` leaves
+    out, as `lift_to_H` does, and then `forced` must be that reduction's
+    forced guards: the DP chooses guards for what the reduction left, and S
+    is its choice plus the forced guards.  The optimal size is that of the
+    full bags, though the chosen guards may differ.  The witness and the
+    certificates are computed on the whole of H.
 
     The tables are built bottom-up from bag 0 as the root; the root's
     table, once it has forgotten its bag, holds the single empty state."""
@@ -134,7 +141,8 @@ def solve_r2ds(H: AuxGraph, T: TreeDecomposition) -> Solution:
     if list(final.keys()) != [0]:
         raise SolverError("root table is not a single empty-bag state")
     value, sel = final[0]
-    chosen = sorted(_cons_to_set(sel))
+    value += len(forced)
+    chosen = sorted(_cons_to_set(sel).union(forced))
     solution_guards = [H.guards[gi] for gi in chosen]
     index_of = {gi: k for k, gi in enumerate(chosen)}
     chosen_set = set(chosen)

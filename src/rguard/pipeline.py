@@ -1,12 +1,13 @@
 """End-to-end solve pipeline: pixelation, simplification, maximal rectangles,
-auxiliary graph, decomposition, lift, and the DP, with per-phase timings."""
+auxiliary graph, its reduction, decomposition, lift, and the DP, with
+per-phase timings."""
 from __future__ import annotations
 
 import gc
 import time
 from dataclasses import dataclass, field
 
-from rguard.aux_graph import AuxGraph, build_aux_graph
+from rguard.aux_graph import AuxGraph, Reduction, build_aux_graph, reduce
 from rguard.dp_solver import Solution, solve_r2ds
 from rguard.guard_model import Guard, GuardTask, TargetPoint, simplify_guards, \
     simplify_targets
@@ -23,6 +24,7 @@ class SolveContext:
     guards: list[Guard]
     rects: list[MaxRect]
     H: AuxGraph
+    reduction: Reduction
     T_dual: TreeDecomposition
     T_aux: TreeDecomposition
     solution: Solution
@@ -88,17 +90,21 @@ def _solve(poly_or_px, task: GuardTask) -> SolveContext:
     timings["aux"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()
+    red = reduce(H)
+    timings["reduce"] = time.perf_counter() - t0
+
+    t0 = time.perf_counter()
     if "dual" not in px.memo:
         px.memo["dual"] = decompose_dual(px.dual)
     T_dual = px.memo["dual"]
     timings["decompose"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()
-    T_aux = lift_to_H(T_dual, H)
+    T_aux = lift_to_H(T_dual, H, red)
     timings["lift"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()
-    solution = solve_r2ds(H, T_aux)
+    solution = solve_r2ds(H, T_aux, red.forced)
     timings["dp"] = time.perf_counter() - t0
-    return SolveContext(px, targets, guards, rects, H, T_dual, T_aux,
+    return SolveContext(px, targets, guards, rects, H, red, T_dual, T_aux,
                         solution, timings)

@@ -17,7 +17,7 @@ import heapq
 from collections import deque
 from dataclasses import dataclass, field
 
-from rguard.aux_graph import AuxGraph, dominated
+from rguard.aux_graph import AuxGraph, Reduction
 from rguard.pixelation import DualGraph
 
 
@@ -237,13 +237,18 @@ def validate_decomposition(n_vertices: int, edges: list[tuple[int, int]],
     return rep
 
 
-def lift_to_H(T: TreeDecomposition, H: AuxGraph) -> TreeDecomposition:
+def lift_to_H(T: TreeDecomposition, H: AuxGraph,
+              red: Reduction) -> TreeDecomposition:
     """Replace each pixel of every bag by the targets it contains, the guards
     and rectangles intersecting it; pixels themselves are dropped.
 
-    The vertices of `dominated(H)` are left out, so the result is a
-    decomposition of H minus those vertices: leaving vertices out of every
-    bag keeps a decomposition valid for the rest of the graph.
+    The vertices that `red` leaves out are left out of every bag, so the
+    result is a decomposition of H minus those vertices: leaving vertices
+    out of every bag keeps a decomposition valid for the rest of the graph.
+    For `aux_graph.reduce(H)` these are the dominated vertices, the forced
+    guards, the targets they cover and the rectangles left with no target;
+    with the default task, on thin trees and combs that is every vertex,
+    and the result is one empty bag (width -1).
 
     The walk that lifts the bags, in pre-order from bag 0, also contracts
     every tree edge one of whose sides is a subset of the other.  It puts
@@ -257,7 +262,7 @@ def lift_to_H(T: TreeDecomposition, H: AuxGraph) -> TreeDecomposition:
     is bag 0 of the result."""
     if T.universe != "dual":
         raise DecompositionError("lift expects a decomposition of the dual graph")
-    gone_targets, gone_rects, gone_guards = dominated(H)
+    gone_targets, gone_rects, gone_guards = red.targets, red.rects, red.guards
     n_pix = 1 + max((v for bag in T.bags for v in bag), default=0)
     per_pixel: list[list[int]] = [[] for _ in range(n_pix)]
     for t in H.targets:

@@ -11,7 +11,7 @@ from bisect import bisect_left, bisect_right
 
 import numpy as np
 
-from rguard.aux_graph import AuxGraph, dominated
+from rguard.aux_graph import AuxGraph, Reduction, dominated, reduce
 from rguard.dp_solver import (DOMINATED, LIT, PENDING, PROMISED, Certificate,
                               Solution, _cons_to_set, _kind, _merge_sel)
 from rguard.guard_model import (Guard, GuardTask, TargetPoint, TaskError,
@@ -295,12 +295,19 @@ def _ref_corner_sides(px: Pixelation, cidx: int) -> list[int]:
     return out
 
 
-def lifted_away(H: AuxGraph) -> set[int]:
-    """Lifted ids of the vertices of dominated(H), which lift_to_H leaves
-    out of every bag."""
-    targets, rects, guards = dominated(H)
-    return ({H.tid(t) for t in targets} | {H.rid(r) for r in rects}
-            | {H.gid(g) for g in guards})
+def lifted_away(H: AuxGraph, red: Reduction | None = None) -> set[int]:
+    """Lifted ids of the vertices that red, by default reduce(H), leaves
+    out, and lift_to_H leaves out of every bag."""
+    red = reduce(H) if red is None else red
+    return ({H.tid(t) for t in red.targets} | {H.rid(r) for r in red.rects}
+            | {H.gid(g) for g in red.guards})
+
+
+def dominated_only(H: AuxGraph) -> Reduction:
+    """The reduction of dominated(H) alone, with no forced guard: what
+    lift_to_H left out before the forced-guard rule, and the reference
+    for the differential tests of reduce(H)."""
+    return Reduction(*dominated(H), [])
 
 
 def nice_tree_lift(T: TreeDecomposition, H: AuxGraph) -> TreeDecomposition:
@@ -314,17 +321,14 @@ def nice_tree_lift(T: TreeDecomposition, H: AuxGraph) -> TreeDecomposition:
         list(T.tree_edges), "aux")
 
 
-def two_pass_lift(T: TreeDecomposition, H: AuxGraph) -> TreeDecomposition:
+def two_pass_lift(T: TreeDecomposition, H: AuxGraph,
+                  red: Reduction) -> TreeDecomposition:
     """lift_to_H in two passes, the reference for its one-pass walk: first
-    the lifted content of every bag of T without the targets and guards of
-    dominated(H) and without every rectangle none of whose targets is kept,
-    then, in pre-order from bag 0, every tree edge one of whose sides is a
-    subset of the other contracted into groups of bags, each group's top
-    containing all its members."""
-    targets, _rects, guards = dominated(H)
-    gone = targets | {H.gid(g) for g in guards}
-    gone |= {H.rid(r) for r, ts in enumerate(H.ru)
-             if all(t in targets for t in ts)}
+    the lifted content of every bag of T without the vertices that red
+    leaves out, then, in pre-order from bag 0, every tree edge one of whose
+    sides is a subset of the other contracted into groups of bags, each
+    group's top containing all its members."""
+    gone = lifted_away(H, red)
     contents = [{v for v in bag if v not in gone} for bag in full_lift(T, H).bags]
     order, parent = T.rooted()
     group = [0] * len(contents)
@@ -405,11 +409,12 @@ def to_dot(H: AuxGraph) -> str:
     return "\n".join(lines) + "\n"
 
 
-def validate_reduced_lift(H: AuxGraph, T: TreeDecomposition) -> DecompositionReport:
-    """validate_decomposition of T against H minus lifted_away(H), with the
-    kept vertices renumbered 0, 1, ... in id order; a vertex of
-    lifted_away(H) left in a bag is a problem too."""
-    gone = lifted_away(H)
+def validate_reduced_lift(H: AuxGraph, T: TreeDecomposition,
+                          red: Reduction | None = None) -> DecompositionReport:
+    """validate_decomposition of T against H minus lifted_away(H, red), with
+    the kept vertices renumbered 0, 1, ... in id order; a left-out vertex
+    in a bag is a problem too."""
+    gone = lifted_away(H, red)
     keep = [v for v in range(H.n_vertices) if v not in gone]
     new_id = {v: i for i, v in enumerate(keep)}
     _n, edges = aux_graph_edges(H)

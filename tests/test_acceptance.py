@@ -11,8 +11,9 @@ import time
 
 import pytest
 
-from helpers import SHAPES, HOLED_SHAPES, full_lift, validate_reduced_lift
-from rguard.aux_graph import build_aux_graph
+from helpers import (SHAPES, HOLED_SHAPES, dominated_only, full_lift,
+                     validate_reduced_lift)
+from rguard.aux_graph import build_aux_graph, reduce
 from rguard.cli_io import loglog_slope
 from rguard.dp_solver import verify_solution
 from rguard.guard_model import GuardTask, simplify_guards, simplify_targets
@@ -140,8 +141,9 @@ def test_criterion_3_structural_invariants(corpus):
         Td = decompose_dual(px.dual)
         if full_lift(Td, H).width + 1 > 23 * (Td.width + 1):
             violations += 1
-        if not validate_reduced_lift(H, lift_to_H(Td, H)).ok:
-            violations += 1
+        for red in (reduce(H), dominated_only(H)):
+            if not validate_reduced_lift(H, lift_to_H(Td, H, red), red).ok:
+                violations += 1
     assert violations == 0
     print(f"\nACCEPTANCE 3: PASS — tree duals, <=6 rectangles per pixel, "
           f"lifted width bound and valid reduced lift on {thin_count} thin "

@@ -122,6 +122,26 @@ def test_bad_options_and_files_exit1(tmp_path, l_polygon, task_file, capsys):
         assert err.startswith("error: ") and err.count("\n") == 1, (argv, err)
 
 
+def test_unwritable_output_fails_before_the_solve(tmp_path, l_polygon,
+                                                  task_file, capsys,
+                                                  monkeypatch):
+    """An --out or --svg that cannot be written ends rguard solve before
+    solve_task is called, and the check leaves no file behind."""
+    def never(poly, task):
+        raise AssertionError("solve_task called")
+    monkeypatch.setattr(cli_io, "solve_task", never)
+    nowhere = str(tmp_path / "no-such-dir" / "out")
+    out = tmp_path / "sol.json"
+    solve = ["solve", "--polygon", str(l_polygon), "--task", str(task_file)]
+    for argv in ([*solve, "--out", nowhere],
+                 [*solve, "--out", str(out), "--svg", nowhere],
+                 [*solve, "--out", str(tmp_path)]):
+        capsys.readouterr()
+        assert main(argv) == 1, argv
+        assert capsys.readouterr().err.startswith("error: output file: "), argv
+        assert not out.exists(), argv
+
+
 def test_empty_rings_report_too_few_vertices(tmp_path, l_polygon, capsys):
     bad = tmp_path / "bad.json"
     ring = json.loads(l_polygon.read_text())["outer"]
@@ -216,7 +236,8 @@ def test_bench_ktin_times_full_solve(tmp_path):
         rows = list(csv.DictReader(f))
     for size in ("40", "80"):
         phases = {r["phase"] for r in rows if r["size"] == size}
-        assert {"pixelate", "decompose", "dp", "gc", "total"} <= phases
+        assert {"pixelate", "reduce", "decompose", "dp", "gc",
+                "total"} <= phases
 
 
 def test_loglog_slope_exact():

@@ -1,11 +1,11 @@
 import itertools
 import random
 
-from helpers import (HOLED_SHAPES, SHAPES, best_times, fixture_polygons, full_lift,
-                     nice_tree_lift, nice_tree_solve, turned,
-                     validate_reduced_lift)
+from helpers import (HOLED_SHAPES, SHAPES, best_times, dominated_only,
+                     fixture_polygons, full_lift, lifted_away, nice_tree_lift,
+                     nice_tree_solve, turned, validate_reduced_lift)
 from test_acceptance import GUARD_MODES, TARGET_MODES, _corpus, _explicit_targets
-from rguard.aux_graph import AuxGraph, build_aux_graph, dominated
+from rguard.aux_graph import AuxGraph, build_aux_graph, dominated, reduce
 from rguard.cli_io import loglog_slope
 from rguard import dp_solver
 from rguard.dp_solver import (DARK, DOMINATED, LIT, PENDING, PROMISED,
@@ -168,6 +168,33 @@ def test_dominance_strict_superset_target_dropped():
     assert rects == {0, 2}
 
 
+def test_forced_guards_to_a_fixpoint():
+    """On a path of six rectangles, each with one target, and five guards
+    that each see two neighbouring rectangles, the end targets force the
+    end guards; that leaves the middle guard seeing both kept rectangles
+    and its neighbours one each, so containment drops the neighbours and a
+    second round forces the middle guard.  Nothing is left for the DP."""
+    H = _graph(ur=[[r] for r in range(6)],
+               gr=[[i, i + 1] for i in range(5)], n_rects=6)
+    assert dominated(H) == (set(), set(), set())
+    red = reduce(H)
+    assert red.forced == [0, 4, 2]
+    assert (red.targets, red.rects, red.guards) == (
+        set(range(6)), set(range(6)), set(range(5)))
+
+
+def test_forced_guard_needs_one_kept_guard():
+    """A target seen by two kept guards forces neither: target 1 is seen
+    by guards 0 and 1, once dominated(H) has dropped guard 2, whose
+    rectangle guard 1 sees too.  Only target 0 forces a guard."""
+    H = _graph(ur=[[0], [1, 2]], gr=[[0, 1], [1, 2], [2]], n_rects=3)
+    assert dominated(H)[2] == {2}
+    red = reduce(H)
+    assert red.forced == [0]
+    # guard 0 covers both targets through rectangle 1
+    assert red.targets == {0, 1} and red.guards == {0, 1, 2}
+
+
 def test_dominance_filtered_bags_stay_valid():
     polys = [gen_holed_variant(scale_polygon(gen_tree_polygon(6, 2), 3), 1, 2),
              gen_tree_polygon(30, 5)] + fixture_polygons()
@@ -175,7 +202,8 @@ def test_dominance_filtered_bags_stay_valid():
     for poly in polys:
         for gm in GUARD_MODES:
             ctx = solve(poly, guard_modes=gm)
-            removed += sum(map(len, dominated(ctx.H)))
+            assert ctx.reduction == reduce(ctx.H)
+            removed += len(lifted_away(ctx.H))
             rep = validate_reduced_lift(ctx.H, ctx.T_aux)
             assert rep.ok, rep.problems
             assert ctx.T_aux.width <= full_lift(ctx.T_dual, ctx.H).width
@@ -333,11 +361,15 @@ def test_nice_tree_check_catches_kept_promised(monkeypatch):
 def test_slots_distinct_within_bags():
     """_slots gives the vertices of every bag distinct slots, fewer than
     the largest bag holds, on the merged lifts of the orientation instances
-    and the combs."""
-    polys = _found_polygons() + [gen_ktin_polygon(k, 40, 31 + k)
-                                 for k in (2, 3)]
-    for poly in polys:
-        T = solve(poly).T_aux
+    and, since reduce(H) leaves no vertex of a comb to the DP, on the lifts
+    of the combs without the vertices of dominated(H) alone."""
+    lifts = [solve(poly).T_aux for poly in _found_polygons()]
+    for k in (2, 3):
+        px = build_pixelation(gen_ktin_polygon(k, 40, 31 + k))
+        H = _aux(px, GuardTask.make())
+        lifts.append(lift_to_H(decompose_dual(px.dual), H, dominated_only(H)))
+    for T in lifts:
+        assert T.width > 0
         order, _parent = T.rooted()
         slot = _slots(T, order)
         assert max(slot.values()) <= T.width
@@ -407,12 +439,26 @@ def test_dominance_scales_linearly():
     assert loglog_slope(pixels, times) <= 1.3, (pixels, times)
 
 
+def test_reduction_scales_linearly():
+    """reduce(H) filters the rectangles' guard lists once per round and
+    drops the targets of each lit rectangle once, so on the combs, where a
+    rectangle across the comb has thousands of targets and guards and every
+    guard is forced, it grows linearly with the pixels."""
+    combs = _combs()
+    assert all(len(reduce(H).guards) == len(H.guards) for _n, _px, H in combs)
+    times = best_times([lambda H=H: reduce(H) for _n, _px, H in combs])
+    pixels = [n for n, _px, _H in combs]
+    assert loglog_slope(pixels, times) <= 1.3, (pixels, times)
+
+
 def test_dp_scales_linearly():
     """On the combs a rectangle across the comb has thousands of targets and
     guards, but a bag holds at most width + 1 of them; the DP reads only
-    the bag, so its time grows linearly with the pixels."""
+    the bag, so its time grows linearly with the pixels.  reduce(H) leaves
+    the DP nothing of a comb, so the bags leave out dominated(H) alone."""
     combs = _combs()
-    lifts = [(H, lift_to_H(decompose_dual(px.dual), H)) for _n, px, H in combs]
+    lifts = [(H, lift_to_H(decompose_dual(px.dual), H, dominated_only(H)))
+             for _n, px, H in combs]
     times = best_times([lambda H=H, T=T: solve_r2ds(H, T) for H, T in lifts])
     pixels = [n for n, _px, _H in combs]
     assert loglog_slope(pixels, times) <= 1.3, (pixels, times)
@@ -420,10 +466,13 @@ def test_dp_scales_linearly():
 
 def test_lift_scales_linearly():
     """The lift builds and merges the bags in one pass over them, so on the
-    combs it grows linearly with the pixels."""
+    combs it grows linearly with the pixels.  The bags leave out
+    dominated(H) alone, so that they are not empty."""
     combs = _combs()
-    duals = [(H, decompose_dual(px.dual)) for _n, px, H in combs]
-    times = best_times([lambda H=H, T=T: lift_to_H(T, H) for H, T in duals])
+    duals = [(H, decompose_dual(px.dual), dominated_only(H))
+             for _n, px, H in combs]
+    times = best_times([lambda H=H, T=T, red=red: lift_to_H(T, H, red)
+                        for H, T, red in duals])
     pixels = [n for n, _px, _H in combs]
     assert loglog_slope(pixels, times) <= 1.3, (pixels, times)
 

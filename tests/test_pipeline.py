@@ -1,5 +1,9 @@
 import gc
 import importlib.util
+import os
+import random
+import resource
+import subprocess
 import sys
 from collections import Counter
 from pathlib import Path
@@ -7,12 +11,16 @@ from pathlib import Path
 import pytest
 
 from helpers import SHAPES, fixture_polygons
-from test_dp_solver import _combs_small, _infeasible_cases
+from test_dp_solver import _combs_small, _infeasible_cases, _task_modes
 from test_max_rectangles import thick_staircase
-from rguard import pipeline
+import rguard
+from rguard import aux_graph, pipeline
+from rguard.dp_solver import verify_solution
 from rguard.guard_model import GuardTask
-from rguard.instance_gen import (gen_holed_variant, gen_tree_polygon,
+from rguard.instance_gen import (GenError, gen_holed_variant, gen_tree_polygon,
                                  rects_union_polygon)
+from rguard.oracle import oracle_min_guards
+from rguard.pixelation import build_pixelation
 from rguard.polygon_core import OrthoPolygon, scale_polygon
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
@@ -53,7 +61,8 @@ def _cycle_cases() -> list[tuple[OrthoPolygon, GuardTask]]:
     """(polygon, task) pairs reaching every path of the solver: the
     fixtures (the holed shapes among them), trees, holed variants, the
     K=2 and K=3 combs, the staircase band with and without degenerate
-    rectangles, a 5-step thick staircase (lifted width 23), the 24 task
+    rectangles, a 10-step thick staircase (lifted width 25 without what
+    reduce(H) leaves out), the 24 task
     modes of the benchmark's mixed_small workload on a tree, a holed tree
     and two fixtures, and the infeasible cases."""
     task = GuardTask.make()
@@ -62,7 +71,7 @@ def _cycle_cases() -> list[tuple[OrthoPolygon, GuardTask]]:
     polys += [gen_holed_variant(scale_polygon(gen_tree_polygon(n, seed), 3),
                                 holes, seed)
               for n, holes, seed in ((6, 1, 2), (200, 4, 24))]
-    polys.append(thick_staircase(5))
+    polys.append(thick_staircase(10))
     cases = [(poly, task) for poly in polys]
     band = rects_union_polygon([c for i in range(50) for c in (
         (i, i, i + 1, i + 1), (i + 1, i, i + 2, i + 1))])
@@ -117,7 +126,7 @@ def test_solve_restores_collector(monkeypatch):
         assert ctx.timings["total"] == pytest.approx(
             sum(t for phase, t in ctx.timings.items() if phase != "total"))
 
-        def failing(H, T):
+        def failing(H, T, forced):
             raise RuntimeError("layer failed")
         monkeypatch.setattr(pipeline, "solve_r2ds", failing)
         for on in (True, False):
@@ -127,3 +136,98 @@ def test_solve_restores_collector(monkeypatch):
             assert gc.isenabled() == on
     finally:
         gc.enable() if enabled else gc.disable()
+
+
+def _thick_polygons() -> list[tuple[OrthoPolygon, bool]]:
+    """(polygon, whether to run its vertex-guard modes): 40 fixed-seed
+    random unions of 4 to 9 rectangles with corners in [0, 9] and sides 1
+    to 5, kept at 12 to 48 pixels, and the thick staircases of 1 to 9 steps
+    (4 to 49 pixels).  From 5 steps on, a staircase leaves out the modes
+    with vertex guards: there the reduction forces no guard, and the DP
+    took more than 3 s for each (148 s for vertex targets with degenerate
+    rectangles at 5 steps)."""
+    rng = random.Random(16)
+    polys = []
+    while len(polys) < 40:
+        rects = []
+        for _ in range(rng.randint(4, 9)):
+            w, h = rng.randint(1, 5), rng.randint(1, 5)
+            x, y = rng.randint(0, 9 - w), rng.randint(0, 9 - h)
+            rects.append((x, y, x + w, y + h))
+        try:
+            poly = rects_union_polygon(rects)
+        except GenError:
+            continue
+        if 12 <= build_pixelation(poly).pixel_count <= 48:
+            polys.append((poly, True))
+    return polys + [(thick_staircase(m), m < 5) for m in range(1, 10)]
+
+
+def _thick_oracle_mismatches() -> tuple[int, list]:
+    """(cases, mismatches) of the thick polygons, each in the 24 task modes
+    or those without vertex guards, against the oracle."""
+    cases, bad = 0, []
+    for poly, vertex_guards in _thick_polygons():
+        px = build_pixelation(poly)
+        for mode, task in _task_modes(px):
+            if mode[1] == ("vertices",) and not vertex_guards:
+                continue
+            ctx = pipeline.solve_task(px, task)
+            sol = ctx.solution
+            ref = oracle_min_guards(px, task, max_pixels=64)
+            got = (sol.status, sol.size if sol.status == "optimal" else None)
+            if got != (ref.status, ref.size) or (
+                    sol.status == "optimal" and not verify_solution(ctx.H, sol)):
+                bad.append((poly.to_json(), mode, got, ref.size))
+            cases += 1
+    return cases, bad
+
+
+def test_thick_polygons_match_oracle():
+    """Forced guards and domination leave the optimum of thick polygons,
+    which are neither thin nor combs, as the brute-force oracle finds it."""
+    cases, bad = _thick_oracle_mismatches()
+    assert cases == 40 * 24 + 4 * 24 + 5 * 16
+    assert bad == []
+
+
+def test_thick_oracle_check_catches_forcing_a_guard_seen_by_two(monkeypatch):
+    """A forced-guard rule that also takes the lower of two kept guards
+    that see a target gives answers larger than the oracle's; the
+    differential check of the thick polygons fails on it."""
+    def forced_seen_by_two(ur, targets, seen_by):
+        out = set()
+        for t, rs in enumerate(ur):
+            if t not in targets:
+                gs = sorted({g for r in rs for g in seen_by[r]})
+                if 1 <= len(gs) <= 2:
+                    out.add(gs[0])
+        return out
+
+    monkeypatch.setattr(aux_graph, "_forced", forced_seen_by_two)
+    _cases, bad = _thick_oracle_mismatches()
+    assert bad
+
+
+def test_ten_step_staircase_solves_under_2gb():
+    """The 10-step thick staircase, which ran out of memory under a 2 GB
+    cap before the forced-guard rule, solves in a child process with its
+    address space capped at 2 GB, at the oracle's size."""
+    def cap():
+        resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
+
+    code = ("from rguard.guard_model import GuardTask\n"
+            "from rguard.instance_gen import rects_union_polygon\n"
+            "from rguard.pipeline import solve_task\n"
+            "poly = rects_union_polygon([(i, i, i + 3, i + 3)"
+            " for i in range(10)])\n"
+            "print(solve_task(poly, GuardTask.make()).solution.size)\n")
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1",
+               PYTHONPATH=str(Path(rguard.__file__).resolve().parents[1]))
+    run = subprocess.run([sys.executable, "-c", code], env=env,
+                         preexec_fn=cap, capture_output=True, text=True,
+                         timeout=120)
+    assert run.returncode == 0, run.stderr
+    want = oracle_min_guards(thick_staircase(10), GuardTask.make(),
+                             max_pixels=64)
+    assert int(run.stdout) == want.size == 3

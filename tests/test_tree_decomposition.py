@@ -4,12 +4,13 @@ import time
 import pytest
 
 from helpers import (HOLED_SHAPES, SHAPES, TURNS, aux_graph_edges,
-                     exact_treewidth_at_most, fixture_polygons, full_lift,
-                     lifted_away, turned, two_pass_lift, validate_reduced_lift)
+                     dominated_only, exact_treewidth_at_most, fixture_polygons,
+                     full_lift, lifted_away, turned, two_pass_lift,
+                     validate_reduced_lift)
 from test_dp_solver import (_aux, _combs_small, _corpus_slice, _found_polygons,
                             _task_modes)
 from test_max_rectangles import thick_staircase
-from rguard.aux_graph import build_aux_graph
+from rguard.aux_graph import build_aux_graph, reduce
 from rguard.cli_io import loglog_slope
 from rguard.guard_model import GuardTask, simplify_guards, simplify_targets
 from rguard.instance_gen import (gen_holed_variant, gen_ktin_polygon,
@@ -100,8 +101,15 @@ def test_lift_unit_square():
     n, edges = aux_graph_edges(H)
     assert validate_decomposition(n, edges, full).ok
     # the corner guards all see the one rectangle: the lowest id stays
-    T = lift_to_H(Td, H)
+    red = dominated_only(H)
+    T = lift_to_H(Td, H, red)
     assert T.bags == [(H.tid(0), H.rid(0), H.gid(0))]
+    assert validate_reduced_lift(H, T, red).ok
+    # and the one target forces it, which leaves nothing for the DP
+    red = reduce(H)
+    assert red.forced == [0]
+    T = lift_to_H(Td, H, red)
+    assert T.bags == [()] and T.width == -1
     assert validate_reduced_lift(H, T).ok
 
 
@@ -117,7 +125,7 @@ def test_lift_valid_and_width_bound():
         n, edges = aux_graph_edges(H)
         assert validate_decomposition(n, edges, full).ok
         assert full.width + 1 <= 23 * (Td.width + 1)
-        rep = validate_reduced_lift(H, lift_to_H(Td, H))
+        rep = validate_reduced_lift(H, lift_to_H(Td, H, reduce(H)))
         assert rep.ok, rep.problems
 
 
@@ -125,7 +133,8 @@ def test_lift_merges_subset_bags():
     """lift_to_H merges every lifted bag that is a subset of a tree
     neighbour's: the result is a valid reduced lift with the width of the
     unmerged bags and within full_lift's, and no bag is a subset of a
-    neighbour's."""
+    neighbour's.  Each H is lifted without the vertices of reduce(H) and,
+    so that wide bags are merged too, of dominated(H) alone."""
     polys = fixture_polygons() + [
         gen_holed_variant(scale_polygon(gen_tree_polygon(30, 2), 3), 3, 2),
         gen_tree_polygon(30, 5), gen_ktin_polygon(2, 40, 33),
@@ -139,17 +148,19 @@ def test_lift_merges_subset_bags():
             H = build_aux_graph(px, enumerate_max_rects(px, False),
                                 simplify_targets(px, task),
                                 simplify_guards(px, task))
-            T = lift_to_H(Td, H)
-            rep = validate_reduced_lift(H, T)
-            assert rep.ok, rep.problems
             full = full_lift(Td, H)
-            gone = lifted_away(H)
-            unmerged = [[v for v in bag if v not in gone] for bag in full.bags]
-            assert T.width == max(map(len, unmerged)) - 1 <= full.width
-            sets = [set(bag) for bag in T.bags]
-            for a, b in T.tree_edges:
-                assert not sets[a] <= sets[b] and not sets[b] <= sets[a]
-            merged += len(unmerged) - len(T.bags)
+            for red in (dominated_only(H), reduce(H)):
+                T = lift_to_H(Td, H, red)
+                rep = validate_reduced_lift(H, T, red)
+                assert rep.ok, rep.problems
+                gone = lifted_away(H, red)
+                unmerged = [[v for v in bag if v not in gone]
+                            for bag in full.bags]
+                assert T.width == max(map(len, unmerged)) - 1 <= full.width
+                sets = [set(bag) for bag in T.bags]
+                for a, b in T.tree_edges:
+                    assert not sets[a] <= sets[b] and not sets[b] <= sets[a]
+                merged += len(unmerged) - len(T.bags)
     assert merged
 
 
@@ -158,7 +169,9 @@ def test_lift_matches_two_pass_lift():
     bags and tree edges, in order, of two_pass_lift, which lifts every bag
     first and merges them after: on the corpus slice and the small combs in
     the 24 task modes, the orientation instances as given, mirrored and
-    rotated, and a 5-step thick staircase, each with the default task."""
+    rotated, and a 5-step thick staircase, each with the default task.
+    Each H is lifted without the vertices of reduce(H) and of dominated(H)
+    alone."""
     cases = []
     for poly in _corpus_slice() + _combs_small():
         px = build_pixelation(poly)
@@ -169,12 +182,13 @@ def test_lift_matches_two_pass_lift():
     for px, task in cases:
         H = _aux(px, task)
         Td = decompose_dual(px.dual)
-        want = two_pass_lift(Td, H)
-        got = lift_to_H(Td, H)
-        key = (px.poly.to_json(), task)
-        assert got.bags == want.bags, key
-        assert got.tree_edges == want.tree_edges, key
-        merged += len(got.bags) < len(Td.bags)
+        for red in (dominated_only(H), reduce(H)):
+            want = two_pass_lift(Td, H, red)
+            got = lift_to_H(Td, H, red)
+            key = (px.poly.to_json(), task, red.forced)
+            assert got.bags == want.bags, key
+            assert got.tree_edges == want.tree_edges, key
+            merged += len(got.bags) < len(Td.bags)
     assert len(cases) == 24 * 32 + 7 and merged
 
 
@@ -183,13 +197,14 @@ def test_lift_mutation_detected():
     task = GuardTask.make()
     H = build_aux_graph(px, enumerate_max_rects(px, False),
                         simplify_targets(px, task), simplify_guards(px, task))
-    Ta = lift_to_H(decompose_dual(px.dual), H)
-    assert validate_reduced_lift(H, Ta).ok
+    red = dominated_only(H)
+    Ta = lift_to_H(decompose_dual(px.dual), H, red)
+    assert validate_reduced_lift(H, Ta, red).ok
     # drop one rectangle vertex from every bag
     rid = H.rid(0)
     broken = [tuple(v for v in bag if v != rid) for bag in Ta.bags]
     Ta.bags = broken
-    assert not validate_reduced_lift(H, Ta).ok
+    assert not validate_reduced_lift(H, Ta, red).ok
 
 
 def test_dump_format():
