@@ -1,12 +1,13 @@
-"""Tree decompositions: canonical width-1 construction for trees, min-fill
+"""Tree decompositions: canonical width-1 construction for trees, min-degree
 elimination otherwise, a validating checker, and the lift from the dual graph
 to the auxiliary graph.
 
-The min-fill elimination keeps the fill-ins in a heap and, after each
-elimination, recomputes only those within distance two of the eliminated
-vertex, so at bounded width it takes O(n log n) time for n pixels
-(Bodlaender & Koster, "Treewidth computations I. Upper bounds", 2010).  Ties
-go to the lowest vertex id, so the bags depend on the pixel numbering.
+The min-degree elimination keeps the degrees in a heap and, after each
+elimination, pushes again only the neighbours of the eliminated vertex, the
+only vertices whose degree it changes, so at bounded width it takes
+O(n log n) time for n pixels (Bodlaender & Koster, "Treewidth computations
+I. Upper bounds", 2010).  Ties go to the lowest vertex id, so the bags
+depend on the pixel numbering.
 
 Every construction is followed by validate_decomposition in the test suite;
 reported widths are upper bounds on the true treewidth by construction.
@@ -61,16 +62,6 @@ class TreeDecomposition:
                     stack.append(v)
         return order, parent
 
-    def dump(self) -> str:
-        """The common 's td' text exchange format (1-based ids)."""
-        nv = max((max(b) for b in self.bags if b), default=-1) + 1
-        lines = [f"s td {len(self.bags)} {max(len(b) for b in self.bags)} {nv}"]
-        for i, b in enumerate(self.bags):
-            lines.append("b " + " ".join([str(i + 1)] + [str(v + 1) for v in b]))
-        for a, b in self.tree_edges:
-            lines.append(f"{a + 1} {b + 1}")
-        return "\n".join(lines) + "\n"
-
 
 @dataclass(slots=True)
 class DecompositionReport:
@@ -82,28 +73,26 @@ class DecompositionReport:
 
 
 def decompose_dual(D: DualGraph) -> TreeDecomposition:
-    """Width-1 canonical decomposition when D is a tree, min-fill otherwise.
-    Disconnected duals are rejected; solve components independently upstream.
+    """Width-1 canonical decomposition when D is a tree of two or more
+    vertices, min-degree otherwise.  Disconnected duals are rejected; solve
+    components independently upstream.
 
-    Min-fill eliminates, at each step, the vertex whose neighbours lack the
-    fewest edges among themselves (its fill-in), the lowest id on a tie.
-    The fill-ins sit in a heap of (fill-in, vertex) entries; an entry is
-    skipped when popped if its vertex is gone or its fill-in has changed.
-    Eliminating v changes the neighbourhood of each neighbour of v and the
-    edges among the neighbours of each vertex next to one of them, so only
-    those fill-ins are recomputed.  Each elimination emits one bag, v with
-    its neighbours at that moment, which hangs below the bag of the first of
+    Min-degree eliminates, at each step, the vertex with the fewest
+    neighbours left, the lowest id on a tie, and joins its neighbours into a
+    clique.  The degrees sit in a heap of (degree, vertex) entries; an entry
+    is skipped when popped if its vertex is gone or its degree has changed.
+    Eliminating v changes only the degrees of the neighbours of v, so only
+    those are pushed again.  Each elimination emits one bag, v with its
+    neighbours at that moment, which hangs below the bag of the first of
     those neighbours eliminated later."""
     n = D.n
     if n == 0:
         raise DecompositionError("empty dual graph")
     if not _connected(n, D.adj):
         raise DecompositionError("dual graph is disconnected")
-    if n == 1:
-        return TreeDecomposition([(0,)], [], "dual")
-    if len(D.edges) == n - 1:
+    if n > 1 and len(D.edges) == n - 1:
         return _tree_decomposition_of_tree(n, D.adj)
-    return _min_fill_decomposition(n, D.adj)
+    return _min_degree_decomposition(n, D.adj)
 
 
 def _connected(n: int, adj: list[list[int]]) -> bool:
@@ -152,19 +141,18 @@ def _tree_decomposition_of_tree(n: int, adj: list[list[int]]) -> TreeDecompositi
     return TreeDecomposition(bags, sorted(edges), "dual")
 
 
-def _min_fill_decomposition(n: int, adj: list[list[int]]) -> TreeDecomposition:
-    """The min-fill elimination of decompose_dual and its bags, in one pass."""
+def _min_degree_decomposition(n: int, adj: list[list[int]]) -> TreeDecomposition:
+    """The min-degree elimination of decompose_dual and its bags, in one pass."""
     nb: list[set[int]] = [set(a) for a in adj]
-    cost = [_fill_in(nb, v) for v in range(n)]
-    heap = [(c, v) for v, c in enumerate(cost)]
+    heap = [(len(s), v) for v, s in enumerate(nb)]
     heapq.heapify(heap)
     alive = [True] * n
     pos = [0] * n
     bags: list[tuple[int, ...]] = []
     later_nb: list[list[int]] = []
     while heap:
-        c, v = heapq.heappop(heap)
-        if not alive[v] or c != cost[v]:
+        d, v = heapq.heappop(heap)
+        if not alive[v] or d != len(nb[v]):
             continue
         alive[v] = False
         pos[v] = len(bags)
@@ -176,24 +164,11 @@ def _min_fill_decomposition(n: int, adj: list[list[int]]) -> TreeDecomposition:
             for b in ns[i + 1:]:
                 nb[a].add(b)
                 nb[b].add(a)
-        touched = set(ns)
         for a in ns:
-            touched |= nb[a]
-        for u in touched:
-            c = _fill_in(nb, u)
-            if c != cost[u]:
-                cost[u] = c
-                heapq.heappush(heap, (c, u))
+            heapq.heappush(heap, (len(nb[a]), a))
     edges = sorted((i, min(pos[a] for a in ns))
                    for i, ns in enumerate(later_nb) if ns)
     return TreeDecomposition(bags, edges, "dual")
-
-
-def _fill_in(nb: list[set[int]], v: int) -> int:
-    """Number of non-adjacent pairs among the neighbours of v."""
-    ns = list(nb[v])
-    return sum(1 for i, a in enumerate(ns) for b in ns[i + 1:]
-               if b not in nb[a])
 
 
 def validate_decomposition(n_vertices: int, edges: list[tuple[int, int]],

@@ -6,8 +6,10 @@ are union-find components of cells not separated by an edge or a ray.
 """
 from __future__ import annotations
 
+import gc
 import time
 from bisect import bisect_left, bisect_right
+from contextlib import contextmanager
 
 import numpy as np
 
@@ -62,17 +64,30 @@ def turned(poly: OrthoPolygon, how: str) -> OrthoPolygon:
                         doubled=True)
 
 
-def best_times(calls) -> list[float]:
-    """The least time of each call over 5 rounds.  The calls take
+def best_times(calls, rounds: int = 5) -> list[float]:
+    """The least time of each call over `rounds` rounds.  The calls take
     milliseconds, so a burst of other load can hit one size only; running
     every call once per round spreads it over all."""
     times = [float("inf")] * len(calls)
-    for _ in range(5):
+    for _ in range(rounds):
         for i, call in enumerate(calls):
             t0 = time.perf_counter()
             call()
             times[i] = min(times[i], time.perf_counter() - t0)
     return times
+
+
+@contextmanager
+def gc_paused():
+    """The cyclic garbage collector paused for the block, as solve_task
+    pauses it for a solve; the caller's setting is restored."""
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if enabled:
+            gc.enable()
 
 
 def fixture_polygons() -> list[OrthoPolygon]:

@@ -2,8 +2,9 @@ import itertools
 import random
 
 from helpers import (HOLED_SHAPES, SHAPES, best_times, dominated_only,
-                     fixture_polygons, full_lift, lifted_away, nice_tree_lift,
-                     nice_tree_solve, turned, validate_reduced_lift)
+                     fixture_polygons, full_lift, gc_paused, lifted_away,
+                     nice_tree_lift, nice_tree_solve, turned,
+                     validate_reduced_lift)
 from test_acceptance import GUARD_MODES, TARGET_MODES, _corpus, _explicit_targets
 from rguard.aux_graph import AuxGraph, build_aux_graph, dominated, reduce
 from rguard.cli_io import loglog_slope
@@ -280,7 +281,7 @@ def test_dominance_reduction_matches_full_dp():
 
 
 def _found_polygons():
-    """The two holed trees whose min-fill width depends on the orientation,
+    """The two holed trees whose min-degree width depends on the orientation,
     as given, mirrored and rotated by 90 degrees."""
     polys = []
     for n, h, seed in ((500, 8, 21), (200, 4, 24)):
@@ -448,6 +449,22 @@ def test_reduction_scales_linearly():
     assert all(len(reduce(H).guards) == len(H.guards) for _n, _px, H in combs)
     times = best_times([lambda H=H: reduce(H) for _n, _px, H in combs])
     pixels = [n for n, _px, _H in combs]
+    assert loglog_slope(pixels, times) <= 1.3, (pixels, times)
+
+
+def test_reduction_scales_linearly_on_trees():
+    """On thin trees of 1k to 64k pixels, where every guard of the answer
+    is forced, reduce(H) grows linearly with the pixels.  Each H is built
+    once, and each size is timed as the best of 3 runs with the collector
+    paused, as solve_task runs it: at 64k pixels the collections it would
+    make re-walk every live object of H and bend the slope."""
+    trees = []
+    for n in (1000, 4000, 16000, 64000):
+        px = build_pixelation(gen_tree_polygon(n, 0))
+        trees.append((px.pixel_count, _aux(px, GuardTask.make())))
+    with gc_paused():
+        times = best_times([lambda H=H: reduce(H) for _n, H in trees], rounds=3)
+    pixels = [n for n, _H in trees]
     assert loglog_slope(pixels, times) <= 1.3, (pixels, times)
 
 
