@@ -64,24 +64,23 @@ class Solution:
     certificates: list[Certificate]
     witness_target: int | None = None
 
-    def to_json_obj(self, H: AuxGraph | None = None) -> dict:
+    def to_json_obj(self, H: AuxGraph) -> dict:
         obj = {
             "status": self.status,
             "size": self.size,
             "guards": [g.json_obj() for g in self.guards],
             "certificates": [],
         }
-        if H is not None:
-            for c in self.certificates:
-                t = H.targets[c.target_id]
-                obj["certificates"].append({
-                    "target": [half(t.location[0]), half(t.location[1])],
-                    "rect": c.rect_id,
-                    "guard": c.guard_index,
-                })
-            if self.witness_target is not None:
-                t = H.targets[self.witness_target]
-                obj["witness"] = [half(t.location[0]), half(t.location[1])]
+        for c in self.certificates:
+            t = H.targets[c.target_id]
+            obj["certificates"].append({
+                "target": [half(t.location[0]), half(t.location[1])],
+                "rect": c.rect_id,
+                "guard": c.guard_index,
+            })
+        if self.witness_target is not None:
+            t = H.targets[self.witness_target]
+            obj["witness"] = [half(t.location[0]), half(t.location[1])]
         return obj
 
 

@@ -1,5 +1,6 @@
-"""Targets U, guards Γ, the exact r-guarding predicate, and the reduction of
-both sets to finitely many representatives per pixel.
+"""Targets U, guards Γ, and the reduction of both sets to finitely many
+representatives per pixel.  The r-guarding predicate itself is
+`oracle.r_guards`; the reductions need only the pixel complex.
 
 Both reductions are one firing pass over the cells of the pixel complex:
 pixel interiors, open sides and corners.  Taking the cell kinds in a fixed
@@ -18,7 +19,7 @@ import math
 from dataclasses import dataclass
 
 from rguard.pixelation import Pixelation
-from rguard.polygon_core import Pt, Rect, half, spanned_rect
+from rguard.polygon_core import Pt, half
 
 
 class TaskError(ValueError):
@@ -133,41 +134,6 @@ class Guard:
             return {"type": "point", "x": half(self.location[0]),
                     "y": half(self.location[1])}
         return {"type": "pixel", "id": self.pixel}
-
-
-# -- geometric predicate -------------------------------------------------------
-
-
-def r_guards(px: Pixelation, g: Pt, p: Pt, allow_degenerate: bool) -> bool:
-    """Does g r-guard p: the spanned rectangle stays inside P, with zero-area
-    rectangles admitted only when fattenable or when the policy allows them."""
-    cov = px.cover
-    if not cov.point_inside(*g):
-        raise TaskError(f"guard point {g} outside the polygon")
-    if not cov.point_inside(*p):
-        raise TaskError(f"target point {p} outside the polygon")
-    r = spanned_rect(g, p)
-    if not r.is_degenerate_shape():
-        return cov.rect_inside(r)
-    if allow_degenerate:
-        return cov.rect_inside(r)
-    return fattenable(px, r)
-
-
-def fattenable(px: Pixelation, r: Rect) -> bool:
-    """Zero-area rectangle contained in some positive-area rectangle ⊆ P.
-
-    A half-unit (doubled +1) probe each way is exact: any fattening can be
-    shrunk into the cells adjacent to the segment.
-    """
-    cov = px.cover
-    if r.width == 0 and r.height == 0:
-        return cov.point_inside(r.xmin, r.ymin)
-    if r.width == 0:
-        return (cov.rect_inside(Rect(r.xmin - 1, r.ymin, r.xmax, r.ymax))
-                or cov.rect_inside(Rect(r.xmin, r.ymin, r.xmax + 1, r.ymax)))
-    return (cov.rect_inside(Rect(r.xmin, r.ymin - 1, r.xmax, r.ymax))
-            or cov.rect_inside(Rect(r.xmin, r.ymin, r.xmax, r.ymax + 1)))
 
 
 # -- membership machinery for U and Γ specs -------------------------------------
@@ -333,14 +299,3 @@ def simplify_guards(px: Pixelation, task: GuardTask) -> list[Guard]:
                  for q in px.corner_pixels[c]}
         out.append(Guard(len(out), "pixel", None, pid, tuple(sorted(homes))))
     return out
-
-
-def guard_covers_point(px: Pixelation, guard: Guard, p: Pt,
-                       allow_degenerate: bool) -> bool:
-    """Geometric coverage test for either guard variant (clamping a pixel
-    guard to the target minimizes the spanned rectangle)."""
-    if guard.kind == "point":
-        return r_guards(px, guard.location, p, allow_degenerate)
-    r = px.pixels[guard.pixel]
-    g = (min(max(p[0], r.xmin), r.xmax), min(max(p[1], r.ymin), r.ymax))
-    return r_guards(px, g, p, allow_degenerate)

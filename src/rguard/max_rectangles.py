@@ -19,7 +19,6 @@ from __future__ import annotations
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 
-from rguard.guard_model import fattenable
 from rguard.pixelation import Pixelation, Side
 from rguard.polygon_core import Rect
 
@@ -46,15 +45,6 @@ def enumerate_max_rects(px: Pixelation, allow_degenerate: bool) -> list[MaxRect]
             out.append(MaxRect(len(out), r, degenerate, pids))
     px.memo[key] = out
     return out
-
-
-def classify_degenerate(px: Pixelation, seg: Rect) -> bool:
-    """True iff no positive-area rectangle inside P contains the segment."""
-    if not seg.is_degenerate_shape():
-        raise ValueError("classify_degenerate expects a zero-area rectangle")
-    if not px.cover.rect_inside(seg):
-        raise ValueError("segment lies outside the polygon")
-    return not fattenable(px, seg)
 
 
 # -- positive-area rectangles -----------------------------------------------------

@@ -1,6 +1,8 @@
-"""Independent brute-force ground truth: dense-sample geometric coverage,
-exhaustive minimum guard search, brute-force maximal rectangles, and a tiny
-exact vertex-cover solver.
+"""The r-guarding predicate, stated once by `_cover_flat` and applied by
+`coverage_matrix` and its scalar forms `r_guards`, `guard_covers_point` and
+`classify_degenerate`; and on it the brute-force ground truth: dense-sample
+geometric coverage, exhaustive minimum guard search, brute-force maximal
+rectangles, and a tiny exact vertex-cover solver.
 
 The oracle never touches the auxiliary graph, tree decompositions, or the
 target-side simplification: targets are sampled densely on the half-integer
@@ -15,7 +17,7 @@ from itertools import combinations
 
 import numpy as np
 
-from rguard.guard_model import Guard, GuardTask, simplify_guards
+from rguard.guard_model import Guard, GuardTask, TaskError, simplify_guards
 from rguard.pixelation import Pixelation, build_pixelation
 from rguard.polygon_core import Pt, Rect
 
@@ -82,11 +84,14 @@ def sample_point_guards(px: Pixelation) -> list[Pt]:
     return sorted(pts)
 
 
-# -- vectorized coverage ---------------------------------------------------------
+# -- the r-guarding predicate ----------------------------------------------------
 
 
 def _cover_flat(px: Pixelation, gx, gy, tx, ty, allow_degenerate: bool):
-    """Coverage for flat coordinate arrays of (guard point, target) pairs."""
+    """Coverage for flat coordinate arrays of (guard point, target) pairs:
+    the spanned rectangle lies inside P, and a zero-area one, unless the
+    policy allows it, fattens inside P.  A half-unit (doubled +1) probe each
+    way is exact: any fattening shrinks into the cells next to the segment."""
     x1, x2 = np.minimum(gx, tx), np.maximum(gx, tx)
     y1, y2 = np.minimum(gy, ty), np.maximum(gy, ty)
     cov = px.cover
@@ -109,7 +114,8 @@ def _cover_flat(px: Pixelation, gx, gy, tx, ty, allow_degenerate: bool):
 
 def coverage_matrix(px: Pixelation, guards: list[Guard], targets: list[Pt],
                     allow_degenerate: bool) -> np.ndarray:
-    """(guards x targets) boolean coverage, batched in bounded chunks."""
+    """(guards x targets) boolean coverage, batched in bounded chunks.  A pixel
+    guard stands at its point nearest the target, which spans the least."""
     n = len(targets)
     tx = np.array([p[0] for p in targets], dtype=np.int64)
     ty = np.array([p[1] for p in targets], dtype=np.int64)
@@ -132,6 +138,31 @@ def coverage_matrix(px: Pixelation, guards: list[Guard], targets: list[Pt],
                            np.tile(tx, m), np.tile(ty, m), allow_degenerate)
         mat[lo:lo + m] = flat.reshape(m, n)
     return mat
+
+
+def r_guards(px: Pixelation, g: Pt, p: Pt, allow_degenerate: bool) -> bool:
+    """Does the point g r-guard the point p (see `_cover_flat`)."""
+    for what, q in (("guard", g), ("target", p)):
+        if not px.cover.point_inside(*q):
+            raise TaskError(f"{what} point {q} outside the polygon")
+    return bool(_cover_flat(px, [g[0]], [g[1]], [p[0]], [p[1]],
+                            allow_degenerate)[0])
+
+
+def guard_covers_point(px: Pixelation, guard: Guard, p: Pt,
+                       allow_degenerate: bool) -> bool:
+    """One cell of `coverage_matrix`: does a guard of either kind cover p."""
+    return bool(coverage_matrix(px, [guard], [p], allow_degenerate)[0, 0])
+
+
+def classify_degenerate(px: Pixelation, seg: Rect) -> bool:
+    """True iff no positive-area rectangle inside P contains the segment."""
+    if not seg.is_degenerate_shape():
+        raise ValueError("classify_degenerate expects a zero-area rectangle")
+    if not px.cover.rect_inside(seg):
+        raise ValueError("segment lies outside the polygon")
+    return not _cover_flat(px, [seg.xmin], [seg.ymin], [seg.xmax], [seg.ymax],
+                           False)[0]
 
 
 # -- exact minimum guard search ----------------------------------------------------

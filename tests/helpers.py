@@ -20,7 +20,8 @@ from rguard.guard_model import (Guard, GuardTask, TargetPoint, TaskError,
                                 _PointSet)
 from rguard.pixelation import Pixelation
 from rguard.polygon_core import (OrthoPolygon, Pt, Rect, _point_in_scaled,
-                                 point_in_polygon, reflex_vertices)
+                                 point_in_polygon, rect_inside,
+                                 reflex_vertices, spanned_rect)
 from rguard.tree_decomposition import (DecompositionReport, TreeDecomposition,
                                        validate_decomposition)
 
@@ -308,6 +309,38 @@ def _ref_corner_sides(px: Pixelation, cidx: int) -> list[int]:
             if s.corner_a == cidx or s.corner_b == cidx:
                 out.append(sid)
     return out
+
+
+def cell_points(px: Pixelation) -> list[Pt]:
+    """Doubled points in cells of every kind: corners, open sides (midpoints
+    and off-centre), pixel interiors (centers and off-centre) and polygon
+    vertices."""
+    pts = list(px.corners[::3])
+    for s in px.sides[::2]:
+        pts.append(s.midpoint())
+        pts.append((s.c, s.lo + 1) if s.axis == "v" else (s.lo + 1, s.c))
+    pts += [(r.xmin + 1, r.ymin + 1) for r in px.pixels[::2]]
+    pts += [((r.xmin + r.xmax) // 2, (r.ymin + r.ymax) // 2)
+            for r in px.pixels[1::3]]
+    return pts + list(px.poly.outer[::2])
+
+
+def reference_r_guards(poly: OrthoPolygon, g: Pt, p: Pt,
+                       allow_degenerate: bool) -> bool:
+    """Does g r-guard p, decided on the rings of P alone: the spanned
+    rectangle lies inside P, and without the degenerate policy a zero-area
+    one also needs some half-unit fattening of it to lie inside P."""
+    r = spanned_rect(g, p)
+    if not rect_inside(poly, r):
+        return False
+    if allow_degenerate or (r.width > 0 and r.height > 0):
+        return True
+    xs = ([(r.xmin - 1, r.xmax), (r.xmin, r.xmax + 1)] if r.width == 0
+          else [(r.xmin, r.xmax)])
+    ys = ([(r.ymin - 1, r.ymax), (r.ymin, r.ymax + 1)] if r.height == 0
+          else [(r.ymin, r.ymax)])
+    return any(rect_inside(poly, Rect(x1, y1, x2, y2))
+               for x1, x2 in xs for y1, y2 in ys)
 
 
 def lifted_away(H: AuxGraph, red: Reduction | None = None) -> set[int]:

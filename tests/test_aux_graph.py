@@ -1,9 +1,9 @@
 from helpers import SHAPES, to_dot
 from rguard.aux_graph import build_aux_graph, guards_via_path2
-from rguard.guard_model import GuardTask, guard_covers_point, simplify_guards, \
-    simplify_targets
+from rguard.guard_model import GuardTask, simplify_guards, simplify_targets
 from rguard.instance_gen import gen_tree_polygon
 from rguard.max_rectangles import enumerate_max_rects
+from rguard.oracle import coverage_matrix
 from rguard.pixelation import build_pixelation
 from rguard.polygon_core import OrthoPolygon
 
@@ -60,11 +60,12 @@ def test_path2_equals_geometry_exhaustively():
             for gm in (("all-points",), ("all-pixel-guards",)):
                 task = GuardTask.make(guard_modes=gm, allow_degenerate=deg)
                 px, H = build(poly, task)
+                geo = coverage_matrix(px, H.guards,
+                                      [t.location for t in H.targets], deg)
                 for t in H.targets:
                     for g in H.guards:
-                        geo = guard_covers_point(px, g, t.location, deg)
-                        assert guards_via_path2(H, t.id, g.id) == geo, \
-                            (seed, deg, gm, t, g)
+                        assert (guards_via_path2(H, t.id, g.id)
+                                == geo[g.id, t.id]), (seed, deg, gm, t, g)
 
 
 def test_edges_linear_in_pixels_on_thin():

@@ -1,17 +1,17 @@
 import numpy as np
 import pytest
 
-from helpers import (SHAPES, TURNS, fixture_polygons, reference_guards,
-                     reference_targets, turned)
+from helpers import (SHAPES, TURNS, cell_points, fixture_polygons,
+                     reference_guards, reference_targets, turned)
 from rguard.guard_model import (GUARD_MODES, TARGET_MODES, GuardTask, TaskError,
-                                guard_covers_point, r_guards, simplify_guards,
-                                simplify_targets)
+                                simplify_guards, simplify_targets)
 from rguard.instance_gen import (gen_holed_variant, gen_ktin_polygon,
                                  gen_tree_polygon)
-from rguard.oracle import coverage_matrix, oracle_min_guards, \
-    sample_point_guards, sample_targets
-from rguard.pixelation import Pixelation, build_pixelation
-from rguard.polygon_core import OrthoPolygon, Pt, scale_polygon
+from rguard.oracle import (coverage_matrix, guard_covers_point,
+                           oracle_min_guards, r_guards, sample_point_guards,
+                           sample_targets)
+from rguard.pixelation import build_pixelation
+from rguard.polygon_core import OrthoPolygon, scale_polygon
 
 
 def L_px():
@@ -157,20 +157,6 @@ def test_side_interior_dominates_side(allow):
                 assert not np.any(sees_mid & ~mat[:, idx[q]])
 
 
-def _cell_points(px: Pixelation) -> list[Pt]:
-    """Doubled points in cells of every kind: corners, open sides (midpoints
-    and off-centre), pixel interiors (centers and off-centre) and polygon
-    vertices."""
-    pts = list(px.corners[::3])
-    for s in px.sides[::2]:
-        pts.append(s.midpoint())
-        pts.append((s.c, s.lo + 1) if s.axis == "v" else (s.lo + 1, s.c))
-    pts += [(r.xmin + 1, r.ymin + 1) for r in px.pixels[::2]]
-    pts += [((r.xmin + r.xmax) // 2, (r.ymin + r.ymax) // 2)
-            for r in px.pixels[1::3]]
-    return pts + list(px.poly.outer[::2])
-
-
 def test_simplify_matches_priority_loops():
     """The firing pass against the loop per cell kind it replaced, for every
     target mode against every guard mode, on fixtures, trees, holed and
@@ -185,7 +171,7 @@ def test_simplify_matches_priority_loops():
     for poly in polys:
         for p in [poly] + [turned(poly, how) for how in TURNS]:
             px = build_pixelation(p)
-            pts = _cell_points(px)
+            pts = cell_points(px)
             for tm in TARGET_MODES:
                 for gm in guard_modes:
                     task = GuardTask.make(

@@ -7,7 +7,7 @@ from rguard.instance_gen import (FIXTURE_NAMES, DrawnGraph, GenError,
                                  fixture_graph, gen_hardness_instance,
                                  gen_holed_variant, gen_ktin_polygon,
                                  gen_tree_polygon)
-from rguard.oracle import oracle_min_guards, oracle_vertex_cover
+from rguard.oracle import oracle_min_guards, oracle_vertex_cover, r_guards
 from rguard.pixelation import build_pixelation, estimate_thinness_K
 from rguard.polygon_core import scale_polygon, validate
 
@@ -108,7 +108,6 @@ def test_hardness_k3_structure():
 
 def test_hardness_s_v_guards_attached_edges():
     """Any point of s_v sees the incident edge rectangles."""
-    from rguard.guard_model import r_guards
     g = fixture_graph("p3")
     poly, meta = gen_hardness_instance(g)
     px = build_pixelation(poly)

@@ -6,8 +6,8 @@ from rguard.cli_io import loglog_slope
 from rguard.guard_model import GuardTask
 from rguard.instance_gen import (gen_holed_variant, gen_ktin_polygon,
                                  gen_tree_polygon, rects_union_polygon)
-from rguard.max_rectangles import classify_degenerate, enumerate_max_rects
-from rguard.oracle import oracle_max_rects
+from rguard.max_rectangles import enumerate_max_rects
+from rguard.oracle import classify_degenerate, oracle_max_rects
 from rguard.pipeline import solve_task
 from rguard.pixelation import build_pixelation
 from rguard.polygon_core import OrthoPolygon, Rect, scale_polygon

@@ -1,12 +1,16 @@
 import pytest
 
-from helpers import SHAPES
-from rguard.guard_model import GuardTask
-from rguard.instance_gen import gen_tree_polygon
-from rguard.oracle import (OracleSizeError, has_induced_c4, oracle_max_rects,
-                           oracle_min_guards, oracle_vertex_cover)
+from helpers import (SHAPES, cell_points, fixture_polygons, reference_r_guards,
+                     turned)
+from rguard.guard_model import Guard, GuardTask
+from rguard.instance_gen import (gen_holed_variant, gen_ktin_polygon,
+                                 gen_tree_polygon)
+from rguard.oracle import (OracleSizeError, classify_degenerate,
+                           coverage_matrix, has_induced_c4, oracle_max_rects,
+                           oracle_min_guards, oracle_vertex_cover, r_guards)
 from rguard.pixelation import build_pixelation
-from rguard.polygon_core import OrthoPolygon, translate_polygon
+from rguard.polygon_core import (OrthoPolygon, scale_polygon, spanned_rect,
+                                 translate_polygon)
 
 
 def test_min_guards_fixture_values():
@@ -62,3 +66,52 @@ def test_has_induced_c4():
     assert not has_induced_c4(diag)
     px = build_pixelation(OrthoPolygon(SHAPES["plus"]))
     assert not has_induced_c4(px.dual.adj)
+
+
+
+def test_predicate_matches_ring_reference():
+    """`coverage_matrix`, `r_guards` and `classify_degenerate` under both
+    policies against `reference_r_guards`, which reads the rings of P and not
+    its PixelCover, for point guards and pixel guards at cell points of every
+    kind.  A pixel guard covers p when some half-integer point of its pixel
+    r-guards p."""
+    polys = fixture_polygons() + [
+        turned(OrthoPolygon(SHAPES["dent2"]), "rot90"),  # a horizontal chord
+        gen_ktin_polygon(3, 1, 0),
+        gen_holed_variant(scale_polygon(gen_tree_polygon(4, 0), 3), 1, 0)]
+    for poly in polys:
+        px = build_pixelation(poly)
+        pts = cell_points(px)
+        n = len(pts)
+        pixel_ids = range(0, px.pixel_count, 5)
+        guards = [Guard(i, "point", p, None, ()) for i, p in enumerate(pts)]
+        guards += [Guard(n + k, "pixel", None, pid, ())
+                   for k, pid in enumerate(pixel_ids)]
+        mats = {allow: coverage_matrix(px, guards, pts, allow)
+                for allow in (False, True)}
+        segs = {}
+        for i, g in enumerate(pts):
+            for j, p in enumerate(pts):
+                inside = reference_r_guards(poly, g, p, True)
+                want = {True: inside,
+                        False: inside and reference_r_guards(poly, g, p, False)}
+                r = spanned_rect(g, p)
+                if want[True] and r.is_degenerate_shape():
+                    segs[r] = not want[False]
+                for allow in (False, True):
+                    assert mats[allow][i, j] == want[allow], \
+                        (poly, g, p, allow)
+                    if (i + j) % 23 == 0:
+                        assert r_guards(px, g, p, allow) == want[allow], \
+                            (poly, g, p, allow)
+        for r, thin in segs.items():
+            assert classify_degenerate(px, r) == thin, (poly, r)
+        for k, pid in enumerate(pixel_ids):
+            pix = px.pixels[pid]
+            inner = [(x, y) for x in range(pix.xmin, pix.xmax + 1)
+                     for y in range(pix.ymin, pix.ymax + 1)]
+            for j, p in enumerate(pts):
+                for allow in (False, True):
+                    want = any(reference_r_guards(poly, g, p, allow)
+                               for g in inner)
+                    assert mats[allow][n + k, j] == want, (poly, pid, p, allow)
