@@ -81,20 +81,6 @@ def build_aux_graph(px: Pixelation, rects: list[MaxRect],
                     [sorted(s) for s in gr], [sorted(s) for s in rg])
 
 
-def guards_via_path2(H: AuxGraph, target_id: int, guard_id: int) -> bool:
-    """True iff some rectangle is adjacent to both: a u-ρ-γ path exists."""
-    a, b = H.ur[target_id], H.gr[guard_id]
-    i = j = 0
-    while i < len(a) and j < len(b):
-        if a[i] == b[j]:
-            return True
-        if a[i] < b[j]:
-            i += 1
-        else:
-            j += 1
-    return False
-
-
 def dominated(H: AuxGraph) -> tuple[set[int], set[int], set[int]]:
     """Ids of the targets, rectangles and guards of H that an optimal guard
     set can do without.

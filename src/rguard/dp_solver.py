@@ -40,7 +40,7 @@ from bisect import bisect_left
 from collections.abc import Sequence
 from dataclasses import dataclass
 
-from rguard.aux_graph import AuxGraph, guards_via_path2
+from rguard.aux_graph import AuxGraph
 from rguard.guard_model import Guard
 from rguard.polygon_core import half
 from rguard.tree_decomposition import TreeDecomposition, DecompositionError
@@ -178,8 +178,6 @@ def verify_solution(H: AuxGraph, sol: Solution) -> bool:
         if c.rect_id not in H.ur[c.target_id]:
             return False
         if c.rect_id not in H.gr[gi]:
-            return False
-        if not guards_via_path2(H, c.target_id, gi):
             return False
     return True
 

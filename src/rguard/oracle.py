@@ -51,13 +51,10 @@ def sample_targets(px: Pixelation, task: GuardTask) -> list[Pt]:
             if not px.locate_point(p):
                 raise OracleSizeError(f"explicit target {p} outside polygon")
         return sorted(set(task.target_points))
-    pts: set[Pt] = set()
     if mode == "all":
-        for r in px.pixels:
-            for x in range(r.xmin, r.xmax + 1):
-                for y in range(r.ymin, r.ymax + 1):
-                    pts.add((x, y))
-    elif mode == "boundary":
+        return sample_point_guards(px)
+    pts: set[Pt] = set()
+    if mode == "boundary":
         for ring in px.poly.rings:
             m = len(ring)
             for i in range(m):
@@ -75,7 +72,8 @@ def sample_targets(px: Pixelation, task: GuardTask) -> list[Pt]:
 
 
 def sample_point_guards(px: Pixelation) -> list[Pt]:
-    """Every half-integer point of P, used by the raw oracle mode."""
+    """Every half-integer point of P: the raw oracle mode's guards and the
+    sample of all-point targets."""
     pts: set[Pt] = set()
     for r in px.pixels:
         for x in range(r.xmin, r.xmax + 1):
@@ -143,7 +141,7 @@ def coverage_matrix(px: Pixelation, guards: list[Guard], targets: list[Pt],
 def r_guards(px: Pixelation, g: Pt, p: Pt, allow_degenerate: bool) -> bool:
     """Does the point g r-guard the point p (see `_cover_flat`)."""
     for what, q in (("guard", g), ("target", p)):
-        if not px.cover.point_inside(*q):
+        if not px.cover.rects_inside(q[0], q[1], q[0], q[1]):
             raise TaskError(f"{what} point {q} outside the polygon")
     return bool(_cover_flat(px, [g[0]], [g[1]], [p[0]], [p[1]],
                             allow_degenerate)[0])

@@ -512,14 +512,24 @@ def _sweep(par_edges, par_rays, perp_edges, perp_cuts):
 
 
 class PixelCover:
-    """Occupancy grid over the pixel boundary coordinates with prefix sums,
-    answering exact closed-set containment queries for rectangles, segments
-    and points, scalar or vectorized.
+    """Exact closed-set containment of rectangles, segments and points in P,
+    scalar or vectorized, on a refined grid over the pixel boundary
+    coordinates.
+
+    `inside[i, j]` says whether the open cell between grid lines i, i + 1 in
+    x and j, j + 1 in y lies in P.  On the refined grid, index 2i + 1 is grid
+    line i and index 2i + 2 the open span between lines i and i + 1, so a
+    refined cell is an open cell, an open piece of a grid line or a crossing;
+    the first and last indices frame the grid and stand for everything
+    beyond its outer lines.  A line piece or a crossing lies in P when some
+    cell it bounds does, and a closed rectangle lies in P iff the block of
+    refined cells it meets holds no outside cell, which one 2-D prefix sum
+    over the outside cells answers.
 
     Its users are the oracle, which states the r-guarding predicate on it,
-    and the benchmark's answer checks.  It takes O(n_x * n_y) memory, so
-    `Pixelation.cover` builds it only on first use; `pipeline.solve_task`
-    never does."""
+    and the benchmark's answer checks.  Its one int64 table takes about 4x
+    the grid cells, so `Pixelation.cover` builds it only on first use;
+    `pipeline.solve_task` never does."""
 
     def __init__(self, pixels: list[Rect]):
         xs = sorted({v for r in pixels for v in (r.xmin, r.xmax)})
@@ -533,110 +543,30 @@ class PixelCover:
         for r in pixels:
             inside[xi[r.xmin]:xi[r.xmax], yi[r.ymin]:yi[r.ymax]] = True
         self.inside = inside
-        out = (~inside).astype(np.int64)
-        self.out_pref = np.zeros((nx + 1, ny + 1), dtype=np.int64)
-        self.out_pref[1:, 1:] = out.cumsum(0).cumsum(1)
-        # per grid line: cells where BOTH adjacent columns/rows are outside
-        pad = np.ones((1, ny), dtype=bool)
-        col_out = np.concatenate([pad, ~inside, pad], axis=0)     # (nx+2, ny)
-        vline_out = (col_out[:-1] & col_out[1:]).astype(np.int64)  # (nx+1, ny)
-        self.vline_pref = np.zeros((nx + 1, ny + 1), dtype=np.int64)
-        self.vline_pref[:, 1:] = vline_out.cumsum(1)
-        pad = np.ones((nx, 1), dtype=bool)
-        row_out = np.concatenate([pad, ~inside, pad], axis=1)      # (nx, ny+2)
-        hline_out = (row_out[:, :-1] & row_out[:, 1:]).astype(np.int64)
-        self.hline_pref = np.zeros((nx + 1, ny + 1), dtype=np.int64)
-        self.hline_pref[1:, :] = hline_out.cumsum(0)
-
-    def _range(self, coords: np.ndarray, a, b):
-        """Cell index range [i0, i1) whose open interior meets open (a, b)."""
-        i0 = np.searchsorted(coords, a, side="right") - 1
-        i1 = np.searchsorted(coords, b, side="left")
-        return i0, i1
-
-    def point_inside(self, x: int, y: int) -> bool:
-        one = np.array([x]), np.array([y])
-        return bool(self.rects_inside(one[0], one[1], one[0], one[1])[0])
+        fine = np.zeros((2 * nx + 3, 2 * ny + 3), dtype=bool)
+        fine[2:-1:2, 2:-1:2] = inside
+        # lines take the cells on either side, then crossings the pieces
+        fine[1::2] = fine[:-1:2] | fine[2::2]
+        fine[:, 1::2] = fine[:, :-1:2] | fine[:, 2::2]
+        self.out_pref = np.zeros((2 * nx + 4, 2 * ny + 4), dtype=np.int64)
+        self.out_pref[1:, 1:] = (~fine).cumsum(0).cumsum(1)
 
     def rect_inside(self, r: Rect) -> bool:
-        return bool(self.rects_inside(
-            np.array([r.xmin]), np.array([r.ymin]),
-            np.array([r.xmax]), np.array([r.ymax]))[0])
+        return bool(self.rects_inside(r.xmin, r.ymin, r.xmax, r.ymax))
 
     def rects_inside(self, x1, y1, x2, y2) -> np.ndarray:
-        """Vectorized closed-set containment for spanned rectangles."""
-        x1 = np.asarray(x1, dtype=np.int64)
-        y1 = np.asarray(y1, dtype=np.int64)
-        x2 = np.asarray(x2, dtype=np.int64)
-        y2 = np.asarray(y2, dtype=np.int64)
-        res = np.zeros(x1.shape, dtype=bool)
+        """Is each closed [x1, x2] x [y1, y2] in P; inverted ones are not."""
+        x1, y1, x2, y2 = (np.asarray(v, dtype=np.int64)
+                          for v in (x1, y1, x2, y2))
+        i0, i1 = _fine(self.xs, x1), _fine(self.xs, x2) + 1
+        j0, j1 = _fine(self.ys, y1), _fine(self.ys, y2) + 1
+        p = self.out_pref
+        out = p[i1, j1] - p[i0, j1] - p[i1, j0] + p[i0, j0]
+        return (x1 <= x2) & (y1 <= y2) & (out == 0)
 
-        xs, ys = self.xs, self.ys
-        in_bbox = (x1 >= xs[0]) & (x2 <= xs[-1]) & (y1 >= ys[0]) & (y2 <= ys[-1])
 
-        ix0, ix1 = self._range(xs, x1, x2)
-        iy0, iy1 = self._range(ys, y1, y2)
-
-        pos = (x1 < x2) & (y1 < y2) & in_bbox
-        if pos.any():
-            cnt = self._sum2d(self.out_pref, ix0[pos], iy0[pos], ix1[pos], iy1[pos])
-            res[pos] = cnt == 0
-
-        vseg = (x1 == x2) & (y1 < y2) & in_bbox
-        if vseg.any():
-            li = np.searchsorted(xs, x1)
-            on_line = np.zeros(x1.shape, dtype=bool)
-            ok = vseg & (li < len(xs))
-            on_line[ok] = xs[li[ok]] == x1[ok]
-            m = vseg & on_line
-            if m.any():
-                cnt = self.vline_pref[li[m], iy1[m]] - self.vline_pref[li[m], iy0[m]]
-                res[m] = cnt == 0
-            m = vseg & ~on_line
-            if m.any():
-                cnt = self._sum2d(self.out_pref, ix0[m], iy0[m], ix0[m] + 1, iy1[m])
-                res[m] = cnt == 0
-
-        hseg = (y1 == y2) & (x1 < x2) & in_bbox
-        if hseg.any():
-            li = np.searchsorted(ys, y1)
-            on_line = np.zeros(x1.shape, dtype=bool)
-            ok = hseg & (li < len(ys))
-            on_line[ok] = ys[li[ok]] == y1[ok]
-            m = hseg & on_line
-            if m.any():
-                cnt = self.hline_pref[ix1[m], li[m]] - self.hline_pref[ix0[m], li[m]]
-                res[m] = cnt == 0
-            m = hseg & ~on_line
-            if m.any():
-                cnt = self._sum2d(self.out_pref, ix0[m], iy0[m], ix1[m], iy0[m] + 1)
-                res[m] = cnt == 0
-
-        pnt = (x1 == x2) & (y1 == y2) & in_bbox
-        if pnt.any():
-            # a point is in P iff any cell whose closure contains it is inside
-            px, py = x1[pnt], y1[pnt]
-            lx = np.searchsorted(xs, px, side="right") - 1
-            ly = np.searchsorted(ys, py, side="right") - 1
-            on_lx = xs[np.clip(lx, 0, len(xs) - 1)] == px
-            on_ly = ys[np.clip(ly, 0, len(ys) - 1)] == py
-            got = np.zeros(px.shape, dtype=bool)
-            nx, ny = self.inside.shape
-            for dx in (0, -1):
-                for dy in (0, -1):
-                    cx = lx + dx * on_lx
-                    cy = ly + dy * on_ly
-                    valid = (cx >= 0) & (cx < nx) & (cy >= 0) & (cy < ny)
-                    sub = np.zeros(px.shape, dtype=bool)
-                    sub[valid] = self.inside[cx[valid], cy[valid]]
-                    got |= sub
-            res[pnt] = got
-        return res
-
-    @staticmethod
-    def _sum2d(pref, i0, j0, i1, j1):
-        i0 = np.maximum(i0, 0)
-        j0 = np.maximum(j0, 0)
-        i1 = np.maximum(i1, i0)
-        j1 = np.maximum(j1, j0)
-        return pref[i1, j1] - pref[i0, j1] - pref[i1, j0] + pref[i0, j0]
+def _fine(coords: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Refined index of each coordinate v: 2i + 1 on grid line i, 2i + 2
+    between lines i and i + 1, and 0 or 2 len(coords) beyond the lines."""
+    return (np.searchsorted(coords, v, side="left")
+            + np.searchsorted(coords, v, side="right"))

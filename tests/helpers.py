@@ -970,3 +970,124 @@ def _ref_sweep(par_edges, par_rays, perp_edges, perp_cuts):
             act_i += 1
     assert not comps, "sweep finished with open slabs"
     return cuts_out, pixels_out
+
+
+# -- the four-branch grid cover, the reference for PixelCover -------------------
+
+
+class ReferenceCover:
+    """The grid cover as it was before the refined grid: three prefix tables
+    (cells, and the cell pairs on either side of each vertical and each
+    horizontal grid line) and one query branch per shape of the spanned
+    rectangle: positive area, a segment on or off a grid line, a point."""
+
+    def __init__(self, pixels: list[Rect]):
+        xs = sorted({v for r in pixels for v in (r.xmin, r.xmax)})
+        ys = sorted({v for r in pixels for v in (r.ymin, r.ymax)})
+        self.xs = np.asarray(xs, dtype=np.int64)
+        self.ys = np.asarray(ys, dtype=np.int64)
+        nx, ny = len(xs) - 1, len(ys) - 1
+        inside = np.zeros((nx, ny), dtype=bool)
+        xi = {v: i for i, v in enumerate(xs)}
+        yi = {v: i for i, v in enumerate(ys)}
+        for r in pixels:
+            inside[xi[r.xmin]:xi[r.xmax], yi[r.ymin]:yi[r.ymax]] = True
+        self.inside = inside
+        out = (~inside).astype(np.int64)
+        self.out_pref = np.zeros((nx + 1, ny + 1), dtype=np.int64)
+        self.out_pref[1:, 1:] = out.cumsum(0).cumsum(1)
+        # per grid line: cells where BOTH adjacent columns/rows are outside
+        pad = np.ones((1, ny), dtype=bool)
+        col_out = np.concatenate([pad, ~inside, pad], axis=0)     # (nx+2, ny)
+        vline_out = (col_out[:-1] & col_out[1:]).astype(np.int64)  # (nx+1, ny)
+        self.vline_pref = np.zeros((nx + 1, ny + 1), dtype=np.int64)
+        self.vline_pref[:, 1:] = vline_out.cumsum(1)
+        pad = np.ones((nx, 1), dtype=bool)
+        row_out = np.concatenate([pad, ~inside, pad], axis=1)      # (nx, ny+2)
+        hline_out = (row_out[:, :-1] & row_out[:, 1:]).astype(np.int64)
+        self.hline_pref = np.zeros((nx + 1, ny + 1), dtype=np.int64)
+        self.hline_pref[1:, :] = hline_out.cumsum(0)
+
+    def _range(self, coords: np.ndarray, a, b):
+        """Cell index range [i0, i1) whose open interior meets open (a, b)."""
+        i0 = np.searchsorted(coords, a, side="right") - 1
+        i1 = np.searchsorted(coords, b, side="left")
+        return i0, i1
+
+    def rects_inside(self, x1, y1, x2, y2) -> np.ndarray:
+        """Vectorized closed-set containment for spanned rectangles."""
+        x1 = np.asarray(x1, dtype=np.int64)
+        y1 = np.asarray(y1, dtype=np.int64)
+        x2 = np.asarray(x2, dtype=np.int64)
+        y2 = np.asarray(y2, dtype=np.int64)
+        res = np.zeros(x1.shape, dtype=bool)
+
+        xs, ys = self.xs, self.ys
+        in_bbox = (x1 >= xs[0]) & (x2 <= xs[-1]) & (y1 >= ys[0]) & (y2 <= ys[-1])
+
+        ix0, ix1 = self._range(xs, x1, x2)
+        iy0, iy1 = self._range(ys, y1, y2)
+
+        pos = (x1 < x2) & (y1 < y2) & in_bbox
+        if pos.any():
+            cnt = self._sum2d(self.out_pref, ix0[pos], iy0[pos], ix1[pos], iy1[pos])
+            res[pos] = cnt == 0
+
+        vseg = (x1 == x2) & (y1 < y2) & in_bbox
+        if vseg.any():
+            li = np.searchsorted(xs, x1)
+            on_line = np.zeros(x1.shape, dtype=bool)
+            ok = vseg & (li < len(xs))
+            on_line[ok] = xs[li[ok]] == x1[ok]
+            m = vseg & on_line
+            if m.any():
+                cnt = self.vline_pref[li[m], iy1[m]] - self.vline_pref[li[m], iy0[m]]
+                res[m] = cnt == 0
+            m = vseg & ~on_line
+            if m.any():
+                cnt = self._sum2d(self.out_pref, ix0[m], iy0[m], ix0[m] + 1, iy1[m])
+                res[m] = cnt == 0
+
+        hseg = (y1 == y2) & (x1 < x2) & in_bbox
+        if hseg.any():
+            li = np.searchsorted(ys, y1)
+            on_line = np.zeros(x1.shape, dtype=bool)
+            ok = hseg & (li < len(ys))
+            on_line[ok] = ys[li[ok]] == y1[ok]
+            m = hseg & on_line
+            if m.any():
+                cnt = self.hline_pref[ix1[m], li[m]] - self.hline_pref[ix0[m], li[m]]
+                res[m] = cnt == 0
+            m = hseg & ~on_line
+            if m.any():
+                cnt = self._sum2d(self.out_pref, ix0[m], iy0[m], ix1[m], iy0[m] + 1)
+                res[m] = cnt == 0
+
+        pnt = (x1 == x2) & (y1 == y2) & in_bbox
+        if pnt.any():
+            # a point is in P iff any cell whose closure contains it is inside
+            px, py = x1[pnt], y1[pnt]
+            lx = np.searchsorted(xs, px, side="right") - 1
+            ly = np.searchsorted(ys, py, side="right") - 1
+            on_lx = xs[np.clip(lx, 0, len(xs) - 1)] == px
+            on_ly = ys[np.clip(ly, 0, len(ys) - 1)] == py
+            got = np.zeros(px.shape, dtype=bool)
+            nx, ny = self.inside.shape
+            for dx in (0, -1):
+                for dy in (0, -1):
+                    cx = lx + dx * on_lx
+                    cy = ly + dy * on_ly
+                    valid = (cx >= 0) & (cx < nx) & (cy >= 0) & (cy < ny)
+                    sub = np.zeros(px.shape, dtype=bool)
+                    sub[valid] = self.inside[cx[valid], cy[valid]]
+                    got |= sub
+            res[pnt] = got
+        return res
+
+    @staticmethod
+    def _sum2d(pref, i0, j0, i1, j1):
+        i0 = np.maximum(i0, 0)
+        j0 = np.maximum(j0, 0)
+        i1 = np.maximum(i1, i0)
+        j1 = np.maximum(j1, j0)
+        return pref[i1, j1] - pref[i0, j1] - pref[i1, j0] + pref[i0, j0]

@@ -1,5 +1,5 @@
 from helpers import SHAPES, to_dot
-from rguard.aux_graph import build_aux_graph, guards_via_path2
+from rguard.aux_graph import build_aux_graph
 from rguard.guard_model import GuardTask, simplify_guards, simplify_targets
 from rguard.instance_gen import gen_tree_polygon
 from rguard.max_rectangles import enumerate_max_rects
@@ -14,6 +14,11 @@ def build(poly, task):
     guards = simplify_guards(px, task)
     rects = enumerate_max_rects(px, task.allow_degenerate)
     return px, build_aux_graph(px, rects, targets, guards)
+
+
+def path2(H, target_id, guard_id):
+    """A target-rectangle-guard path exists: their rectangle lists meet."""
+    return not set(H.ur[target_id]).isdisjoint(H.gr[guard_id])
 
 
 def test_unit_square_star():
@@ -33,7 +38,7 @@ def test_l_shape_single_guard_distance_two():
     assert len(H.guards) == 1
     assert H.gr[0] == [0, 1]            # adjacent to both maximal rectangles
     assert all(len(rs) >= 1 for rs in H.ur)
-    assert all(guards_via_path2(H, t.id, 0) for t in H.targets)
+    assert all(path2(H, t.id, 0) for t in H.targets)
 
 
 def test_path2_negative_case():
@@ -41,7 +46,7 @@ def test_path2_negative_case():
                           target_points=[(0.75, 1.75)],
                           guard_points=[(1.75, 0.25)], doubled=False)
     px, H = build(OrthoPolygon(SHAPES["L"]), task)
-    assert not guards_via_path2(H, 0, 0)
+    assert not path2(H, 0, 0)
 
 
 def test_pixel_guard_corner_contact_edge():
@@ -50,7 +55,7 @@ def test_pixel_guard_corner_contact_edge():
     poly = OrthoPolygon(SHAPES["plus"])
     px, H = build(poly, task)
     assert len(H.gr[0]) == len(H.rects) == 2
-    assert all(guards_via_path2(H, t.id, 0) for t in H.targets)
+    assert all(path2(H, t.id, 0) for t in H.targets)
 
 
 def test_path2_equals_geometry_exhaustively():
@@ -64,7 +69,7 @@ def test_path2_equals_geometry_exhaustively():
                                       [t.location for t in H.targets], deg)
                 for t in H.targets:
                     for g in H.guards:
-                        assert (guards_via_path2(H, t.id, g.id)
+                        assert (path2(H, t.id, g.id)
                                 == geo[g.id, t.id]), (seed, deg, gm, t, g)
 
 

@@ -1,6 +1,8 @@
-from helpers import SHAPES, HOLED_SHAPES, TURNS, brute_force_pixels, \
-    fixture_polygons, nonthin_plus, pixelation_fields, reference_pixelation, \
-    turned
+import numpy as np
+
+from helpers import SHAPES, HOLED_SHAPES, TURNS, ReferenceCover, \
+    brute_force_pixels, fixture_polygons, nonthin_plus, pixelation_fields, \
+    reference_pixelation, turned
 from rguard.instance_gen import (gen_holed_variant, gen_ktin_polygon,
                                  gen_tree_polygon, rects_union_polygon)
 from rguard.pixelation import (build_pixelation, dump_pixelation,
@@ -166,3 +168,41 @@ def test_locate_point():
     assert sorted(px.locate_point((2, 1))) == [0, 2]  # on a shared side
     assert sorted(px.locate_point((2, 2))) == [0, 1, 2]  # the reflex corner
     assert px.locate_point((5, 5)) == []
+
+
+def test_cover_matches_four_branch_reference():
+    """The refined grid of `PixelCover` against `ReferenceCover`, its form
+    with one branch per shape, on 1.1M closed rectangles.  Each side lies on
+    a grid line, just inside a span next to one, or one unit beyond the
+    bounding box, and the far side is at most 8 values past the near one or
+    2 before it (inverted), so every shape occurs: areas, segments and
+    points, on and off the grid lines, inside and out."""
+    polys = fixture_polygons() + [
+        turned(OrthoPolygon(SHAPES["dent2"]), "rot90"),  # a horizontal chord
+        gen_ktin_polygon(2, 6, 0), gen_ktin_polygon(3, 6, 1),
+        gen_holed_variant(scale_polygon(gen_tree_polygon(40, 0), 3), 4, 0),
+        gen_tree_polygon(3000, 0)]
+    rng = np.random.default_rng(19)
+    n = 70_000
+    # per (sign of x2 - x1, of y2 - y1, x1 on a line, y1 on a line, answer)
+    tally = np.zeros((3, 3, 2, 2, 2), dtype=np.int64)
+    for poly in polys:
+        px = build_pixelation(poly)
+        cov, ref = px.cover, ReferenceCover(px.pixels)
+        q = []
+        for c in (cov.xs, cov.ys):
+            vals = np.unique(np.concatenate([c - 1, c, c + 1]))
+            lo = rng.integers(0, len(vals), n)
+            hi = np.clip(lo + rng.integers(-2, 9, n), 0, len(vals) - 1)
+            q += [vals[lo], vals[hi]]
+        x1, x2, y1, y2 = q
+        got = cov.rects_inside(x1, y1, x2, y2)
+        assert np.array_equal(got, ref.rects_inside(x1, y1, x2, y2)), poly
+        np.add.at(tally, (np.sign(x2 - x1) + 1, np.sign(y2 - y1) + 1,
+                          np.isin(x1, cov.xs).astype(int),
+                          np.isin(y1, cov.ys).astype(int), got.astype(int)), 1)
+        empty = np.zeros(0, dtype=np.int64)
+        assert cov.rects_inside(empty, empty, empty, empty).shape == (0,)
+    # both answers for every shape on and off the lines; inverted is out
+    assert tally[1:, 1:].all()
+    assert not tally[0, ..., 1].any() and not tally[:, 0, ..., 1].any()
