@@ -201,6 +201,8 @@ def loglog_slope(sizes, times) -> float:
 
 def cmd_bench(args) -> int:
     sizes = _ints(args.sizes, "--sizes")
+    if len(set(sizes)) != len(sizes):
+        raise InputError("--sizes: each size may appear once")
     seeds = _ints(args.seeds, "--seeds")
     task = GuardTask.make()
     k = args.k if args.family == "ktin" else 1

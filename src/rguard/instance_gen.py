@@ -20,6 +20,10 @@ class GenError(ValueError):
     pass
 
 
+# tries at placing one more hole before gen_holed_variant gives up
+HOLE_RETRIES = 200
+
+
 # -- union-of-rectangles boundary extraction -------------------------------------
 
 
@@ -206,10 +210,12 @@ def _grow_maze(n: int, rng: random.Random):
 # -- holed variants --------------------------------------------------------------
 
 
-def gen_holed_variant(poly: OrthoPolygon, holes: int, seed: int,
-                      retries: int = 200) -> OrthoPolygon:
+def gen_holed_variant(poly: OrthoPolygon, holes: int, seed: int) -> OrthoPolygon:
     """Punch unit square holes strictly inside pixels of size >= 3x3
-    (original units).  Raises after bounded retries when no placement fits."""
+    (original units).  Raises after HOLE_RETRIES tries when no placement
+    fits."""
+    if holes < 0:
+        raise GenError("holes must be >= 0")
     if holes == 0:
         return poly
     px = build_pixelation(poly)
@@ -221,8 +227,8 @@ def gen_holed_variant(poly: OrthoPolygon, holes: int, seed: int,
     tries = 0
     while len(chosen) < holes:
         tries += 1
-        if tries > retries:
-            raise GenError(f"hole placement failed after {retries} retries")
+        if tries > HOLE_RETRIES:
+            raise GenError(f"hole placement failed after {HOLE_RETRIES} retries")
         r = big[rng.randrange(len(big))]
         ax = rng.randrange(r.xmin // 2 + 1, r.xmax // 2 - 1)
         ay = rng.randrange(r.ymin // 2 + 1, r.ymax // 2 - 1)

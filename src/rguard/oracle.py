@@ -22,6 +22,11 @@ from rguard.pixelation import Pixelation, build_pixelation
 from rguard.polygon_core import Pt, Rect
 
 
+# the largest inputs the exhaustive searches below accept
+MAX_RECTS_PIXELS = 40
+VERTEX_COVER_MAX_VERTICES = 16
+
+
 class OracleSizeError(RuntimeError):
     """Instance exceeds the configured oracle size guard."""
 
@@ -294,12 +299,12 @@ def _min_cover(masks: list[int], universe: int) -> list[int]:
 # -- brute-force maximal rectangles --------------------------------------------------
 
 
-def oracle_max_rects(poly_or_px, max_pixels: int = 40) -> list[tuple[Rect, bool]]:
+def oracle_max_rects(poly_or_px) -> list[tuple[Rect, bool]]:
     """All maximal rectangles by brute force over grid-line coordinate pairs,
     with half-unit expansion probes deciding maximality.  Degenerate maximal
     segments are tagged True."""
     px = _as_px(poly_or_px)
-    if px.pixel_count > max_pixels:
+    if px.pixel_count > MAX_RECTS_PIXELS:
         raise OracleSizeError("instance too large for the brute-force oracle")
     cov = px.cover
     xs = [int(v) for v in cov.xs]
@@ -328,10 +333,9 @@ def oracle_max_rects(poly_or_px, max_pixels: int = 40) -> list[tuple[Rect, bool]
 # -- small exact vertex cover ----------------------------------------------------------
 
 
-def oracle_vertex_cover(n: int, edges: list[tuple[int, int]],
-                        max_vertices: int = 16) -> int:
+def oracle_vertex_cover(n: int, edges: list[tuple[int, int]]) -> int:
     """Exact minimum vertex cover size by subset enumeration."""
-    if n > max_vertices:
+    if n > VERTEX_COVER_MAX_VERTICES:
         raise OracleSizeError(f"{n} vertices exceed the vertex-cover limit")
     if not edges:
         return 0

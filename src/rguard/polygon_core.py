@@ -428,7 +428,7 @@ def _point_in_scaled(rings: tuple[tuple[Pt, ...], ...], qx4: int,
 def scale_polygon(poly: OrthoPolygon, factor: int) -> OrthoPolygon:
     """Scale all coordinates by a positive integer factor."""
     if factor < 1:
-        raise ValueError("scale factor must be >= 1")
+        raise PolygonError("scale factor must be >= 1")
     return OrthoPolygon(
         [(x * factor, y * factor) for x, y in poly.outer],
         [[(x * factor, y * factor) for x, y in h] for h in poly.holes],

@@ -1,13 +1,19 @@
-"""Tree decompositions: canonical width-1 construction for trees, min-degree
-elimination otherwise, a validating checker, and the lift from the dual graph
-to the auxiliary graph.
+"""Tree decompositions: min-degree elimination of the dual graph, trees
+included, a validating checker, and the lift from the dual graph to the
+auxiliary graph.
 
-The min-degree elimination keeps the degrees in a heap and, after each
-elimination, pushes again only the neighbours of the eliminated vertex, the
-only vertices whose degree it changes, so at bounded width it takes
-O(n log n) time for n pixels (Bodlaender & Koster, "Treewidth computations
-I. Upper bounds", 2010).  Ties go to the lowest vertex id, so the bags
-depend on the pixel numbering.
+The elimination runs in two phases.  The pendant phase takes the vertices
+of degree at most 1 from a heap of ids, with a degree array and no sets:
+eliminating one adds no edge and lowers only its neighbour's degree.  On a
+connected graph min-degree takes every such vertex, lowest id first, before
+any vertex of degree 2 or more, so this order is min-degree's; on a tree it
+is the whole elimination, and the width is 1.  The core phase runs on the
+vertices left: it keeps the degrees in a heap and, after each elimination,
+pushes again only the neighbours of the eliminated vertex, the only
+vertices whose degree it changes, so at bounded width it takes O(n log n)
+time for n pixels (Bodlaender & Koster, "Treewidth computations I. Upper
+bounds", 2010).  Ties go to the lowest vertex id, so the bags depend on the
+pixel numbering.
 
 Every construction is followed by validate_decomposition in the test suite;
 reported widths are upper bounds on the true treewidth by construction.
@@ -73,82 +79,55 @@ class DecompositionReport:
 
 
 def decompose_dual(D: DualGraph) -> TreeDecomposition:
-    """Width-1 canonical decomposition when D is a tree of two or more
-    vertices, min-degree otherwise.  Disconnected duals are rejected; solve
-    components independently upstream.
+    """Min-degree elimination of D, for trees and every other dual alike.
+    Disconnected duals are rejected; solve components independently
+    upstream.
 
     Min-degree eliminates, at each step, the vertex with the fewest
     neighbours left, the lowest id on a tie, and joins its neighbours into a
-    clique.  The degrees sit in a heap of (degree, vertex) entries; an entry
-    is skipped when popped if its vertex is gone or its degree has changed.
-    Eliminating v changes only the degrees of the neighbours of v, so only
-    those are pushed again.  Each elimination emits one bag, v with its
-    neighbours at that moment, which hangs below the bag of the first of
-    those neighbours eliminated later."""
+    clique.  The pendant phase takes the vertices of degree at most 1,
+    lowest id first, which on a connected graph is min-degree's own order;
+    the core phase eliminates the rest from a heap of (degree, vertex)
+    entries.  Each elimination emits one bag, v with its neighbours at that
+    moment, which hangs below the bag of the first of those neighbours
+    eliminated later.  Each connected component leaves one bag with no
+    later neighbour, so a disconnected dual leaves more than one."""
     n = D.n
     if n == 0:
         raise DecompositionError("empty dual graph")
-    if not _connected(n, D.adj):
+    T = _min_degree_decomposition(n, D.adj)
+    if len(T.tree_edges) != len(T.bags) - 1:
         raise DecompositionError("dual graph is disconnected")
-    if n > 1 and len(D.edges) == n - 1:
-        return _tree_decomposition_of_tree(n, D.adj)
-    return _min_degree_decomposition(n, D.adj)
-
-
-def _connected(n: int, adj: list[list[int]]) -> bool:
-    seen = [False] * n
-    seen[0] = True
-    dq = deque([0])
-    cnt = 1
-    while dq:
-        u = dq.popleft()
-        for v in adj[u]:
-            if not seen[v]:
-                seen[v] = True
-                cnt += 1
-                dq.append(v)
-    return cnt == n
-
-
-def _tree_decomposition_of_tree(n: int, adj: list[list[int]]) -> TreeDecomposition:
-    parent = [-1] * n
-    order = [0]
-    seen = [False] * n
-    seen[0] = True
-    dq = deque([0])
-    while dq:
-        u = dq.popleft()
-        for v in adj[u]:
-            if not seen[v]:
-                seen[v] = True
-                parent[v] = u
-                order.append(v)
-                dq.append(v)
-    bags = []
-    bag_of = {}
-    for v in order[1:]:
-        bag_of[v] = len(bags)
-        bags.append(tuple(sorted((v, parent[v]))))
-    edges = []
-    root_children = sorted(v for v in order[1:] if parent[v] == 0)
-    hub = bag_of[root_children[0]]
-    for v in order[1:]:
-        if parent[v] == 0:
-            if bag_of[v] != hub:
-                edges.append((hub, bag_of[v]))
-        else:
-            edges.append((bag_of[parent[v]], bag_of[v]))
-    return TreeDecomposition(bags, sorted(edges), "dual")
+    return T
 
 
 def _min_degree_decomposition(n: int, adj: list[list[int]]) -> TreeDecomposition:
-    """The min-degree elimination of decompose_dual and its bags, in one pass."""
-    nb: list[set[int]] = [set(a) for a in adj]
-    heap = [(len(s), v) for v, s in enumerate(nb)]
-    heapq.heapify(heap)
+    """The min-degree elimination of decompose_dual and its bags: the
+    pendant phase, then the core phase on the vertices left."""
+    deg = [len(a) for a in adj]
     alive = [True] * n
     pos = [0] * n
     bags: list[tuple[int, ...]] = []
+    up: list[int] = []  # per pendant bag, its one live neighbour or -1
+    pendant = [v for v in range(n) if deg[v] <= 1]
+    while pendant:
+        v = heapq.heappop(pendant)
+        alive[v] = False
+        pos[v] = len(bags)
+        for u in adj[v]:
+            if alive[u]:
+                bags.append((v, u) if v < u else (u, v))
+                up.append(u)
+                deg[u] -= 1
+                if deg[u] == 1:
+                    heapq.heappush(pendant, u)
+                break
+        else:
+            bags.append((v,))
+            up.append(-1)
+    nb = {v: {u for u in adj[v] if alive[u]} for v in range(n) if alive[v]}
+    heap = [(len(s), v) for v, s in nb.items()]
+    heapq.heapify(heap)
     later_nb: list[list[int]] = []
     while heap:
         d, v = heapq.heappop(heap)
@@ -166,8 +145,10 @@ def _min_degree_decomposition(n: int, adj: list[list[int]]) -> TreeDecomposition
                 nb[b].add(a)
         for a in ns:
             heapq.heappush(heap, (len(nb[a]), a))
-    edges = sorted((i, min(pos[a] for a in ns))
-                   for i, ns in enumerate(later_nb) if ns)
+    # the pendant bags come first, so the edges come out sorted by child
+    edges = [(i, pos[u]) for i, u in enumerate(up) if u >= 0]
+    edges += [(len(up) + i, min(pos[a] for a in ns))
+              for i, ns in enumerate(later_nb) if ns]
     return TreeDecomposition(bags, edges, "dual")
 
 
@@ -180,7 +161,7 @@ def validate_decomposition(n_vertices: int, edges: list[tuple[int, int]],
     if len(T.tree_edges) != nb - 1:
         rep.problems.append(
             f"decomposition tree has {len(T.tree_edges)} edges for {nb} bags")
-    if not _connected(nb, T.neighbors()) and nb > 1:
+    if len(T.rooted()[0]) != nb:
         rep.problems.append("decomposition tree is disconnected")
 
     occurrences: dict[int, list[int]] = {}

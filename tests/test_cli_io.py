@@ -98,17 +98,22 @@ def test_input_errors_exit1(tmp_path, task_file, l_polygon, capsys):
 
 
 def test_bad_options_and_files_exit1(tmp_path, l_polygon, task_file, capsys):
-    """Malformed bench lists, unreadable graph files and unwritable output
-    paths end in one error line and exit 1, not in a traceback."""
+    """Malformed bench lists, out-of-range generator options, unreadable
+    graph files and unwritable output paths end in one error line and exit
+    1, not in a traceback."""
     graphs = {"missing": None, "bad_json": "{bad", "no_edges": '{"vertices": {}}'}
     for name, text in graphs.items():
         if text is not None:
             (tmp_path / name).write_text(text, encoding="utf-8")
     nowhere = str(tmp_path / "no-such-dir" / "out")
     solve = ["solve", "--polygon", str(l_polygon), "--task", str(task_file)]
+    holed = ["gen", "holed", "--pixels", "9", "--seed", "1"]
     cases = [["bench", "--sizes", "10,x"],
              ["bench", "--sizes", "10", "--seeds", "a"],
              ["bench", "--sizes", "10", "--csv", nowhere],
+             ["bench", "--sizes", "30,30"],
+             [*holed, "--scale", "0"],
+             [*holed, "--holes", "-3"],
              [*solve, "--out", nowhere],
              [*solve, "--out", str(tmp_path / "sol.json"), "--svg", nowhere],
              ["gen", "tree", "--pixels", "9", "--out", nowhere],

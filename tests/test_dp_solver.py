@@ -452,16 +452,13 @@ def test_reduction_scales_linearly():
     assert loglog_slope(pixels, times) <= 1.3, (pixels, times)
 
 
-def test_reduction_scales_linearly_on_trees():
+def test_reduction_scales_linearly_on_trees(thin_trees):
     """On thin trees of 1k to 64k pixels, where every guard of the answer
     is forced, reduce(H) grows linearly with the pixels.  Each H is built
     once, and each size is timed as the best of 3 runs with the collector
     paused, as solve_task runs it: at 64k pixels the collections it would
     make re-walk every live object of H and bend the slope."""
-    trees = []
-    for n in (1000, 4000, 16000, 64000):
-        px = build_pixelation(gen_tree_polygon(n, 0))
-        trees.append((px.pixel_count, _aux(px, GuardTask.make())))
+    trees = [(px.pixel_count, _aux(px, GuardTask.make())) for px in thin_trees]
     with gc_paused():
         times = best_times([lambda H=H: reduce(H) for _n, H in trees], rounds=3)
     pixels = [n for n, _H in trees]

@@ -39,19 +39,20 @@ def test_path_dual_width_one():
     px = build_pixelation(OrthoPolygon(SHAPES["L"]))
     T = decompose_dual(px.dual)
     assert T.width == 1
-    assert sorted(T.bags) == [(0, 1), (0, 2)]
-    rep = validate_decomposition(3, px.dual.edges, T)
-    assert rep.ok, rep.problems
+    assert T.bags == [(0, 1), (0, 2), (2,)]
+    assert T.tree_edges == [(0, 1), (1, 2)]
+    assert_reference_decomposition(px.dual, T)
 
 
 def test_tree_dual_canonical():
+    """A tree dual takes min-degree's bags: one per pixel, the last a
+    singleton, and width 1."""
     for seed in range(5):
         px = build_pixelation(gen_tree_polygon(25, seed))
         T = decompose_dual(px.dual)
         assert T.width == 1
-        assert len(T.bags) == px.pixel_count - 1
-        rep = validate_decomposition(px.pixel_count, px.dual.edges, T)
-        assert rep.ok, rep.problems
+        assert len(T.bags) == px.pixel_count and len(T.bags[-1]) == 1
+        assert_reference_decomposition(px.dual, T)
 
 
 def test_cycle_min_degree_width_two():
@@ -73,8 +74,13 @@ def test_holed_polygon_decomposition_valid():
 
 
 def test_disconnected_rejected():
-    with pytest.raises(DecompositionError):
-        decompose_dual(dual_of([], 2))
+    """Two isolated vertices; two triangles, which only the core phase
+    eliminates; a path and an isolated vertex, which the pendant phase
+    eliminates alone."""
+    triangles = [(0, 1), (1, 2), (2, 0), (3, 4), (4, 5), (5, 3)]
+    for edges, n in (([], 2), (triangles, 6), ([(0, 1), (1, 3)], 4)):
+        with pytest.raises(DecompositionError):
+            decompose_dual(dual_of(edges, n))
 
 
 def test_validator_mutations():
@@ -82,6 +88,9 @@ def test_validator_mutations():
     T = decompose_dual(px.dual)
     good = validate_decomposition(px.pixel_count, px.dual.edges, T)
     assert good.ok
+    cut = TreeDecomposition(T.bags, T.tree_edges[1:], "dual")
+    bad = validate_decomposition(px.pixel_count, px.dual.edges, cut)
+    assert "decomposition tree is disconnected" in bad.problems
     T.bags[0] = ()
     bad = validate_decomposition(px.pixel_count, px.dual.edges, T)
     assert not bad.ok
@@ -285,25 +294,70 @@ def differential_duals():
     return duals
 
 
+def shuffled_tree(n, seed):
+    """A random tree on n vertices, each attached to an earlier one, with
+    its ids in a seeded random order."""
+    rng = random.Random(seed)
+    ids = list(range(n))
+    rng.shuffle(ids)
+    return dual_of([(ids[rng.randrange(v)], ids[v]) for v in range(1, n)], n)
+
+
+def cycle_with_paths(k, length, seed):
+    """A k-cycle with a path of `length` vertices hanging from every other
+    cycle vertex, with its ids in a seeded random order."""
+    rng = random.Random(seed)
+    edges = [(i, (i + 1) % k) for i in range(k)]
+    n = k
+    for c in range(0, k, 2):
+        for j in range(length):
+            edges.append((c if j == 0 else n - 1, n))
+            n += 1
+    ids = list(range(n))
+    rng.shuffle(ids)
+    return dual_of([(ids[a], ids[b]) for a, b in edges], n)
+
+
+def pendant_duals():
+    """Duals that the pendant phase eliminates whole, trees, and in part,
+    cycles with long pendant paths."""
+    duals = [build_pixelation(gen_tree_polygon(n, seed)).dual
+             for n in (10, 40, 150) for seed in (0, 1, 2)]
+    duals += [shuffled_tree(n, seed) for n, seed in
+              ((2, 0), (3, 1), (12, 2), (60, 3), (200, 4))]
+    duals += [cycle_with_paths(k, length, seed) for k, length, seed in
+              ((3, 1, 0), (4, 10, 1), (7, 25, 2), (12, 6, 3))]
+    return duals
+
+
+def assert_reference_decomposition(D, T):
+    want = reference_min_degree(D.n, D.adj)
+    assert T.bags == want.bags
+    assert T.tree_edges == want.tree_edges
+    rep = validate_decomposition(D.n, D.edges, T)
+    assert rep.ok, rep.problems
+
+
 def test_min_degree_matches_reference():
-    duals = differential_duals()
-    assert all(len(D.edges) >= D.n for D in duals)  # none is a tree
+    """decompose_dual against the quadratic reference on duals with and
+    without cycles, trees included."""
+    duals = differential_duals() + pendant_duals()
+    assert any(len(D.edges) == D.n - 1 for D in duals)
     for D in duals:
-        T = decompose_dual(D)
-        want = reference_min_degree(D.n, D.adj)
-        assert T.bags == want.bags
-        assert T.tree_edges == want.tree_edges
-        rep = validate_decomposition(D.n, D.edges, T)
-        assert rep.ok, rep.problems
+        assert_reference_decomposition(D, decompose_dual(D))
 
 
-def test_dual_decomposition_scales_linearly():
-    """Each size is timed as the best of 5 runs with the collector paused,
-    as solve_task runs it: the smallest comb takes under 2 ms, so a
-    collection in one run would show as a bend in the slope."""
-    duals = [build_pixelation(gen_ktin_polygon(3, teeth, 32)).dual
+def test_dual_decomposition_scales_linearly(thin_trees):
+    """On K=3 combs, which reach the core phase, and on thin trees of 1k to
+    64k pixels, which the pendant phase eliminates whole.  Each size is
+    timed as the best of 5 runs with the collector paused, as solve_task
+    runs it: the smallest comb takes under 2 ms, so a collection in one run
+    would show as a bend in the slope."""
+    combs = [build_pixelation(gen_ktin_polygon(3, teeth, 32)).dual
              for teeth in (50, 100, 200, 400, 800)]
-    with gc_paused():
-        times = best_times([lambda D=D: decompose_dual(D) for D in duals])
-    pixels = [D.n for D in duals]
-    assert loglog_slope(pixels, times) <= 1.3, (pixels, times)
+    trees = [px.dual for px in thin_trees]
+    for duals in (combs, trees):
+        with gc_paused():
+            times = best_times([lambda D=D: decompose_dual(D) for D in duals])
+        pixels = [D.n for D in duals]
+        assert loglog_slope(pixels, times) <= 1.3, (pixels, times)
