@@ -8,6 +8,7 @@ optimal solution takes.
 """
 from __future__ import annotations
 
+from collections.abc import Iterable
 from dataclasses import dataclass
 
 from rguard.guard_model import Guard, TargetPoint
@@ -95,13 +96,18 @@ def dominated(H: AuxGraph) -> tuple[set[int], set[int], set[int]]:
     optimal size over the kept vertices is that of H.  A rectangle goes if
     none of its targets is kept: no kept target is covered through it.
     """
+    return _dominated(H)[:3]
+
+
+def _dominated(H: AuxGraph):
+    """dominated(H), and the number of kept targets of each rectangle."""
     targets, pairs = _contained_pairs(H.ur, H.ru)
     targets.update(big for _small, big in pairs)
     guards, pairs = _contained_pairs(H.gr, H.rg)
     guards.update(small for small, _big in pairs)
-    rects = {r for r, ts in enumerate(H.ru)
-             if all(t in targets for t in ts)}
-    return targets, rects, guards
+    left = [len(ts) - len(targets.intersection(ts)) for ts in H.ru]
+    rects = {r for r, n in enumerate(left) if not n}
+    return targets, rects, guards, left
 
 
 @dataclass(slots=True)
@@ -129,22 +135,51 @@ def reduce(H: AuxGraph) -> Reduction:
     rectangles and dominated(H) left no two kept targets comparable, so
     target containment finds nothing more.
 
-    A round takes time linear in the edges of H: the rectangles' guard lists
-    are filtered to the kept guards once, so the scan for forced guards
-    reads each rectangle of a kept target once, and the targets of the
-    rectangles that the forced guards light are dropped once per
-    rectangle."""
-    targets, rects, guards = dominated(H)
+    A round re-reads only what the last one changed.  The kept guards of
+    each rectangle, and the number of kept rectangles of each guard, are
+    updated as vertices drop.  A target can be forced only when each of its
+    rectangles has at most one kept guard: the first round tests every kept
+    target, and a later round only the kept targets of the rectangles whose
+    kept guards fell to one or to none in the round before.  A guard whose
+    set did not shrink since its last containment test was comparable with
+    no kept guard then, and is not now, since sets only shrink.  So a round
+    tests only the guards whose set shrank; the first round, those that
+    dominated(H) dropped a rectangle of and those with none.  In all,
+    whatever the number of rounds, a target is tested at most once plus
+    twice per rectangle, a guard at most once plus once per rectangle, and
+    the rest reads each edge of H at most twice."""
+    targets, rects, guards, left = _dominated(H)
     forced: list[int] = []
-    # kept targets of each rectangle
-    left = [sum(t not in targets for t in ts) for ts in H.ru]
+    seen_by = [set() if r in rects else {g for g in gs if g not in guards}
+               for r, gs in enumerate(H.rg)]
+    count = list(map(len, H.gr))
+    shrunk = {g for g, rs in enumerate(H.gr) if not rs}
+    for r in rects:
+        for g in H.rg[r]:
+            count[g] -= 1
+            if g not in guards:
+                shrunk.add(g)
+    check = [t for t in range(len(H.targets)) if t not in targets]
+    lone: set[int] = set()   # rectangles left with at most one kept guard
+
+    def drop_guard(g: int) -> None:
+        guards.add(g)
+        for r in H.gr[g]:
+            gs = seen_by[r]
+            gs.discard(g)
+            if len(gs) < 2:
+                lone.add(r)
+
     while True:
-        new = _forced(H.ur, targets, _kept(H.rg, rects, guards))
+        new = _forced(check, H.ur, seen_by)
         if not new:
             return Reduction(targets, rects, guards, forced)
         forced += sorted(new)
-        guards |= new
-        for r in {r for g in new for r in H.gr[g]}:
+        lone.clear()
+        covered = {r for g in new for r in H.gr[g] if r not in rects}
+        for g in new:
+            drop_guard(g)
+        for r in covered:
             for t in H.ru[r]:
                 if t not in targets:
                     targets.add(t)
@@ -152,67 +187,83 @@ def reduce(H: AuxGraph) -> Reduction:
                         left[r2] -= 1
                         if not left[r2]:
                             rects.add(r2)
-        sets = _kept(H.gr, guards, rects)
-        guards.update(g for g, s in enumerate(sets) if not s)
-        dups, pairs = _contained_pairs(sets, _kept(H.rg, rects, guards))
-        guards |= dups
-        guards.update(small for small, _big in pairs)
+                            for g in seen_by[r2]:
+                                count[g] -= 1
+                                shrunk.add(g)
+                            seen_by[r2] = set()
+        for a in shrunk:
+            if a not in guards and _contained(a, H.gr[a], count, seen_by):
+                drop_guard(a)
+        shrunk.clear()
+        check = {t for r in lone if r not in rects
+                 for t in H.ru[r] if t not in targets}
 
 
-def _forced(ur: list[list[int]], targets: set[int],
-            seen_by: list[list[int]]) -> set[int]:
-    """The guards that some target not in targets sees alone: the one guard
-    in seen_by[r] over all its rectangles r, when there is exactly one."""
+def _forced(check: Iterable[int], ur: list[list[int]],
+            seen_by: list[set[int]]) -> set[int]:
+    """The guards that some target in check sees alone: the one guard in
+    seen_by[r] over all its rectangles r, when there is exactly one."""
     out = set()
-    for t, rs in enumerate(ur):
-        if t in targets:
-            continue
+    for t in check:
         only = -1
-        for r in rs:
+        for r in ur[t]:
             gs = seen_by[r]
             if not gs:
                 continue
-            if len(gs) > 1 or only not in (-1, gs[0]):
+            if len(gs) > 1:
                 break
-            only = gs[0]
+            (g,) = gs
+            if only not in (-1, g):
+                break
+            only = g
         else:
             if only >= 0:
                 out.add(only)
     return out
 
 
-def _kept(lists: list[list[int]], gone_rows: set[int],
-          gone: set[int]) -> list[list[int]]:
-    """lists without the ids in gone, and with an empty list for each row
-    in gone_rows."""
-    return [[] if i in gone_rows else [x for x in xs if x not in gone]
-            for i, xs in enumerate(lists)]
+def _contained(a: int, rs: list[int], count: list[int],
+               seen_by: list[set[int]]) -> bool:
+    """Is the set of kept rectangles of guard a empty, contained in that of
+    another kept guard, or equal to that of a lower id?  rs are a's
+    rectangles, the kept ones those whose seen_by holds a, and count[b] is
+    the number of b's.  Only the guards of a's kept rectangle with the
+    fewest are tried."""
+    n = count[a]
+    if not n:
+        return True
+    s = [r for r in rs if a in seen_by[r]]
+    for b in seen_by[min(s, key=lambda r: len(seen_by[r]))]:
+        m = count[b]
+        if (m > n or m == n and b < a) and all(b in seen_by[r] for r in s):
+            return True
+    return False
 
 
 def _contained_pairs(sets: list[list[int]], members: list[list[int]]):
     """(dups, pairs): dups are the vertices whose set equals that of a lower
     id; pairs are (a, b) among the others with sets[a] ⊊ sets[b], i.e. b is in
     members[r] for every r in sets[a].  The sets are sorted lists, as AuxGraph
-    keeps them, so a stable sort by set puts equal ones next to each other,
-    lowest id first.  Only the members of a's least shared rectangle are
-    tried; vertices with an empty set are skipped."""
-    order = sorted((a for a, s in enumerate(sets) if s), key=sets.__getitem__)
-    dups = {b for a, b in zip(order, order[1:]) if sets[a] == sets[b]}
-    members = [[b for b in m if b not in dups] for m in members]
-    member_sets = [set(m) for m in members]
+    keeps them, so equal ones have equal tuples.  The b of a are the larger
+    sets in the intersection of the members of a's rectangles, taken from
+    the least rectangle up, so that it costs the size of the least one for
+    each rectangle.  Vertices with an empty set are skipped."""
+    # the lowest id of each set: the last one written, in reverse id order
+    first = dict(zip(map(tuple, reversed(sets)), range(len(sets) - 1, -1, -1)))
+    first.pop((), None)
+    reps = set(first.values())
+    dups = {a for a, s in enumerate(sets) if s and a not in reps}
+    member_sets = [{b for b in m if b not in dups} for m in members]
+    size = [len(s) for s in sets]
+    least = [len(m) for m in member_sets].__getitem__
     pairs = []
-    for a in order:
-        if a in dups:
-            continue
-        s = sets[a]
-        r0 = min(s, key=lambda r: len(members[r]))
-        for b in members[r0]:
-            if b == a:
-                continue
-            for r in s:
-                if b not in member_sets[r]:
-                    break
-            else:
-                pairs.append((a, b))
+    for s, a in first.items():
+        if len(s) > 2:     # x & y iterates the smaller of the two alone
+            s = sorted(s, key=least)
+        common = member_sets[s[0]]
+        for r in s[1:]:
+            common = common & member_sets[r]
+        if len(common) > 1:
+            n = len(s)
+            pairs += [(a, b) for b in common if size[b] > n]
     return dups, pairs
-

@@ -10,6 +10,7 @@ from __future__ import annotations
 import json
 from bisect import bisect_left, bisect_right, insort
 from dataclasses import dataclass, field
+from functools import cached_property
 
 Pt = tuple[int, int]
 
@@ -117,7 +118,7 @@ class OrthoPolygon:
     serialization is deterministic.
     """
 
-    __slots__ = ("outer", "holes")
+    __slots__ = ("outer", "holes", "__dict__")   # __dict__ holds the caches
 
     def __init__(self, outer, holes=(), *, doubled: bool = False):
         f = 1 if doubled else 2
@@ -135,6 +136,13 @@ class OrthoPolygon:
     def n(self) -> int:
         """Total vertex count over all rings."""
         return sum(len(r) for r in self.rings)
+
+    @cached_property
+    def edges(self) -> tuple[list[tuple], list[tuple]]:
+        """_edges_of(self), built once, for the callers that test against
+        the edges again and again.  Validation calls _edges_of, so that a
+        polygon it reads once keeps no copy."""
+        return _edges_of(self)
 
     def area2(self) -> int:
         """Twice the enclosed area (holes subtracted)."""
@@ -358,7 +366,7 @@ def rect_inside(poly: OrthoPolygon, r: Rect) -> bool:
     segment minus the boundary are inside (sampled at component midpoints,
     which stay on the quarter-integer grid: we rescale locally by 2).
     """
-    vert, horiz = _edges_of(poly)
+    vert, horiz = poly.edges
     if r.width > 0 and r.height > 0:
         for x, y1, y2, _ri, _i in vert:
             if r.xmin < x < r.xmax and y1 < r.ymax and y2 > r.ymin:

@@ -358,6 +358,79 @@ def dominated_only(H: AuxGraph) -> Reduction:
     return Reduction(*dominated(H), [])
 
 
+def rounds_reduce(H: AuxGraph) -> Reduction:
+    """reduce(H) by whole rounds: each round filters every adjacency list
+    to the kept vertices, tests every kept target for a forced guard and
+    every kept guard for containment.  The reference for the differential
+    tests of the worklist reduce(H)."""
+    targets, rects, guards = dominated(H)
+    forced: list[int] = []
+    left = [sum(t not in targets for t in ts) for ts in H.ru]
+    while True:
+        new = _ref_forced(H.ur, targets, _ref_kept(H.rg, rects, guards))
+        if not new:
+            return Reduction(targets, rects, guards, forced)
+        forced += sorted(new)
+        guards |= new
+        for r in {r for g in new for r in H.gr[g]}:
+            for t in H.ru[r]:
+                if t not in targets:
+                    targets.add(t)
+                    for r2 in H.ur[t]:
+                        left[r2] -= 1
+                        if not left[r2]:
+                            rects.add(r2)
+        sets = _ref_kept(H.gr, guards, rects)
+        guards.update(g for g, s in enumerate(sets) if not s)
+        dups, pairs = _ref_contained_pairs(
+            sets, _ref_kept(H.rg, rects, guards))
+        guards |= dups
+        guards.update(small for small, _big in pairs)
+
+
+def _ref_forced(ur: list[list[int]], targets: set[int],
+                seen_by: list[list[int]]) -> set[int]:
+    """The guards that some target not in targets sees alone: the one guard
+    in seen_by[r] over all its rectangles r, when there is exactly one."""
+    out = set()
+    for t, rs in enumerate(ur):
+        if t in targets:
+            continue
+        seen = {g for r in rs for g in seen_by[r]}
+        if len(seen) == 1:
+            out |= seen
+    return out
+
+
+def _ref_kept(lists: list[list[int]], gone_rows: set[int],
+              gone: set[int]) -> list[list[int]]:
+    """lists without the ids in gone, and with an empty list for each row
+    in gone_rows."""
+    return [[] if i in gone_rows else [x for x in xs if x not in gone]
+            for i, xs in enumerate(lists)]
+
+
+def _ref_contained_pairs(sets: list[list[int]], members: list[list[int]]):
+    """(dups, pairs): dups are the vertices whose set equals that of a lower
+    id; pairs are (a, b) among the others with sets[a] ⊊ sets[b].  A stable
+    sort by set puts equal sorted lists next to each other, lowest id
+    first; every other vertex of a's least shared rectangle is tried."""
+    order = sorted((a for a, s in enumerate(sets) if s), key=sets.__getitem__)
+    dups = {b for a, b in zip(order, order[1:]) if sets[a] == sets[b]}
+    members = [[b for b in m if b not in dups] for m in members]
+    member_sets = [set(m) for m in members]
+    pairs = []
+    for a in order:
+        if a in dups:
+            continue
+        s = sets[a]
+        r0 = min(s, key=lambda r: len(members[r]))
+        for b in members[r0]:
+            if b != a and all(b in member_sets[r] for r in s):
+                pairs.append((a, b))
+    return dups, pairs
+
+
 def nice_tree_lift(T: TreeDecomposition, H: AuxGraph) -> TreeDecomposition:
     """full_lift without the targets and guards of dominated(H), with every
     rectangle kept and no bag merged: the input of nice_tree_solve in the

@@ -1,5 +1,10 @@
-from helpers import SHAPES, to_dot
-from rguard.aux_graph import build_aux_graph
+import random
+
+from helpers import SHAPES, rounds_reduce, to_dot
+from test_dp_solver import (_aux, _combs, _combs_small, _corpus_slice, _graph,
+                            _task_modes)
+from test_pipeline import _thick_polygons
+from rguard.aux_graph import AuxGraph, build_aux_graph, reduce
 from rguard.guard_model import GuardTask, simplify_guards, simplify_targets
 from rguard.instance_gen import gen_tree_polygon
 from rguard.max_rectangles import enumerate_max_rects
@@ -87,3 +92,52 @@ def test_dot_export():
     _px, H = build(OrthoPolygon(SHAPES["unit"]), task)
     dot = to_dot(H)
     assert dot.startswith("graph H {") and "u0 -- r0" in dot
+
+
+def test_reduce_matches_rounds_reduce():
+    """The worklist reduce(H) gives the Reduction of rounds_reduce(H), which
+    re-reads all of H each round: the same forced guards in the same order,
+    and the same left-out targets, rectangles and guards.  On the corpus
+    slice, the small K=2 and K=3 combs and the thick polygons, each in the
+    24 task modes, and on the K=3 combs of 50 to 400 teeth, where a
+    rectangle across the comb has thousands of guards, with the default
+    task."""
+    polys = (_corpus_slice() + _combs_small()
+             + [poly for poly, _vertex_guards in _thick_polygons()])
+    checked = forcing = 0
+    for poly in polys:
+        px = build_pixelation(poly)
+        for mode, task in _task_modes(px):
+            H = _aux(px, task)
+            want = rounds_reduce(H)
+            assert reduce(H) == want, (poly.to_json(), mode)
+            checked += 1
+            forcing += bool(want.forced)
+    assert checked == 24 * len(polys) and forcing
+    for _n, _px, H in _combs():
+        assert reduce(H) == rounds_reduce(H)
+
+
+def _random_aux(rng: random.Random) -> AuxGraph:
+    """A bare H of 1 to 8 targets on 1 to 3 of 1 to 6 rectangles each, and
+    0 to 8 guards on 0 to 3 of them each."""
+    n_rects = rng.randint(1, 6)
+    ur = [rng.sample(range(n_rects), rng.randint(1, min(3, n_rects)))
+          for _ in range(rng.randint(1, 8))]
+    gr = [rng.sample(range(n_rects), rng.randint(0, min(3, n_rects)))
+          for _ in range(rng.randint(0, 8))]
+    return _graph(ur=ur, gr=gr, n_rects=n_rects)
+
+
+def test_reduce_matches_rounds_reduce_on_random_graphs():
+    """reduce(H) against rounds_reduce(H) on 20000 seeded random bare H.
+    Only these have guards with no rectangle at all: dominated(H) keeps
+    them, and the first round that forces a guard must drop them."""
+    rng = random.Random(21)
+    bare = 0
+    for _ in range(20000):
+        H = _random_aux(rng)
+        want = rounds_reduce(H)
+        assert reduce(H) == want, (H.ur, H.gr)
+        bare += bool(want.forced) and not all(H.gr)
+    assert bare > 1000

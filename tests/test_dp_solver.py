@@ -441,10 +441,12 @@ def test_dominance_scales_linearly():
 
 
 def test_reduction_scales_linearly():
-    """reduce(H) filters the rectangles' guard lists once per round and
-    drops the targets of each lit rectangle once, so on the combs, where a
-    rectangle across the comb has thousands of targets and guards and every
-    guard is forced, it grows linearly with the pixels."""
+    """reduce(H) removes each guard from its rectangles' kept guards once,
+    tests the targets of a rectangle only when it is left with one kept
+    guard or none, and drops the targets of each covered rectangle once,
+    whatever the number of rounds.  So on the combs, where a rectangle
+    across the comb has thousands of targets and guards and every guard is
+    forced, it grows linearly with the pixels."""
     combs = _combs()
     assert all(len(reduce(H).guards) == len(H.guards) for _n, _px, H in combs)
     times = best_times([lambda H=H: reduce(H) for _n, _px, H in combs])
@@ -454,7 +456,8 @@ def test_reduction_scales_linearly():
 
 def test_reduction_scales_linearly_on_trees(thin_trees):
     """On thin trees of 1k to 64k pixels, where every guard of the answer
-    is forced, reduce(H) grows linearly with the pixels.  Each H is built
+    is forced over several rounds, reduce(H) grows linearly with the
+    pixels: a round re-reads only what the last one changed.  Each H is built
     once, and each size is timed as the best of 3 runs with the collector
     paused, as solve_task runs it: at 64k pixels the collections it would
     make re-walk every live object of H and bend the slope."""

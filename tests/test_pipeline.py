@@ -88,12 +88,15 @@ def test_solve_makes_no_reference_cycles():
     """With the collector off, a solve whose context is dropped leaves
     nothing for the collector to free: every object of the solve goes by
     reference counting alone, so pausing the collector in solve_task loses
-    nothing."""
+    nothing.  The objects alive before the loop are frozen, so that each
+    collection examines only what the solves made, and not the session's
+    shared pixelations."""
     cases = _cycle_cases()
     assert len(cases) == 11 + 4 + 2 + 2 + 1 + 2 + 4 * 24 + 3
     enabled = gc.isenabled()
     gc.collect()
     gc.disable()
+    gc.freeze()
     try:
         for poly, task in cases:
             ctx = pipeline.solve_task(poly, task)
@@ -101,6 +104,7 @@ def test_solve_makes_no_reference_cycles():
             del ctx
             assert gc.collect() == 0, (poly.to_json(), task)
     finally:
+        gc.unfreeze()
         if enabled:
             gc.enable()
 
@@ -195,13 +199,12 @@ def test_thick_oracle_check_catches_forcing_a_guard_seen_by_two(monkeypatch):
     """A forced-guard rule that also takes the lower of two kept guards
     that see a target gives answers larger than the oracle's; the
     differential check of the thick polygons fails on it."""
-    def forced_seen_by_two(ur, targets, seen_by):
+    def forced_seen_by_two(check, ur, seen_by):
         out = set()
-        for t, rs in enumerate(ur):
-            if t not in targets:
-                gs = sorted({g for r in rs for g in seen_by[r]})
-                if 1 <= len(gs) <= 2:
-                    out.add(gs[0])
+        for t in check:
+            gs = sorted({g for r in ur[t] for g in seen_by[r]})
+            if 1 <= len(gs) <= 2:
+                out.add(gs[0])
         return out
 
     monkeypatch.setattr(aux_graph, "_forced", forced_seen_by_two)
