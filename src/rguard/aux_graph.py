@@ -14,6 +14,7 @@ from dataclasses import dataclass
 from rguard.guard_model import Guard, TargetPoint
 from rguard.max_rectangles import MaxRect
 from rguard.pixelation import Pixelation
+from rguard.polygon_core import Pt
 
 
 @dataclass(slots=True)
@@ -43,32 +44,22 @@ class AuxGraph:
 
 def build_aux_graph(px: Pixelation, rects: list[MaxRect],
                     targets: list[TargetPoint], guards: list[Guard]) -> AuxGraph:
+    """H from the rectangles of each home pixel.  A point's rectangles are
+    those of its home pixel that hold it: a rectangle that holds it meets
+    every pixel whose closure holds it.  A pixel guard's are all those of
+    its pixel, which are the rectangles meeting it.  Each pixel's list is in
+    rectangle-id order, so every adjacency list is built sorted."""
     by_pixel_rects: list[list[int]] = [[] for _ in px.pixels]
     for mr in rects:
         for pid in mr.pixel_ids:
             by_pixel_rects[pid].append(mr.id)
 
-    ur: list[set[int]] = [set() for _ in targets]
-    for t in targets:
-        for pid in t.home_pixels:
-            for ri in by_pixel_rects[pid]:
-                if rects[ri].rect.contains_point(t.location):
-                    ur[t.id].add(ri)
+    def holding(q: Pt, pid: int) -> list[int]:
+        return [r for r in by_pixel_rects[pid] if rects[r].rect.contains_point(q)]
 
-    gr: list[set[int]] = [set() for _ in guards]
-    for g in guards:
-        if g.kind == "point":
-            for pid in g.home_pixels:
-                for ri in by_pixel_rects[pid]:
-                    if rects[ri].rect.contains_point(g.location):
-                        gr[g.id].add(ri)
-        else:
-            grect = px.pixels[g.pixel]
-            for pid in g.home_pixels:
-                for ri in by_pixel_rects[pid]:
-                    if rects[ri].rect.intersects(grect):
-                        gr[g.id].add(ri)
-
+    ur = [holding(t.location, t.pixel) for t in targets]
+    gr = [holding(g.location, g.pixel) if g.kind == "point"
+          else by_pixel_rects[g.pixel] for g in guards]
     ru: list[list[int]] = [[] for _ in rects]
     rg: list[list[int]] = [[] for _ in rects]
     for ti, rs in enumerate(ur):
@@ -77,9 +68,7 @@ def build_aux_graph(px: Pixelation, rects: list[MaxRect],
     for gi, rs in enumerate(gr):
         for ri in rs:
             rg[ri].append(gi)
-    return AuxGraph(targets, rects, guards,
-                    [sorted(s) for s in ur], [sorted(s) for s in ru],
-                    [sorted(s) for s in gr], [sorted(s) for s in rg])
+    return AuxGraph(targets, rects, guards, ur, ru, gr, rg)
 
 
 def dominated(H: AuxGraph) -> tuple[set[int], set[int], set[int]]:

@@ -6,6 +6,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import gc
 import io
 import json
 import math
@@ -215,6 +216,9 @@ def cmd_bench(args) -> int:
             else:
                 teeth = max(1, size // (2 * (args.k + 1)))
                 poly = gen_ktin_polygon(args.k, teeth, seed)
+            # collect first, so that no full collection of this process's
+            # objects comes due inside the solve and is charged to it
+            gc.collect()
             ctx = solve_task(poly, task)
             totals.setdefault(size, []).append(ctx.timings["total"])
             for phase, seconds in ctx.timings.items():

@@ -12,6 +12,10 @@ side midpoints for sides (exact integers thanks to the global coordinate
 doubling) when the set holds them, else the least point of the set in the
 cell.  Each reduction leaves at most 4 points per pixel and preserves
 optimal guard sets.
+
+Every kept point has one home: the lowest-id pixel whose closure holds
+it, which is its own pixel, the lower pixel of its open side, or the first
+of its corner's pixels (listed in id order).
 """
 from __future__ import annotations
 
@@ -118,16 +122,16 @@ class TargetPoint:
     id: int
     location: Pt
     kind: str                   # 'interior' | 'side' | 'corner'
-    home_pixels: tuple[int, ...]
+    pixel: int                  # home: least pixel whose closure holds it
 
 
 @dataclass(frozen=True, slots=True)
 class Guard:
     id: int
     kind: str                   # 'point' | 'pixel'
-    location: Pt | None
-    pixel: int | None
-    home_pixels: tuple[int, ...]  # pixels with non-empty closed intersection
+    location: Pt | None         # None for a pixel guard
+    pixel: int | None           # a point guard's home, or the guarded pixel;
+                                # None for the oracle's raw point guards
 
     def json_obj(self) -> dict:
         if self.kind == "point":
@@ -153,8 +157,8 @@ class _PointSet:
         # each point maps to itself, so a kept corner of the set is the
         # task's or the polygon's own tuple, not a second copy of it
         self._extras = {pt: pt for pt in extras}
-        for pt in sorted(self._extras):
-            pids = px.locate_point(pt)
+        pts = sorted(self._extras)
+        for pt, pids in zip(pts, px.locate_points(pts)):
             if not pids:
                 raise TaskError(f"point {pt} lies outside the polygon")
             for pid in pids:
@@ -200,9 +204,9 @@ _FIRED, _MARKED = 1, 2
 
 
 def _fire(px: Pixelation, pset: _PointSet,
-          order: tuple[str, ...]) -> list[tuple[Pt, str, tuple[int, ...]]]:
+          order: tuple[str, ...]) -> list[tuple[Pt, str, int]]:
     """The points pset keeps, taking the cell kinds in `order` (see the
-    module docstring), as sorted (point, kind, home pixels).
+    module docstring), as sorted (point, kind, home pixel).
 
     A pixel touches its sides and corners, a side its two end corners.  The
     pixelation lists no sides per corner, so a side reads whether its end
@@ -211,13 +215,13 @@ def _fire(px: Pixelation, pset: _PointSet,
     pixel_mark = bytearray(px.pixel_count)
     side_mark = bytearray(len(sides))
     corner_mark = bytearray(len(px.corners))
-    out: list[tuple[Pt, str, tuple[int, ...]]] = []
+    out: list[tuple[Pt, str, int]] = []
 
     def interiors() -> None:
         for pid, m in enumerate(pixel_mark):
             if m or (pt := pset.interior_point(pid)) is None:
                 continue
-            out.append((pt, "interior", (pid,)))
+            out.append((pt, "interior", pid))
             for sid in px.pixel_sides[pid]:
                 s = sides[sid]
                 side_mark[sid] = corner_mark[s.corner_a] = \
@@ -230,9 +234,9 @@ def _fire(px: Pixelation, pset: _PointSet,
                     or corner_mark[s.corner_b] == _FIRED
                     or (pt := pset.side_point(s)) is None):
                 continue
-            homes = tuple(sorted(p for p in (s.pix_lo, s.pix_hi) if p is not None))
-            out.append((pt, "side", homes))
-            for pid in homes:
+            pids = [p for p in (s.pix_lo, s.pix_hi) if p is not None]
+            out.append((pt, "side", min(pids)))
+            for pid in pids:
                 pixel_mark[pid] = _MARKED
             corner_mark[s.corner_a] = corner_mark[s.corner_b] = _MARKED
 
@@ -241,7 +245,7 @@ def _fire(px: Pixelation, pset: _PointSet,
             if m or (pt := pset.corner_point(cid)) is None:
                 continue
             corner_mark[cid] = _FIRED
-            out.append((pt, "corner", tuple(sorted(corner_pixels[cid]))))
+            out.append((pt, "corner", corner_pixels[cid][0]))
             for pid in corner_pixels[cid]:
                 pixel_mark[pid] = _MARKED
 
@@ -273,7 +277,7 @@ def simplify_guards(px: Pixelation, task: GuardTask) -> list[Guard]:
     """
     point_modes = [m for m in task.guard_modes
                    if m in ("all-points", "boundary-points", "vertices", "points")]
-    pts: list[tuple[Pt, str, tuple[int, ...]]] = []
+    pts: list[tuple[Pt, str, int]] = []
     if point_modes:
         extras = task.guard_points if "points" in point_modes else ()
         if "vertices" in point_modes:
@@ -283,8 +287,7 @@ def simplify_guards(px: Pixelation, task: GuardTask) -> list[Guard]:
                          extras=extras)
         pts = _fire(px, gset, _TARGET_ORDER[::-1])
 
-    out = [Guard(i, "point", p, None, homes)
-           for i, (p, _kind, homes) in enumerate(pts)]
+    out = [Guard(i, "point", p, home) for i, (p, _kind, home) in enumerate(pts)]
     pixel_ids: list[int] = []
     if "all-pixel-guards" in task.guard_modes:
         pixel_ids = list(range(px.pixel_count))
@@ -293,9 +296,6 @@ def simplify_guards(px: Pixelation, task: GuardTask) -> list[Guard]:
             if not 0 <= pid < px.pixel_count:
                 raise TaskError(f"pixel-guard id {pid} out of range")
         pixel_ids = sorted(set(task.guard_pixels))
-    for pid in pixel_ids:
-        homes = {q for sid in px.pixel_sides[pid]
-                 for c in (px.sides[sid].corner_a, px.sides[sid].corner_b)
-                 for q in px.corner_pixels[c]}
-        out.append(Guard(len(out), "pixel", None, pid, tuple(sorted(homes))))
+    out += [Guard(i, "pixel", None, pid)
+            for i, pid in enumerate(pixel_ids, len(out))]
     return out

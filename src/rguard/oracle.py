@@ -52,8 +52,9 @@ def sample_targets(px: Pixelation, task: GuardTask) -> list[Pt]:
     """Half-integer-grid sample of the target region (doubled ints)."""
     mode = task.target_mode
     if mode == "points":
-        for p in task.target_points:
-            if not px.locate_point(p):
+        for p, pids in zip(task.target_points,
+                           px.locate_points(task.target_points)):
+            if not pids:
                 raise OracleSizeError(f"explicit target {p} outside polygon")
         return sorted(set(task.target_points))
     if mode == "all":
@@ -181,7 +182,7 @@ def oracle_min_guards(poly_or_px, task: GuardTask, max_pixels: int = 40,
         raise OracleSizeError(f"{px.pixel_count} pixels exceed the oracle "
                               f"limit of {max_pixels}")
     if raw_guards:
-        guards = [Guard(i, "point", p, None, ())
+        guards = [Guard(i, "point", p, None)
                   for i, p in enumerate(sample_point_guards(px))]
     else:
         guards = simplify_guards(px, task)

@@ -20,7 +20,8 @@ is named by its first corner (its west end for 'h', its south end for 'v').
 """
 from __future__ import annotations
 
-from bisect import bisect_right, insort
+from bisect import bisect_left, bisect_right, insort
+from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import cached_property, partial
 from itertools import compress, repeat, starmap
@@ -210,9 +211,51 @@ class Pixelation:
 
     def locate_point(self, p: Pt) -> list[int]:
         """Pixels whose closure contains p (empty when p is outside P)."""
-        if p in self.corner_ids:
-            return list(self.corner_pixels[self.corner_ids[p]])
-        return [pid for pid, r in enumerate(self.pixels) if r.contains_point(p)]
+        return self.locate_points([p])[0]
+
+    def locate_points(self, pts: Sequence[Pt]) -> list[list[int]]:
+        """locate_point of each point, in one pass.  A corner reads its
+        pixels; a point on an open side is found by bisecting the sides,
+        which are sorted by axis, line and position; the rest by one sweep
+        over x that keeps the pixels whose x-range strictly holds the sweep
+        line ordered by ymin, where they do not overlap."""
+        corner_ids, corner_pixels, sides = (self.corner_ids, self.corner_pixels,
+                                            self.sides)
+        out: list[list[int]] = [[] for _ in pts]
+        inner = []
+        for i, (x, y) in enumerate(pts):
+            cid = corner_ids.get((x, y))
+            if cid is not None:
+                out[i] = list(corner_pixels[cid])
+                continue
+            for key in (("v", x, y), ("h", y, x)):
+                s = sides[bisect_left(sides, key) - 1]
+                if s[:2] == key[:2] and s.lo < key[2] < s.hi:
+                    out[i] = sorted(q for q in (s.pix_lo, s.pix_hi)
+                                    if q is not None)
+                    break
+            else:
+                inner.append((x, y, i))
+        if not inner:
+            return out
+        inner.sort()
+        pixels, n = self.pixels, len(self.pixels)
+        by_xmin = sorted(range(n), key=lambda q: pixels[q].xmin)
+        by_xmax = sorted(range(n), key=lambda q: pixels[q].xmax)
+        active: list[tuple[int, int]] = []   # (ymin, pixel id)
+        a = b = 0
+        for x, y, i in inner:
+            while a < n and pixels[by_xmin[a]].xmin < x:
+                insort(active, (pixels[by_xmin[a]].ymin, by_xmin[a]))
+                a += 1
+            while b < n and pixels[by_xmax[b]].xmax <= x:
+                del active[bisect_left(active, (pixels[by_xmax[b]].ymin,
+                                                by_xmax[b]))]
+                b += 1
+            j = bisect_left(active, (y,)) - 1
+            if j >= 0 and y < pixels[active[j][1]].ymax:
+                out[i] = [active[j][1]]
+        return out
 
 
 def build_pixelation(poly: OrthoPolygon) -> Pixelation:

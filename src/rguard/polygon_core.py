@@ -11,6 +11,7 @@ import json
 from bisect import bisect_left, bisect_right, insort
 from dataclasses import dataclass, field
 from functools import cached_property
+from operator import itemgetter
 
 Pt = tuple[int, int]
 
@@ -240,19 +241,21 @@ def validate(poly: OrthoPolygon) -> ValidationReport:
         if _ring_area2(hole) >= 0:
             rep.add("orientation", "hole ring must be clockwise", hi + 1)
 
-    _check_edge_disjointness(poly, rep)
+    crossings = _check_edge_disjointness(poly, rep)
     if rep.issues:
         return rep
 
     # Holes strictly inside the outer ring and outside each other.  With no
-    # edge contacts anywhere, one vertex per ring decides containment.
-    for hi, hole in enumerate(poly.holes):
-        x, y = hole[0]
-        if not _point_in_scaled((poly.outer,), 2 * x, 2 * y):
+    # edge contacts anywhere, the point just left of a hole's first vertex
+    # decides containment: it lies inside a ring iff an upward ray from it
+    # crosses that ring's edges an odd number of times.  A hole nested two
+    # deep or more is not named itself; the hole it is in, nested an even
+    # depth, is.
+    for hi, (outer, others) in enumerate(crossings):
+        if not outer % 2:
             rep.add("hole-outside", "hole not inside outer ring", hi + 1)
-        for hj, other in enumerate(poly.holes):
-            if hi != hj and _point_in_scaled((other,), 2 * x, 2 * y):
-                rep.add("hole-in-hole", f"hole inside hole {hj}", hi + 1)
+        if others % 2:
+            rep.add("hole-in-hole", "hole inside another hole", hi + 1)
 
     # Reflex-count identity for hole-free polygons (sanity of orientation).
     if not poly.holes and not rep.issues:
@@ -307,13 +310,18 @@ def _edges_of(poly: OrthoPolygon):
     return vert, horiz
 
 
-def _check_edge_disjointness(poly: OrthoPolygon, rep: ValidationReport) -> None:
-    """Simplicity across all rings.
+def _check_edge_disjointness(poly: OrthoPolygon,
+                             rep: ValidationReport) -> list[tuple[int, int]]:
+    """Simplicity across all rings, and per hole the number of edges of the
+    outer ring and of the other holes above the point (x - 1, y), where
+    (x, y) is the hole's first vertex, its leftmost lowest one.
 
     Collinear edges may not touch at all (alternation means consecutive edges
     are perpendicular).  Perpendicular contacts are exactly the ring corners:
     their total count must equal the vertex count; any surplus is a crossing
-    or a self-touch.
+    or a self-touch.  Both are counted in one left-to-right sweep; doubled
+    coordinates are even, so the sweep line x - 1 of a hole's count passes
+    through no vertex.
     """
     vert, horiz = _edges_of(poly)
 
@@ -327,30 +335,43 @@ def _check_edge_disjointness(poly: OrthoPolygon, rep: ValidationReport) -> None:
                 if b[1] <= a[2]:
                     rep.add("edge-overlap",
                             f"collinear {kind} edges touch or overlap", b[3], b[4])
-                    return
+                    return []
 
-    # Count horizontal/vertical contacts with a left-to-right sweep.
+    # Count horizontal/vertical contacts with a left-to-right sweep; the
+    # holes' horizontal edges are also kept apart.
     events = []
-    for y, x1, x2, _ri, _i in horiz:
-        events.append((x1, 0, y))    # activate
-        events.append((x2, 2, y))    # deactivate (after queries at x2)
+    for y, x1, x2, ri, _i in horiz:
+        events.append((x1, 0, y, ri))    # activate
+        events.append((x2, 2, y, ri))    # deactivate (after queries at x2)
     for x, y1, y2, _ri, _i in vert:
-        events.append((x, 1, (y1, y2)))
-    events.sort(key=lambda e: (e[0], e[1]))
+        events.append((x, 1, y1, y2))
+    for hi, hole in enumerate(poly.holes):
+        x, y = hole[0]
+        events.append((x - 1, 3, y, hi))
+    events.sort(key=itemgetter(0, 1))
     active: list[int] = []
+    in_holes: list[int] = []
+    crossings = [(0, 0)] * len(poly.holes)
     contacts = 0
-    for _x, kind, payload in events:
+    for _x, kind, a, b in events:
         if kind == 0:
-            insort(active, payload)
+            insort(active, a)
+            if b:
+                insort(in_holes, a)
         elif kind == 2:
-            del active[bisect_left(active, payload)]
+            del active[bisect_left(active, a)]
+            if b:
+                del in_holes[bisect_left(in_holes, a)]
+        elif kind == 1:
+            contacts += bisect_right(active, b) - bisect_left(active, a)
         else:
-            y1, y2 = payload
-            contacts += bisect_right(active, y2) - bisect_left(active, y1)
+            above = len(in_holes) - bisect_right(in_holes, a)
+            crossings[b] = (len(active) - bisect_right(active, a) - above, above)
     if contacts != poly.n:
         rep.add("self-intersection",
                 f"boundary touches or crosses itself "
                 f"({contacts} contacts for {poly.n} vertices)")
+    return crossings
 
 
 def point_in_polygon(poly: OrthoPolygon, q: Pt) -> bool:

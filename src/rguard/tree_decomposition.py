@@ -195,8 +195,12 @@ def validate_decomposition(n_vertices: int, edges: list[tuple[int, int]],
 
 def lift_to_H(T: TreeDecomposition, H: AuxGraph,
               red: Reduction) -> TreeDecomposition:
-    """Replace each pixel of every bag by the targets it contains, the guards
-    and rectangles intersecting it; pixels themselves are dropped.
+    """Replace each pixel of every bag by the targets and guards whose home
+    it is and the rectangles meeting it; pixels themselves are dropped.
+
+    This is a tree decomposition of H: for an edge (q, r) of H, home(q) is
+    in `r.pixel_ids`, so a bag holding that pixel holds both ends; and the
+    bags holding one pixel form a subtree, so those holding q do.
 
     The vertices that `red` leaves out are left out of every bag, so the
     result is a decomposition of H minus those vertices: leaving vertices
@@ -223,16 +227,14 @@ def lift_to_H(T: TreeDecomposition, H: AuxGraph,
     per_pixel: list[list[int]] = [[] for _ in range(n_pix)]
     for t in H.targets:
         if t.id not in gone_targets:
-            for pid in t.home_pixels:
-                per_pixel[pid].append(H.tid(t.id))
+            per_pixel[t.pixel].append(H.tid(t.id))
     for mr in H.rects:
         if mr.id not in gone_rects:
             for pid in mr.pixel_ids:
                 per_pixel[pid].append(H.rid(mr.id))
     for g in H.guards:
         if g.id not in gone_guards:
-            for pid in g.home_pixels:
-                per_pixel[pid].append(H.gid(g.id))
+            per_pixel[g.pixel].append(H.gid(g.id))
 
     def lifted(bag: tuple[int, ...]) -> set[int]:
         content: set[int] = set()

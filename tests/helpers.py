@@ -10,14 +10,16 @@ import gc
 import time
 from bisect import bisect_left, bisect_right
 from contextlib import contextmanager
+from functools import lru_cache
 
 import numpy as np
 
 from rguard.aux_graph import AuxGraph, Reduction, dominated, reduce
 from rguard.dp_solver import (DOMINATED, LIT, PENDING, PROMISED, Certificate,
-                              Solution, _cons_to_set, _kind, _merge_sel)
+                              Solution)
 from rguard.guard_model import (Guard, GuardTask, TargetPoint, TaskError,
                                 _PointSet)
+from rguard.max_rectangles import MaxRect
 from rguard.pixelation import Pixelation
 from rguard.polygon_core import (OrthoPolygon, Pt, Rect, _point_in_scaled,
                                  point_in_polygon, rect_inside,
@@ -99,20 +101,18 @@ def fixture_polygons() -> list[OrthoPolygon]:
 
 def full_lift(T: TreeDecomposition, H: AuxGraph) -> TreeDecomposition:
     """lift_to_H without the dominance reduction: each pixel of every bag is
-    replaced by all the targets it contains and all the guards and
+    replaced by all the targets and guards whose home it is and all the
     rectangles intersecting it.  The reference for the reduced lift, for the
     DP over it and for the paper's lifted width bound."""
     n_pix = 1 + max((v for bag in T.bags for v in bag), default=0)
     per_pixel: list[list[int]] = [[] for _ in range(n_pix)]
     for t in H.targets:
-        for pid in t.home_pixels:
-            per_pixel[pid].append(H.tid(t.id))
+        per_pixel[t.pixel].append(H.tid(t.id))
     for mr in H.rects:
         for pid in mr.pixel_ids:
             per_pixel[pid].append(H.rid(mr.id))
     for g in H.guards:
-        for pid in g.home_pixels:
-            per_pixel[pid].append(H.gid(g.id))
+        per_pixel[g.pixel].append(H.gid(g.id))
     bags = []
     for bag in T.bags:
         content: set[int] = set()
@@ -199,7 +199,7 @@ def reference_targets(px: Pixelation, task: GuardTask) -> list[TargetPoint]:
             cidx = px.corner_ids.get(v)
             if cidx is None:
                 raise TaskError(f"polygon vertex {v} is not an arrangement corner")
-            pts.append((v, "corner", tuple(sorted(px.corner_pixels[cidx]))))
+            pts.append((v, "corner", min(closure_pixels(px, v))))
         return [TargetPoint(i, p, k, h) for i, (p, k, h) in enumerate(pts)]
 
     uset = _PointSet(px, all_points=(mode == "all"),
@@ -218,13 +218,11 @@ def reference_targets(px: Pixelation, task: GuardTask) -> list[TargetPoint]:
         pt = uset.side_point(side)
         if pt is not None:
             fired_sides[sid] = pt
-    out: list[tuple[Pt, str, tuple[int, ...]]] = []
+    out: list[tuple[Pt, str, int]] = []
     for pid, pt in sorted(fired_pixels.items()):
-        out.append((pt, "interior", (pid,)))
+        out.append((pt, "interior", pid))
     for sid, pt in sorted(fired_sides.items()):
-        side = px.sides[sid]
-        homes = tuple(sorted(p for p in (side.pix_lo, side.pix_hi) if p is not None))
-        out.append((pt, "side", homes))
+        out.append((pt, "side", min(closure_pixels(px, pt))))
     for cidx, c in enumerate(px.corners):
         if uset.corner_point(cidx) is None:
             continue
@@ -232,7 +230,7 @@ def reference_targets(px: Pixelation, task: GuardTask) -> list[TargetPoint]:
             continue
         if any(sid in fired_sides for sid in _ref_corner_sides(px, cidx)):
             continue
-        out.append((c, "corner", tuple(sorted(px.corner_pixels[cidx]))))
+        out.append((c, "corner", min(closure_pixels(px, c))))
     out.sort()
     return [TargetPoint(i, p, k, h) for i, (p, k, h) in enumerate(out)]
 
@@ -240,10 +238,10 @@ def reference_targets(px: Pixelation, task: GuardTask) -> list[TargetPoint]:
 def reference_guards(px: Pixelation, task: GuardTask) -> list[Guard]:
     """simplify_guards as a loop per cell kind: corners, then open sides with
     no endpoint in Γ, then pixel interiors with no corner or side point in
-    Γ; pixel-guard homes come from the corner points of the pixel."""
+    Γ; a point's home is the least pixel whose closure holds it."""
     point_modes = [m for m in task.guard_modes
                    if m in ("all-points", "boundary-points", "vertices", "points")]
-    pts: list[tuple[Pt, str, tuple[int, ...]]] = []
+    pts: list[tuple[Pt, str, int]] = []
     if point_modes:
         extras = list(task.guard_points if "points" in point_modes else ())
         if "vertices" in point_modes:
@@ -255,7 +253,7 @@ def reference_guards(px: Pixelation, task: GuardTask) -> list[Guard]:
         for cidx, c in enumerate(px.corners):
             if gset.corner_point(cidx) is not None:
                 fired_corners.add(cidx)
-                pts.append((c, "corner", tuple(sorted(px.corner_pixels[cidx]))))
+                pts.append((c, "corner", min(closure_pixels(px, c))))
         fired_sides: dict[int, Pt] = {}
         for sid, side in enumerate(px.sides):
             if side.corner_a in fired_corners or side.corner_b in fired_corners:
@@ -263,9 +261,7 @@ def reference_guards(px: Pixelation, task: GuardTask) -> list[Guard]:
             pt = gset.side_point(side)
             if pt is not None:
                 fired_sides[sid] = pt
-                homes = tuple(sorted(p for p in (side.pix_lo, side.pix_hi)
-                                     if p is not None))
-                pts.append((pt, "side", homes))
+                pts.append((pt, "side", min(closure_pixels(px, pt))))
         for pid in range(px.pixel_count):
             cids = [px.corner_ids[c] for c in _ref_pixel_corner_points(px, pid)]
             if any(ci in fired_corners for ci in cids):
@@ -274,12 +270,12 @@ def reference_guards(px: Pixelation, task: GuardTask) -> list[Guard]:
                 continue
             pt = gset.interior_point(pid)
             if pt is not None:
-                pts.append((pt, "interior", (pid,)))
+                pts.append((pt, "interior", pid))
     pts.sort()
 
     out: list[Guard] = []
-    for p, _kind, homes in pts:
-        out.append(Guard(len(out), "point", p, None, homes))
+    for p, _kind, home in pts:
+        out.append(Guard(len(out), "point", p, home))
     pixel_ids: list[int] = []
     if "all-pixel-guards" in task.guard_modes:
         pixel_ids = list(range(px.pixel_count))
@@ -289,11 +285,71 @@ def reference_guards(px: Pixelation, task: GuardTask) -> list[Guard]:
                 raise TaskError(f"pixel-guard id {pid} out of range")
         pixel_ids = sorted(set(task.guard_pixels))
     for pid in pixel_ids:
-        homes = set()
-        for c in _ref_pixel_corner_points(px, pid):
-            homes.update(px.corner_pixels[px.corner_ids[c]])
-        out.append(Guard(len(out), "pixel", None, pid, tuple(sorted(homes))))
+        out.append(Guard(len(out), "pixel", None, pid))
     return out
+
+
+@lru_cache(maxsize=4)
+def _pixel_boxes(px: Pixelation) -> np.ndarray:
+    return np.array([r.as_tuple() for r in px.pixels],
+                    dtype=np.int64).reshape(-1, 4)
+
+
+def closure_pixels(px: Pixelation, q: Pt) -> list[int]:
+    """Every pixel whose closure holds the point q, by testing each pixel."""
+    b, (x, y) = _pixel_boxes(px), q
+    return np.flatnonzero((b[:, 0] <= x) & (x <= b[:, 2])
+                          & (b[:, 1] <= y) & (y <= b[:, 3])).tolist()
+
+
+def per_closure_counts(px: Pixelation, pts: list[Pt]) -> dict[int, int]:
+    """The number of points of pts in the closure of each pixel: a point
+    counts in every pixel whose closure holds it."""
+    per: dict[int, int] = {}
+    for q in pts:
+        for pid in closure_pixels(px, q):
+            per[pid] = per.get(pid, 0) + 1
+    return per
+
+
+def multi_home_aux_graph(px: Pixelation, rects: list[MaxRect],
+                         targets: list[TargetPoint],
+                         guards: list[Guard]) -> AuxGraph:
+    """build_aux_graph from every pixel a vertex touches rather than its
+    one home: a point's rectangles are those holding it among the
+    rectangles of every pixel whose closure holds it, and a pixel guard's
+    are those intersecting it among the rectangles of every pixel that
+    shares a corner with it, deduplicated by sets and then sorted.  The
+    reference for the one-home construction."""
+    by_pixel_rects: list[list[int]] = [[] for _ in px.pixels]
+    for mr in rects:
+        for pid in mr.pixel_ids:
+            by_pixel_rects[pid].append(mr.id)
+
+    def rects_at(homes, hit) -> list[int]:
+        return sorted({ri for pid in homes for ri in by_pixel_rects[pid]
+                       if hit(rects[ri].rect)})
+
+    ur = [rects_at(closure_pixels(px, t.location),
+                   lambda r, q=t.location: r.contains_point(q)) for t in targets]
+    gr = []
+    for g in guards:
+        if g.kind == "point":
+            gr.append(rects_at(closure_pixels(px, g.location),
+                               lambda r, q=g.location: r.contains_point(q)))
+        else:
+            homes = {q for c in _ref_pixel_corner_points(px, g.pixel)
+                     for q in px.corner_pixels[px.corner_ids[c]]}
+            gr.append(rects_at(homes, px.pixels[g.pixel].intersects))
+    ru: list[list[int]] = [[] for _ in rects]
+    rg: list[list[int]] = [[] for _ in rects]
+    for ti, rs in enumerate(ur):
+        for ri in rs:
+            ru[ri].append(ti)
+    for gi, rs in enumerate(gr):
+        for ri in rs:
+            rg[ri].append(gi)
+    return AuxGraph(targets, rects, guards, ur, ru, gr, rg)
 
 
 def _ref_pixel_corner_points(px: Pixelation, pid: int):
@@ -584,7 +640,7 @@ def nice_tree_solve(H: AuxGraph, T: TreeDecomposition) -> Solution:
     final = tables[len(nodes) - 1]
     assert list(final) == [0], "root table is not a single empty-bag state"
     value, sel = final[0]
-    chosen = sorted(_cons_to_set(sel))
+    chosen = sorted(_nice_selected(sel))
     assert value == len(chosen)
     index_of = {gi: k for k, gi in enumerate(chosen)}
     certs = []
@@ -593,6 +649,42 @@ def nice_tree_solve(H: AuxGraph, T: TreeDecomposition) -> Solution:
                       if gi in index_of)
         certs.append(Certificate(ti, ri, index_of[gi]))
     return Solution("optimal", value, [H.guards[gi] for gi in chosen], certs)
+
+
+def _nice_kind(H: AuxGraph, v: int) -> tuple[str, int]:
+    """'target', 'rect' or 'guard', and the index in H, of lifted id v."""
+    if v >= H.gid(0):
+        return "guard", v - H.gid(0)
+    if v >= H.rid(0):
+        return "rect", v - H.rid(0)
+    return "target", v
+
+
+def _nice_union(a, b):
+    """The selection of both of a and b: a node (2, a, b), or the one of
+    them that is not empty (None)."""
+    if a is None or b is None:
+        return b if a is None else a
+    return (2, a, b)
+
+
+def _nice_selected(sel) -> set[int]:
+    """The guards of a selection: (1, guard, rest) adds guard to rest and
+    (2, a, b) unites a and b.  Nodes are shared, so each is read once."""
+    out: set[int] = set()
+    seen: set[int] = set()
+    todo = [sel]
+    while todo:
+        node = todo.pop()
+        if node is None or id(node) in seen:
+            continue
+        seen.add(id(node))
+        if node[0] == 1:
+            out.add(node[1])
+            todo.append(node[2])
+        else:
+            todo += node[1:]
+    return out
 
 
 def _nice_tree(T: TreeDecomposition) -> list[tuple]:
@@ -656,7 +748,7 @@ def _put(out: dict, key: int, val: int, sel) -> None:
 
 def _nice_introduce(H: AuxGraph, child: dict, bag: tuple, v: int,
                     pos: int) -> dict:
-    kind, i = _kind(H, v)
+    kind, i = _nice_kind(H, v)
     rbase, gbase = H.rid(0), H.gid(0)
     shift = 2 * pos
     low = (1 << shift) - 1
@@ -688,7 +780,7 @@ def _nice_introduce(H: AuxGraph, child: dict, bag: tuple, v: int,
 
 
 def _nice_forget(H: AuxGraph, child: dict, v: int, pos: int) -> dict:
-    kind, _i = _kind(H, v)
+    kind, _i = _nice_kind(H, v)
     shift = 2 * pos
     low = (1 << shift) - 1
     drop = {"rect": PROMISED, "target": PENDING}.get(kind)
@@ -704,7 +796,7 @@ def _nice_join(H: AuxGraph, left: dict, right: dict, bag: tuple) -> dict:
     non-dark; a left key is merged with its bucket."""
     gmask = rlo = 0
     for p, u in enumerate(bag):
-        kind = _kind(H, u)[0]
+        kind = _nice_kind(H, u)[0]
         if kind == "guard":
             gmask |= 1 << (2 * p)
         elif kind == "rect":
@@ -720,7 +812,7 @@ def _nice_join(H: AuxGraph, left: dict, right: dict, bag: tuple) -> dict:
                                         ()):
             o = ka | kb
             _put(out, o & ~((o >> 1) & rlo), va + vb - shared,
-                 _merge_sel(sa, sb))
+                 _nice_union(sa, sb))
     return out
 
 

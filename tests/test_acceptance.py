@@ -12,7 +12,7 @@ import time
 import pytest
 
 from helpers import (SHAPES, HOLED_SHAPES, dominated_only, full_lift,
-                     validate_reduced_lift)
+                     per_closure_counts, validate_reduced_lift)
 from rguard.aux_graph import build_aux_graph, reduce
 from rguard.cli_io import loglog_slope
 from rguard.dp_solver import verify_solution
@@ -100,14 +100,11 @@ def test_criterion_2_simplification_lemmas():
             raw = oracle_min_guards(px, task, raw_guards=True)
             red = oracle_min_guards(px, task)
             assert raw.size == red.size, (seed, deg, raw.size, red.size)
-        per_t: dict[int, int] = {}
-        for t in simplify_targets(px, GuardTask.make()):
-            for pid in t.home_pixels:
-                per_t[pid] = per_t.get(pid, 0) + 1
-        per_g: dict[int, int] = {}
-        for g in simplify_guards(px, GuardTask.make()):
-            for pid in g.home_pixels:
-                per_g[pid] = per_g.get(pid, 0) + 1
+        # each kept point counts in every pixel whose closure holds it
+        per_t = per_closure_counts(
+            px, [t.location for t in simplify_targets(px, GuardTask.make())])
+        per_g = per_closure_counts(
+            px, [g.location for g in simplify_guards(px, GuardTask.make())])
         assert all(v <= 4 for v in per_t.values())
         assert all(v <= 4 for v in per_g.values())
         count += 1

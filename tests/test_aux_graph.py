@@ -1,6 +1,7 @@
 import random
 
-from helpers import SHAPES, rounds_reduce, to_dot
+from helpers import (SHAPES, cell_points, multi_home_aux_graph, rounds_reduce,
+                     to_dot)
 from test_dp_solver import (_aux, _combs, _combs_small, _corpus_slice, _graph,
                             _task_modes)
 from test_pipeline import _thick_polygons
@@ -116,6 +117,35 @@ def test_reduce_matches_rounds_reduce():
     assert checked == 24 * len(polys) and forcing
     for _n, _px, H in _combs():
         assert reduce(H) == rounds_reduce(H)
+
+
+def test_one_home_matches_multi_home():
+    """build_aux_graph, which reads each target's and guard's home pixel
+    alone, gives the H of multi_home_aux_graph, which reads every pixel a
+    target or guard touches, and the same reduce(H).  On the corpus slice,
+    the small K=2 and K=3 combs and the thick polygons, each in the 24 task
+    modes and with targets and point guards in cells of every kind."""
+    polys = (_corpus_slice() + _combs_small()
+             + [poly for poly, _vertex_guards in _thick_polygons()])
+    checked = 0
+    for poly in polys:
+        px = build_pixelation(poly)
+        pts = cell_points(px)
+        cells = GuardTask.make(
+            target_mode="points", target_points=pts,
+            guard_modes=("points", "pixels"), guard_points=pts[1::2],
+            guard_pixels=range(0, px.pixel_count, 3), doubled=True)
+        for mode, task in [*_task_modes(px), ("cell points", cells)]:
+            rects = enumerate_max_rects(px, task.allow_degenerate)
+            targets = simplify_targets(px, task)
+            guards = simplify_guards(px, task)
+            H = build_aux_graph(px, rects, targets, guards)
+            ref = multi_home_aux_graph(px, rects, targets, guards)
+            assert (H.ur, H.ru, H.gr, H.rg) == (ref.ur, ref.ru, ref.gr,
+                                                ref.rg), (poly.to_json(), mode)
+            assert reduce(H) == reduce(ref), (poly.to_json(), mode)
+            checked += 1
+    assert checked == 25 * len(polys)
 
 
 def _random_aux(rng: random.Random) -> AuxGraph:

@@ -141,9 +141,9 @@ def _graph(ur, gr, n_rects):
     ru = [[t for t, rs in enumerate(ur) if r in rs] for r in range(n_rects)]
     rg = [[g for g, rs in enumerate(gr) if r in rs] for r in range(n_rects)]
     return AuxGraph(
-        [TargetPoint(i, (0, 0), "interior", ()) for i in range(len(ur))],
+        [TargetPoint(i, (0, 0), "interior", 0) for i in range(len(ur))],
         [MaxRect(i, Rect(0, 0, 1, 1), False, ()) for i in range(n_rects)],
-        [Guard(i, "point", (0, 0), None, ()) for i in range(len(gr))],
+        [Guard(i, "point", (0, 0), 0) for i in range(len(gr))],
         [sorted(rs) for rs in ur], ru, [sorted(rs) for rs in gr], rg)
 
 

@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
 
-from helpers import (SHAPES, TURNS, cell_points, fixture_polygons,
+from helpers import (SHAPES, TURNS, best_times, cell_points, closure_pixels,
+                     fixture_polygons, gc_paused, per_closure_counts,
                      reference_guards, reference_targets, turned)
+from rguard.cli_io import loglog_slope
 from rguard.guard_model import (GUARD_MODES, TARGET_MODES, GuardTask, TaskError,
                                 simplify_guards, simplify_targets)
 from rguard.instance_gen import (gen_holed_variant, gen_ktin_polygon,
@@ -94,30 +96,36 @@ def test_simplify_guards_vertices_kept():
 
 
 def test_simplify_guards_pixel_guards_homes():
+    """A pixel guard's home is its own pixel, a point guard's the least
+    pixel whose closure holds it."""
     px = build_pixelation(OrthoPolygon(SHAPES["plus"]))
-    gs = simplify_guards(px, GuardTask.make(guard_modes=("all-pixel-guards",)))
-    assert len(gs) == 5
-    center = next(g for g in gs if len(g.home_pixels) == 5)
-    assert center.home_pixels == (0, 1, 2, 3, 4)
-    for g in gs:
-        assert len(g.home_pixels) <= 9
+    gs = simplify_guards(px, GuardTask.make(
+        guard_modes=("all-points", "all-pixel-guards")))
+    pixel_guards = [g for g in gs if g.kind == "pixel"]
+    assert [g.pixel for g in pixel_guards] == [0, 1, 2, 3, 4]
+    assert all(g.location is None for g in pixel_guards)
+    point_guards = [g for g in gs if g.kind == "point"]
+    assert len(point_guards) == len(px.corners)
+    for g in point_guards:
+        assert g.pixel == min(closure_pixels(px, g.location))
+    home = {g.location: g.pixel for g in point_guards}
+    # reflex corners touch three pixels, the others one
+    assert (home[(2, 2)], home[(4, 4)], home[(6, 2)]) == (0, 2, 4)
 
 
 def test_per_pixel_limits():
+    """At most 4 kept points in the closure of any pixel, each point counted
+    in every pixel whose closure holds it."""
     for seed in range(6):
         px = build_pixelation(gen_tree_polygon(20, seed))
         for task in (GuardTask.make(target_mode="all"),
                      GuardTask.make(target_mode="boundary"),
                      GuardTask.make(target_mode="vertices")):
-            per = {}
-            for t in simplify_targets(px, task):
-                for pid in t.home_pixels:
-                    per[pid] = per.get(pid, 0) + 1
+            per = per_closure_counts(
+                px, [t.location for t in simplify_targets(px, task)])
             assert all(v <= 4 for v in per.values())
-        per = {}
-        for g in simplify_guards(px, GuardTask.make(guard_modes=("all-points",))):
-            for pid in g.home_pixels:
-                per[pid] = per.get(pid, 0) + 1
+        per = per_closure_counts(px, [g.location for g in simplify_guards(
+            px, GuardTask.make(guard_modes=("all-points",)))])
         assert all(v <= 4 for v in per.values())
 
 
@@ -128,7 +136,7 @@ def test_interior_dominates_pixel(allow):
         px = build_pixelation(poly)
         pts = sample_point_guards(px)
         from rguard.guard_model import Guard
-        guards = [Guard(i, "point", p, None, ()) for i, p in enumerate(pts)]
+        guards = [Guard(i, "point", p, None) for i, p in enumerate(pts)]
         mat = coverage_matrix(px, guards, pts, allow)
         idx = {p: i for i, p in enumerate(pts)}
         for rect in px.pixels:
@@ -145,7 +153,7 @@ def test_side_interior_dominates_side(allow):
         px = build_pixelation(poly)
         pts = sample_point_guards(px)
         from rguard.guard_model import Guard
-        guards = [Guard(i, "point", p, None, ()) for i, p in enumerate(pts)]
+        guards = [Guard(i, "point", p, None) for i, p in enumerate(pts)]
         mat = coverage_matrix(px, guards, pts, allow)
         idx = {p: i for i, p in enumerate(pts)}
         for s in px.sides:
@@ -197,10 +205,29 @@ def test_simplification_preserves_optimum():
 def test_guard_covers_point_pixel_clamp():
     px = build_pixelation(OrthoPolygon(SHAPES["plus"]))
     gs = simplify_guards(px, GuardTask.make(guard_modes=("all-pixel-guards",)))
-    center_pixel = next(g for g in gs if len(g.home_pixels) == 5)
+    center_pixel = next(g for g in gs if len(px.dual.adj[g.pixel]) == 4)
     targets = sample_targets(px, GuardTask.make())
     for t in targets:
         assert guard_covers_point(px, center_pixel, t, False)
+
+
+def test_explicit_points_scale_linearly():
+    """simplify_targets on explicit points, three per pixel (its center, a
+    side midpoint and a corner), locates them in one pass: near-linear in
+    the pixels over trees of 1k to 10k pixels."""
+    sizes, calls = [], []
+    for n in (1000, 3000, 10000):
+        px = build_pixelation(gen_tree_polygon(n, 0))
+        pts = [((r.xmin + r.xmax) // 2, (r.ymin + r.ymax) // 2)
+               for r in px.pixels]
+        pts += [s.midpoint() for s in px.sides[::2]] + px.corners[::2]
+        task = GuardTask.make(target_mode="points", target_points=pts,
+                              doubled=True)
+        sizes.append(px.pixel_count)
+        calls.append(lambda px=px, task=task: simplify_targets(px, task))
+    with gc_paused():
+        times = best_times(calls, rounds=3)
+    assert loglog_slope(sizes, times) <= 1.3, (sizes, times)
 
 
 def test_task_json_round_trip():

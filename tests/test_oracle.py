@@ -84,8 +84,8 @@ def test_predicate_matches_ring_reference():
         pts = cell_points(px)
         n = len(pts)
         pixel_ids = range(0, px.pixel_count, 5)
-        guards = [Guard(i, "point", p, None, ()) for i, p in enumerate(pts)]
-        guards += [Guard(n + k, "pixel", None, pid, ())
+        guards = [Guard(i, "point", p, None) for i, p in enumerate(pts)]
+        guards += [Guard(n + k, "pixel", None, pid)
                    for k, pid in enumerate(pixel_ids)]
         mats = {allow: coverage_matrix(px, guards, pts, allow)
                 for allow in (False, True)}

@@ -1,8 +1,9 @@
 import numpy as np
 
 from helpers import SHAPES, HOLED_SHAPES, TURNS, ReferenceCover, \
-    brute_force_pixels, fixture_polygons, nonthin_plus, pixelation_fields, \
-    reference_pixelation, turned
+    brute_force_pixels, cell_points, fixture_polygons, nonthin_plus, \
+    pixelation_fields, reference_pixelation, turned
+from test_acceptance import _corpus, _explicit_targets
 from rguard.instance_gen import (gen_holed_variant, gen_ktin_polygon,
                                  gen_tree_polygon, rects_union_polygon)
 from rguard.pixelation import (build_pixelation, dump_pixelation,
@@ -168,6 +169,23 @@ def test_locate_point():
     assert sorted(px.locate_point((2, 1))) == [0, 2]  # on a shared side
     assert sorted(px.locate_point((2, 2))) == [0, 1, 2]  # the reflex corner
     assert px.locate_point((5, 5)) == []
+
+
+def test_locate_points_matches_scan():
+    """locate_points against a scan of every pixel, on the acceptance corpus
+    with the explicit targets of its `points` task mode, cell points of
+    every kind, a point in each hole and a sparse grid over and around the
+    bounding box."""
+    for poly in _corpus():
+        px = build_pixelation(poly)
+        bb = poly.bbox()
+        pts = [(round(2 * x), round(2 * y)) for x, y in _explicit_targets(px)]
+        pts += cell_points(px) + [(h[0][0] + 1, h[0][1] + 1) for h in poly.holes]
+        pts += [(x, y) for x in range(bb.xmin - 1, bb.xmax + 2, 5)
+                for y in range(bb.ymin - 1, bb.ymax + 2, 5)]
+        want = [[pid for pid, r in enumerate(px.pixels) if r.contains_point(p)]
+                for p in pts]
+        assert px.locate_points(pts) == want, poly.to_json()
 
 
 def test_cover_matches_four_branch_reference():

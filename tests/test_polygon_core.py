@@ -4,7 +4,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from helpers import SHAPES, fixture_polygons
+from helpers import SHAPES, best_times, fixture_polygons, gc_paused
+from rguard.cli_io import loglog_slope
 from rguard.polygon_core import (OrthoPolygon, PolygonError, Rect, half,
                                  point_in_polygon, rect_inside, scale_polygon,
                                  spanned_rect, translate_polygon, validate)
@@ -46,7 +47,39 @@ def test_self_intersection_detected():
 def test_hole_outside_detected():
     rep = validate(OrthoPolygon([(0, 0), (2, 0), (2, 2), (0, 2)],
                                 [[(3, 3), (3, 4), (4, 4), (4, 3)]]))
-    assert any(i.code in ("hole-outside", "self-intersection") for i in rep.issues)
+    assert [(i.code, i.ring) for i in rep.issues] == [("hole-outside", 1)]
+
+
+def test_hole_in_hole_detected():
+    # ring 2, the inner square, lies in ring 1; ring 3 lies in neither
+    rep = validate(OrthoPolygon([(0, 0), (12, 0), (12, 12), (0, 12)],
+                                [_cw_square(2, 6), _cw_square(4, 2),
+                                 _cw_square(9, 2)]))
+    assert [(i.code, i.ring) for i in rep.issues] == [("hole-in-hole", 2)]
+
+
+def _cw_square(lo: int, side: int) -> list[tuple[int, int]]:
+    hi = lo + side
+    return [(lo, lo), (lo, hi), (hi, hi), (hi, lo)]
+
+
+def _hole_grid(k: int) -> OrthoPolygon:
+    """A square with a k x k grid of unit holes."""
+    m = 2 * k + 1
+    return OrthoPolygon([(0, 0), (m, 0), (m, m), (0, m)],
+                        [[(x, y), (x, y + 1), (x + 1, y + 1), (x + 1, y)]
+                         for x in range(1, m, 2) for y in range(1, m, 2)])
+
+
+def test_validate_scales_with_many_holes():
+    """Hole nesting is read off the contact sweep, not tested ring against
+    ring: validation is near-linear in the number of holes."""
+    polys = [_hole_grid(k) for k in (20, 40, 80)]
+    assert all(validate(p).ok for p in polys)
+    with gc_paused():
+        times = best_times([lambda p=p: validate(p) for p in polys], rounds=3)
+    assert times[-1] < 2, times
+    assert loglog_slope([400, 1600, 6400], times) <= 1.3, times
 
 
 def test_spanned_rect_examples():
