@@ -9,17 +9,18 @@ Per-bag states use two bits per vertex: guards are selected/unselected,
 rectangles are dark (never adjacent to a selected guard), promised (will be)
 or lit (already are), targets are pending/dominated.  Every lifted vertex
 owns one fixed 2-bit slot of the packed integer keys: walking the tree down
-from bag 0, a vertex takes the lowest slot left free in its topmost bag and
-keeps it in every bag below, so the slots within a bag are distinct and no
-transition ever shifts a key.
+from the root, the last bag, a vertex takes the lowest slot left free in
+its topmost bag and keeps it in every bag below, so the slots within a bag
+are distinct and no transition ever shifts a key.
 
-The tables are built in one post-order walk.  A bag's table is made from
-its children's: each child first forgets, in one filter-and-mask pass, what
-it does not share with the bag (a key with a pending target or a promised
-rectangle among those is dropped, then their slots are cleared); each child
-then introduces the vertices of the bag that another child kept and it did
-not, so that all children cover the same vertices; the children are joined;
-and only then are the bag's own remaining vertices introduced, once.
+The tables are built in one walk over the bags in order, every child before
+its parent.  A bag's table is made from its children's: each child first
+forgets, in one filter-and-mask pass, what it does not share with the bag (a
+key with a pending target or a promised rectangle among those is dropped,
+then their slots are cleared); each child then introduces the vertices of
+the bag that another child kept and it did not, so that all children cover
+the same vertices; the children are joined; and only then are the bag's own
+remaining vertices introduced, once.
 
 Introducing a guard lights its promised rectangles in the table (a
 selection that meets a dark one is discarded); introducing a rectangle
@@ -37,7 +38,7 @@ joined.
 from __future__ import annotations
 
 from bisect import bisect_left
-from collections.abc import Sequence
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 
 from rguard.aux_graph import AuxGraph
@@ -99,8 +100,8 @@ def solve_r2ds(H: AuxGraph, T: TreeDecomposition,
     full bags, though the chosen guards may differ.  The witness and the
     certificates are computed on the whole of H.
 
-    The tables are built bottom-up from bag 0 as the root; the root's
-    table, once it has forgotten its bag, holds the single empty state."""
+    The tables are built bottom-up, in bag order; the root's table, once it
+    has forgotten its bag, holds the single empty state."""
     if T.universe != "aux":
         raise DecompositionError("solver expects a lifted decomposition")
     nu = len(H.targets)
@@ -111,14 +112,11 @@ def solve_r2ds(H: AuxGraph, T: TreeDecomposition,
     if nu == 0:
         return Solution("optimal", 0, [], [])
 
-    order, parent = T.rooted()
-    slot = _slots(T, order)
+    slot = _slots(T, range(len(T.bags) - 1, -1, -1))
     # (table, vertices it covers) of each child, once it has forgotten what
     # it does not share with its parent
     entered: list[list] = [[] for _ in T.bags]
-    final: dict = {}
-    for b in reversed(order):
-        bag = T.bags[b]
+    for b, bag in enumerate(T.bags):
         table, present = _join_children(H, entered[b], slot)
         entered[b] = None
         inside = set(present)
@@ -126,20 +124,20 @@ def solve_r2ds(H: AuxGraph, T: TreeDecomposition,
             if v not in inside:
                 table = _introduce(H, table, present, v, slot)
                 present.append(v)
-        up = set(T.bags[parent[b]]) if b else set()
+        p = T.parent[b]
+        up = set(T.bags[p]) if p >= 0 else set()
         gone = [u for u in bag if u not in up]
         if gone:
             table = _forget(H, table, gone, slot)
         if not table:
             raise SolverError("dead end in DP despite feasible instance")
-        if b:
-            entered[parent[b]].append((table, [u for u in bag if u in up]))
-        else:
-            final = table
+        if p >= 0:
+            entered[p].append((table, [u for u in bag if u in up]))
 
-    if list(final.keys()) != [0]:
+    # the last table is the root's
+    if list(table.keys()) != [0]:
         raise SolverError("root table is not a single empty-bag state")
-    value, sel = final[0]
+    value, sel = table[0]
     value += len(forced)
     chosen = sorted(_cons_to_set(sel).union(forced))
     solution_guards = [H.guards[gi] for gi in chosen]
@@ -185,12 +183,13 @@ def verify_solution(H: AuxGraph, sol: Solution) -> bool:
 # -- the walk over the decomposition -------------------------------------------
 
 
-def _slots(T: TreeDecomposition, order: list[int]) -> dict[int, int]:
-    """Slot of every lifted vertex: in the pre-order `order`, the vertices of
-    a bag that no earlier bag holds take, in bag order, the lowest slots not
-    held by the rest of the bag.  The bags holding a vertex form a subtree,
-    so a vertex is first met in its topmost bag and the rest of that bag
-    lies in the parent bag, whose slots are distinct."""
+def _slots(T: TreeDecomposition, order: Iterable[int]) -> dict[int, int]:
+    """Slot of every lifted vertex: in `order`, which lists every parent
+    before its children, the vertices of a bag that no earlier bag holds
+    take, in bag order, the lowest slots not held by the rest of the bag.
+    The bags holding a vertex form a subtree, so a vertex is first met in
+    its topmost bag and the rest of that bag lies in the parent bag, whose
+    slots are distinct."""
     slot: dict[int, int] = {}
     for b in order:
         bag = T.bags[b]

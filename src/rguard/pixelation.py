@@ -209,12 +209,9 @@ class Pixelation:
     def cover(self) -> "PixelCover":
         return PixelCover(self.pixels)
 
-    def locate_point(self, p: Pt) -> list[int]:
-        """Pixels whose closure contains p (empty when p is outside P)."""
-        return self.locate_points([p])[0]
-
     def locate_points(self, pts: Sequence[Pt]) -> list[list[int]]:
-        """locate_point of each point, in one pass.  A corner reads its
+        """The pixels whose closure contains each point (none when it is
+        outside P), for all the points in one pass.  A corner reads its
         pixels; a point on an open side is found by bisecting the sides,
         which are sorted by axis, line and position; the rest by one sweep
         over x that keeps the pixels whose x-range strictly holds the sweep

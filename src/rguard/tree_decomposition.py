@@ -21,7 +21,6 @@ reported widths are upper bounds on the true treewidth by construction.
 from __future__ import annotations
 
 import heapq
-from collections import deque
 from dataclasses import dataclass, field
 
 from rguard.aux_graph import AuxGraph, Reduction
@@ -35,38 +34,12 @@ class DecompositionError(ValueError):
 @dataclass(slots=True)
 class TreeDecomposition:
     bags: list[tuple[int, ...]]
-    tree_edges: list[tuple[int, int]]
+    parent: list[int]  # a later bag, or -1 at the root, which is the last
     universe: str  # 'dual' or 'aux'
 
     @property
     def width(self) -> int:
         return max(len(b) for b in self.bags) - 1
-
-    def neighbors(self) -> list[list[int]]:
-        adj: list[list[int]] = [[] for _ in self.bags]
-        for a, b in self.tree_edges:
-            adj[a].append(b)
-            adj[b].append(a)
-        return adj
-
-    def rooted(self) -> tuple[list[int], list[int]]:
-        """Bags in depth-first pre-order from bag 0, each subtree contiguous,
-        and the parent of each bag (-1 at the root)."""
-        adj = self.neighbors()
-        parent = [-1] * len(self.bags)
-        seen = [False] * len(self.bags)
-        seen[0] = True
-        order = []
-        stack = [0]
-        while stack:
-            u = stack.pop()
-            order.append(u)
-            for v in adj[u]:
-                if not seen[v]:
-                    seen[v] = True
-                    parent[v] = u
-                    stack.append(v)
-        return order, parent
 
 
 @dataclass(slots=True)
@@ -89,14 +62,14 @@ def decompose_dual(D: DualGraph) -> TreeDecomposition:
     lowest id first, which on a connected graph is min-degree's own order;
     the core phase eliminates the rest from a heap of (degree, vertex)
     entries.  Each elimination emits one bag, v with its neighbours at that
-    moment, which hangs below the bag of the first of those neighbours
-    eliminated later.  Each connected component leaves one bag with no
-    later neighbour, so a disconnected dual leaves more than one."""
+    moment, whose parent is the bag of the first of those neighbours
+    eliminated later.  Each connected component leaves one root, a bag
+    with no later neighbour, so a disconnected dual leaves more than one."""
     n = D.n
     if n == 0:
         raise DecompositionError("empty dual graph")
     T = _min_degree_decomposition(n, D.adj)
-    if len(T.tree_edges) != len(T.bags) - 1:
+    if T.parent.count(-1) > 1:
         raise DecompositionError("dual graph is disconnected")
     return T
 
@@ -145,50 +118,47 @@ def _min_degree_decomposition(n: int, adj: list[list[int]]) -> TreeDecomposition
                 nb[b].add(a)
         for a in ns:
             heapq.heappush(heap, (len(nb[a]), a))
-    # the pendant bags come first, so the edges come out sorted by child
-    edges = [(i, pos[u]) for i, u in enumerate(up) if u >= 0]
-    edges += [(len(up) + i, min(pos[a] for a in ns))
-              for i, ns in enumerate(later_nb) if ns]
-    return TreeDecomposition(bags, edges, "dual")
+    parent = [pos[u] if u >= 0 else -1 for u in up]
+    parent += [min(pos[a] for a in ns) if ns else -1 for ns in later_nb]
+    return TreeDecomposition(bags, parent, "dual")
 
 
 def validate_decomposition(n_vertices: int, edges: list[tuple[int, int]],
                            T: TreeDecomposition) -> DecompositionReport:
-    """Check vertex coverage, edge coverage and occurrence-subtree
-    connectivity; every violation is reported with a witness."""
+    """Check that every parent is a later bag and that the last bag is the
+    only root, which makes the bags a tree; then vertex coverage, edge
+    coverage and occurrence-subtree connectivity.  Every violation is
+    reported with a witness.  The bags holding a vertex form a subtree iff
+    exactly one of them has a parent that does not hold it (the root has
+    none), so the whole check is linear in the bag sizes."""
     rep = DecompositionReport()
     nb = len(T.bags)
-    if len(T.tree_edges) != nb - 1:
-        rep.problems.append(
-            f"decomposition tree has {len(T.tree_edges)} edges for {nb} bags")
-    if len(T.rooted()[0]) != nb:
-        rep.problems.append("decomposition tree is disconnected")
+    if len(T.parent) != nb:
+        rep.problems.append(f"{len(T.parent)} parents for {nb} bags")
+        return rep
+    for b, p in enumerate(T.parent):
+        if p == -1 and b < nb - 1:
+            rep.problems.append(f"bag {b} is a root but not the last bag")
+        elif p != -1 and not b < p < nb:
+            rep.problems.append(f"bag {b} has parent {p}, not a later bag")
 
-    occurrences: dict[int, list[int]] = {}
-    for bi, bag in enumerate(T.bags):
+    sets = [set(bag) for bag in T.bags]
+    occurrences: dict[int, set[int]] = {}
+    tops: dict[int, int] = {}  # bags holding v whose parent does not
+    for b, (bag, p) in enumerate(zip(sets, T.parent)):
+        up = sets[p] if 0 <= p < nb else ()
         for v in bag:
-            occurrences.setdefault(v, []).append(bi)
+            occurrences.setdefault(v, set()).add(b)
+            if v not in up:
+                tops[v] = tops.get(v, 0) + 1
     for v in range(n_vertices):
         if v not in occurrences:
             rep.problems.append(f"vertex {v} appears in no bag")
-    occ_sets = {v: set(occ) for v, occ in occurrences.items()}
     for u, v in edges:
-        if occ_sets.get(u, set()).isdisjoint(occ_sets.get(v, ())):
+        if occurrences.get(u, set()).isdisjoint(occurrences.get(v, ())):
             rep.problems.append(f"edge ({u},{v}) covered by no bag")
-    adj = T.neighbors()
-    for v, occ in occurrences.items():
-        if len(occ) <= 1:
-            continue
-        members = set(occ)
-        seen = {occ[0]}
-        dq = deque([occ[0]])
-        while dq:
-            b = dq.popleft()
-            for nb2 in adj[b]:
-                if nb2 in members and nb2 not in seen:
-                    seen.add(nb2)
-                    dq.append(nb2)
-        if len(seen) != len(members):
+    for v, k in tops.items():
+        if k > 1:
             rep.problems.append(f"bags containing vertex {v} are not connected")
     return rep
 
@@ -210,16 +180,17 @@ def lift_to_H(T: TreeDecomposition, H: AuxGraph,
     with the default task, on thin trees and combs that is every vertex,
     and the result is one empty bag (width -1).
 
-    The walk that lifts the bags, in pre-order from bag 0, also contracts
-    every tree edge one of whose sides is a subset of the other.  It puts
+    The walk that lifts the bags, from the root down, also contracts every
+    tree edge one of whose sides is a subset of the other.  It puts
     each bag in a group of merged bags and keeps only the lifted content of
     the group's top, which contains all its members.  A bag that is a subset
     of its parent's group's top joins that group; one that strictly contains
     it joins the group and becomes its top.  Running intersection keeps this
     complete: if a neighbour group's top were a subset of the new top, it
     would already be a subset of the old one.  So no bag of the result is a
-    subset of a neighbour's, and the width is unchanged.  The group of bag 0
-    is bag 0 of the result."""
+    subset of a neighbour's, and the width is unchanged.  Each group is met
+    after its parent group, so numbering the groups backwards puts every
+    parent after its children; the root's group is the last bag."""
     if T.universe != "dual":
         raise DecompositionError("lift expects a decomposition of the dual graph")
     gone_targets, gone_rects, gone_guards = red.targets, red.rects, red.guards
@@ -242,11 +213,12 @@ def lift_to_H(T: TreeDecomposition, H: AuxGraph,
             content.update(per_pixel[pid])
         return content
 
-    order, parent = T.rooted()
-    group = [0] * len(T.bags)
-    top = [lifted(T.bags[0])]
-    for b in order[1:]:
-        g = group[parent[b]]
+    n = len(T.bags)
+    group = [0] * n
+    top = [lifted(T.bags[-1])]
+    above = [-1]  # the parent group of each group
+    for b in range(n - 2, -1, -1):
+        g = group[T.parent[b]]
         content = lifted(T.bags[b])
         if content <= top[g]:
             group[b] = g
@@ -256,6 +228,8 @@ def lift_to_H(T: TreeDecomposition, H: AuxGraph,
         else:
             group[b] = len(top)
             top.append(content)
-    edges = sorted((min(ga, gb), max(ga, gb)) for ga, gb in
-                   ((group[a], group[b]) for a, b in T.tree_edges) if ga != gb)
-    return TreeDecomposition([tuple(sorted(c)) for c in top], edges, "aux")
+            above.append(g)
+    last = len(top) - 1
+    return TreeDecomposition([tuple(sorted(c)) for c in reversed(top)],
+                             [last - g if g >= 0 else -1 for g in reversed(above)],
+                             "aux")

@@ -9,6 +9,7 @@ from __future__ import annotations
 import gc
 import time
 from bisect import bisect_left, bisect_right
+from collections import deque
 from contextlib import contextmanager
 from functools import lru_cache
 
@@ -119,7 +120,7 @@ def full_lift(T: TreeDecomposition, H: AuxGraph) -> TreeDecomposition:
         for pid in bag:
             content.update(per_pixel[pid])
         bags.append(tuple(sorted(content)))
-    return TreeDecomposition(bags, list(T.tree_edges), "aux")
+    return TreeDecomposition(bags, list(T.parent), "aux")
 
 
 def grid_max_rects(px: Pixelation) -> list[Rect]:
@@ -165,7 +166,7 @@ def flood_pixels(px: Pixelation, r: Rect) -> tuple[int, ...]:
     if p in px.corner_ids:
         stack = list(px.corner_pixels[px.corner_ids[p]])
     else:
-        stack = px.locate_point(p)
+        stack = px.locate_points([p])[0]
     found: set[int] = set()
     while stack:
         pid = stack.pop()
@@ -495,35 +496,37 @@ def nice_tree_lift(T: TreeDecomposition, H: AuxGraph) -> TreeDecomposition:
     gone = {H.tid(t) for t in targets} | {H.gid(g) for g in guards}
     return TreeDecomposition(
         [tuple(v for v in bag if v not in gone) for bag in full_lift(T, H).bags],
-        list(T.tree_edges), "aux")
+        list(T.parent), "aux")
 
 
 def two_pass_lift(T: TreeDecomposition, H: AuxGraph,
                   red: Reduction) -> TreeDecomposition:
     """lift_to_H in two passes, the reference for its one-pass walk: first
     the lifted content of every bag of T without the vertices that red
-    leaves out, then, in pre-order from bag 0, every tree edge one of whose
+    leaves out, then, from the root down, every tree edge one of whose
     sides is a subset of the other contracted into groups of bags, each
-    group's top containing all its members."""
+    group's top containing all its members.  The groups are ordered by
+    their highest bag, the one nearest the root, and a group's parent is
+    the group of that bag's parent."""
     gone = lifted_away(H, red)
     contents = [{v for v in bag if v not in gone} for bag in full_lift(T, H).bags]
-    order, parent = T.rooted()
-    group = [0] * len(contents)
-    top = [0]
-    for b in order[1:]:
-        g = group[parent[b]]
+    n = len(contents)
+    group = {n - 1: n - 1}  # bag -> the highest bag of its group
+    top = {n - 1: n - 1}    # highest bag of a group -> the group's top
+    for b in reversed(range(n - 1)):
+        g = group[T.parent[b]]
         if contents[b] <= contents[top[g]]:
             group[b] = g
         elif contents[top[g]] < contents[b]:
             group[b] = g
             top[g] = b
         else:
-            group[b] = len(top)
-            top.append(b)
-    edges = sorted((min(ga, gb), max(ga, gb)) for ga, gb in
-                   ((group[a], group[b]) for a, b in T.tree_edges) if ga != gb)
-    return TreeDecomposition([tuple(sorted(contents[b])) for b in top],
-                             edges, "aux")
+            group[b] = top[b] = b
+    highest = sorted(top)
+    index = {h: i for i, h in enumerate(highest)}
+    parent = [index[group[T.parent[h]]] if h < n - 1 else -1 for h in highest]
+    return TreeDecomposition([tuple(sorted(contents[top[h]])) for h in highest],
+                             parent, "aux")
 
 
 def aux_graph_edges(H: AuxGraph) -> tuple[int, list[tuple[int, int]]]:
@@ -592,6 +595,18 @@ def validate_reduced_lift(H: AuxGraph, T: TreeDecomposition,
     the kept vertices renumbered 0, 1, ... in id order; a left-out vertex
     in a bag is a problem too."""
     gone = lifted_away(H, red)
+    rep = validate_decomposition(*reduced_lift_instance(H, T, gone))
+    stray = gone & {v for bag in T.bags for v in bag}
+    rep.problems += [f"left-out vertex {v} in a bag" for v in sorted(stray)]
+    return rep
+
+
+def reduced_lift_instance(H: AuxGraph, T: TreeDecomposition, gone: set[int]
+                          ) -> tuple[int, list[tuple[int, int]],
+                                     TreeDecomposition]:
+    """(vertex count, edges, decomposition) of H minus the lifted ids gone
+    and of T without them, the kept vertices renumbered 0, 1, ... in id
+    order: the arguments of validate_decomposition for a reduced lift."""
     keep = [v for v in range(H.n_vertices) if v not in gone]
     new_id = {v: i for i, v in enumerate(keep)}
     _n, edges = aux_graph_edges(H)
@@ -599,11 +614,62 @@ def validate_reduced_lift(H: AuxGraph, T: TreeDecomposition,
                  if a in new_id and b in new_id]
     relabelled = TreeDecomposition(
         [tuple(new_id[v] for v in bag if v in new_id) for bag in T.bags],
-        T.tree_edges, "aux")
-    rep = validate_decomposition(len(keep), sub_edges, relabelled)
-    stray = gone & {v for bag in T.bags for v in bag}
-    rep.problems += [f"left-out vertex {v} in a bag" for v in sorted(stray)]
+        list(T.parent), "aux")
+    return len(keep), sub_edges, relabelled
+
+
+def bfs_validate(n_vertices: int, edges: list[tuple[int, int]],
+                 T: TreeDecomposition) -> DecompositionReport:
+    """validate_decomposition over the undirected tree of the edges
+    (b, parent[b]), by search: the tree must have one edge fewer than bags
+    and reach every bag from bag 0, and a breadth-first search from one bag
+    holding each vertex must reach every bag holding it.  The reference for
+    the linear check over the parent array, which also requires every
+    parent to be a later bag: on a decomposition that keeps that rule the
+    two verdicts agree."""
+    rep = DecompositionReport()
+    nb = len(T.bags)
+    adj: list[list[int]] = [[] for _ in range(nb)]
+    n_edges = 0
+    for b, p in enumerate(T.parent):
+        if 0 <= p < nb:
+            adj[b].append(p)
+            adj[p].append(b)
+            n_edges += 1
+    if n_edges != nb - 1:
+        rep.problems.append(f"decomposition tree has {n_edges} edges for {nb} bags")
+    if len(_reach(adj, 0, range(nb))) != nb:
+        rep.problems.append("decomposition tree is disconnected")
+    occurrences: dict[int, list[int]] = {}
+    for bi, bag in enumerate(T.bags):
+        for v in bag:
+            occurrences.setdefault(v, []).append(bi)
+    for v in range(n_vertices):
+        if v not in occurrences:
+            rep.problems.append(f"vertex {v} appears in no bag")
+    occ_sets = {v: set(occ) for v, occ in occurrences.items()}
+    for u, v in edges:
+        if occ_sets.get(u, set()).isdisjoint(occ_sets.get(v, ())):
+            rep.problems.append(f"edge ({u},{v}) covered by no bag")
+    for v, occ in occurrences.items():
+        if len(_reach(adj, occ[0], occ_sets[v])) != len(occ_sets[v]):
+            rep.problems.append(f"bags containing vertex {v} are not connected")
     return rep
+
+
+def _reach(adj: list[list[int]], start: int, members) -> set[int]:
+    """The bags of members that a breadth-first search from start reaches
+    without leaving members."""
+    members = set(members)
+    seen = {start}
+    dq = deque([start])
+    while dq:
+        b = dq.popleft()
+        for c in adj[b]:
+            if c in members and c not in seen:
+                seen.add(c)
+                dq.append(c)
+    return seen
 
 
 # -- the nice-tree DP, the reference for dp_solver.solve_r2ds -------------------
@@ -688,13 +754,13 @@ def _nice_selected(sel) -> set[int]:
 
 
 def _nice_tree(T: TreeDecomposition) -> list[tuple]:
-    """Leaf/intro/forget/join nodes of T rooted at bag 0, children before
-    parents, ending in an empty root bag.  Every child is brought to its
-    parent's bag (forgets, then introduces) before the children are joined."""
-    order, parent = T.rooted()
+    """Leaf/intro/forget/join nodes of T, children before parents, ending in
+    an empty root bag.  Every child is brought to its parent's bag (forgets,
+    then introduces) before the children are joined."""
     children: list[list[int]] = [[] for _ in T.bags]
-    for v in order[1:]:
-        children[parent[v]].append(v)
+    for v, p in enumerate(T.parent):
+        if p >= 0:
+            children[p].append(v)
     nodes: list[tuple] = []
 
     def chain(idx: int, cur_bag: tuple, target_bag: tuple) -> tuple:
@@ -712,7 +778,7 @@ def _nice_tree(T: TreeDecomposition) -> list[tuple]:
         return idx, tuple(bag)
 
     done: dict[int, tuple] = {}
-    for b in reversed(order):
+    for b in range(len(T.bags)):
         tops = [chain(*done.pop(c), T.bags[b])[0] for c in children[b]]
         if not tops:
             nodes.append(("leaf",))
@@ -723,7 +789,7 @@ def _nice_tree(T: TreeDecomposition) -> list[tuple]:
             nodes.append(("join", idx, other, T.bags[b]))
             idx = len(nodes) - 1
         done[b] = (idx, T.bags[b])
-    ridx, rbag = chain(*done[0], ())
+    ridx, rbag = chain(*done[len(T.bags) - 1], ())
     assert rbag == () and ridx == len(nodes) - 1
     return nodes
 

@@ -371,8 +371,7 @@ def test_slots_distinct_within_bags():
         lifts.append(lift_to_H(decompose_dual(px.dual), H, dominated_only(H)))
     for T in lifts:
         assert T.width > 0
-        order, _parent = T.rooted()
-        slot = _slots(T, order)
+        slot = _slots(T, reversed(range(len(T.bags))))
         assert max(slot.values()) <= T.width
         for bag in T.bags:
             assert len({slot[u] for u in bag}) == len(bag), bag

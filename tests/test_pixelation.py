@@ -165,10 +165,14 @@ def test_dump_golden_l_shape():
 
 def test_locate_point():
     px = build_pixelation(OrthoPolygon(SHAPES["L"]))
-    assert px.locate_point((1, 1)) == [0]            # interior of pixel 0
-    assert sorted(px.locate_point((2, 1))) == [0, 2]  # on a shared side
-    assert sorted(px.locate_point((2, 2))) == [0, 1, 2]  # the reflex corner
-    assert px.locate_point((5, 5)) == []
+
+    def locate(p):
+        return px.locate_points([p])[0]
+
+    assert locate((1, 1)) == [0]            # interior of pixel 0
+    assert sorted(locate((2, 1))) == [0, 2]  # on a shared side
+    assert sorted(locate((2, 2))) == [0, 1, 2]  # the reflex corner
+    assert locate((5, 5)) == []
 
 
 def test_locate_points_matches_scan():

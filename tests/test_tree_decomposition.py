@@ -1,10 +1,12 @@
 import random
+from collections import Counter
 
 import pytest
 
 from helpers import (HOLED_SHAPES, SHAPES, TURNS, aux_graph_edges, best_times,
-                     dominated_only, exact_treewidth_at_most, fixture_polygons,
-                     full_lift, gc_paused, lifted_away, turned, two_pass_lift,
+                     bfs_validate, dominated_only, exact_treewidth_at_most,
+                     fixture_polygons, full_lift, gc_paused, lifted_away,
+                     reduced_lift_instance, turned, two_pass_lift,
                      validate_reduced_lift)
 from test_dp_solver import (_aux, _combs_small, _corpus_slice, _found_polygons,
                             _task_modes)
@@ -40,7 +42,7 @@ def test_path_dual_width_one():
     T = decompose_dual(px.dual)
     assert T.width == 1
     assert T.bags == [(0, 1), (0, 2), (2,)]
-    assert T.tree_edges == [(0, 1), (1, 2)]
+    assert T.parent == [1, 2, -1]
     assert_reference_decomposition(px.dual, T)
 
 
@@ -84,17 +86,116 @@ def test_disconnected_rejected():
 
 
 def test_validator_mutations():
+    """Every mutant of a valid decomposition is rejected, with the bag or
+    the vertex named: on the U, its first bag cut off as a second root and
+    an emptied bag; on the ring, a vertex dropped from a middle bag, a bag
+    re-hung under a bag not next to it, a second root and a parent that is
+    an earlier bag."""
     px = build_pixelation(OrthoPolygon(SHAPES["U"]))
     T = decompose_dual(px.dual)
     good = validate_decomposition(px.pixel_count, px.dual.edges, T)
     assert good.ok
-    cut = TreeDecomposition(T.bags, T.tree_edges[1:], "dual")
+    cut = TreeDecomposition(T.bags, [-1] + T.parent[1:], "dual")
     bad = validate_decomposition(px.pixel_count, px.dual.edges, cut)
-    assert "decomposition tree is disconnected" in bad.problems
+    assert "bag 0 is a root but not the last bag" in bad.problems
     T.bags[0] = ()
     bad = validate_decomposition(px.pixel_count, px.dual.edges, T)
     assert not bad.ok
     assert any("edge" in p or "vertex" in p for p in bad.problems)
+
+    outer, holes = HOLED_SHAPES["ring"]
+    px = build_pixelation(OrthoPolygon(outer, holes))
+    T = decompose_dual(px.dual)
+    assert T.bags[:3] == [(0, 1, 3), (1, 2, 3), (2, 3, 4)]
+    assert T.parent == [1, 2, 3, 4, 5, 6, 7, -1] and T.bags[5] == (5, 6, 7)
+
+    def problems(bags=T.bags, parent=T.parent):
+        return validate_decomposition(px.pixel_count, px.dual.edges,
+                                      TreeDecomposition(bags, parent, "dual")
+                                      ).problems
+
+    assert problems() == []
+    dropped = [T.bags[0], (1, 2), *T.bags[2:]]
+    assert "bags containing vertex 3 are not connected" in problems(dropped)
+    assert ("bags containing vertex 1 are not connected"
+            in problems(parent=[5, 2, 3, 4, 5, 6, 7, -1]))
+    assert ("bag 3 is a root but not the last bag"
+            in problems(parent=[1, 2, 3, -1, 5, 6, 7, -1]))
+    assert ("bag 4 has parent 2, not a later bag"
+            in problems(parent=[1, 2, 3, 4, 2, 6, 7, -1]))
+
+
+def validator_mutants(T, rng):
+    """(kind, bag, mutant) triples of T, one of each kind that T allows:
+    'drop' takes from a middle bag a vertex that its parent and one of its
+    children hold; 'rehang' puts a bag under a later bag that is not its
+    parent; 'root' makes a bag before the last a second root; 'earlier'
+    gives a bag an earlier bag as its parent."""
+    n = len(T.bags)
+    sets = [set(bag) for bag in T.bags]
+    middle = [(b, v) for c, b in enumerate(T.parent)
+              if b >= 0 and T.parent[b] >= 0
+              for v in sorted(sets[c] & sets[b] & sets[T.parent[b]])]
+    if middle:
+        b, v = rng.choice(middle)
+        bags = list(T.bags)
+        bags[b] = tuple(u for u in bags[b] if u != v)
+        yield "drop", b, TreeDecomposition(bags, T.parent, T.universe)
+    out = []
+    if n >= 3:  # a bag below the last two has two later bags
+        b = rng.randrange(n - 2)
+        q = rng.choice([q for q in range(b + 1, n) if q != T.parent[b]])
+        out.append(("rehang", b, q))
+    if n >= 2:
+        out.append(("root", rng.randrange(n - 1), -1))
+        b = rng.randrange(1, n)
+        out.append(("earlier", b, rng.randrange(b)))
+    for kind, b, q in out:
+        parent = list(T.parent)
+        parent[b] = q
+        yield kind, b, TreeDecomposition(T.bags, parent, T.universe)
+
+
+def test_validator_matches_bfs_reference():
+    """validate_decomposition, one linear pass over the parent array,
+    against bfs_validate, the search over the undirected tree that it
+    replaced: on the duals of test_min_degree_matches_reference and of the
+    corpus slice, and on the lifts of the slice (full, and without the
+    vertices of dominated(H) and of reduce(H)), each valid and mutated by
+    validator_mutants.  The verdicts agree on every decomposition whose
+    parents are later bags and whose last bag is the only root: the valid
+    ones, the dropped vertices and the re-hung bags.  A second root or an
+    earlier parent breaks that rule; the validator rejects it and names the
+    bag, and the reference rejects a second root too."""
+    rng = random.Random(24)
+    cases = [(D.n, D.edges, decompose_dual(D))
+             for D in differential_duals() + pendant_duals()]
+    for poly in _corpus_slice():
+        px = build_pixelation(poly)
+        H = _aux(px, GuardTask.make())
+        Td = decompose_dual(px.dual)
+        cases.append((px.pixel_count, px.dual.edges, Td))
+        cases.append((*aux_graph_edges(H), full_lift(Td, H)))
+        for red in (dominated_only(H), reduce(H)):
+            cases.append(reduced_lift_instance(H, lift_to_H(Td, H, red),
+                                               lifted_away(H, red)))
+    verdicts = Counter()
+    for n, edges, T in cases:
+        assert validate_decomposition(n, edges, T).ok
+        assert bfs_validate(n, edges, T).ok
+        for kind, b, mutant in validator_mutants(T, rng):
+            got = validate_decomposition(n, edges, mutant)
+            want = bfs_validate(n, edges, mutant)
+            if kind in ("drop", "rehang"):
+                assert got.ok == want.ok, (kind, T)
+            else:
+                assert any(p.startswith(f"bag {b} ") for p in got.problems)
+                assert kind == "earlier" or not want.ok
+            verdicts[kind, got.ok] += 1
+    assert not verdicts["drop", True] and verdicts["drop", False] > 50
+    assert verdicts["rehang", False] > 50 and verdicts["rehang", True]
+    assert verdicts["root", False] == verdicts["earlier", False] > 50
+    assert not verdicts["root", True] and not verdicts["earlier", True]
 
 
 def test_lift_unit_square():
@@ -166,15 +267,16 @@ def test_lift_merges_subset_bags():
                             for bag in full.bags]
                 assert T.width == max(map(len, unmerged)) - 1 <= full.width
                 sets = [set(bag) for bag in T.bags]
-                for a, b in T.tree_edges:
-                    assert not sets[a] <= sets[b] and not sets[b] <= sets[a]
+                for a, b in enumerate(T.parent):
+                    if b >= 0:
+                        assert not sets[a] <= sets[b] and not sets[b] <= sets[a]
                 merged += len(unmerged) - len(T.bags)
     assert merged
 
 
 def test_lift_matches_two_pass_lift():
     """lift_to_H, which builds and merges the bags in one walk, gives the
-    bags and tree edges, in order, of two_pass_lift, which lifts every bag
+    bags and parents, in order, of two_pass_lift, which lifts every bag
     first and merges them after: on the corpus slice and the small combs in
     the 24 task modes, the orientation instances as given, mirrored and
     rotated, and a 5-step thick staircase, each with the default task.
@@ -195,7 +297,7 @@ def test_lift_matches_two_pass_lift():
             got = lift_to_H(Td, H, red)
             key = (px.poly.to_json(), task, red.forced)
             assert got.bags == want.bags, key
-            assert got.tree_edges == want.tree_edges, key
+            assert got.parent == want.parent, key
             merged += len(got.bags) < len(Td.bags)
     assert len(cases) == 24 * 32 + 7 and merged
 
@@ -236,7 +338,7 @@ def reference_min_degree(n, adj):
         order.append(v)
     pos = {v: i for i, v in enumerate(order)}
     nb = [set(a) for a in adj]
-    bags, edges = [], []
+    bags, parent = [], []
     for i, v in enumerate(order):
         ns = sorted(nb[v])
         bags.append(tuple(sorted([v] + ns)))
@@ -246,9 +348,8 @@ def reference_min_degree(n, adj):
                 nb[b].add(a)
         for a in ns:
             nb[a].discard(v)
-        if ns:
-            edges.append((i, min(pos[a] for a in ns)))
-    return TreeDecomposition(bags, sorted(edges), "dual")
+        parent.append(min(pos[a] for a in ns) if ns else -1)
+    return TreeDecomposition(bags, parent, "dual")
 
 
 def grid_dual(w, h, drop, seed):
@@ -333,7 +434,7 @@ def pendant_duals():
 def assert_reference_decomposition(D, T):
     want = reference_min_degree(D.n, D.adj)
     assert T.bags == want.bags
-    assert T.tree_edges == want.tree_edges
+    assert T.parent == want.parent
     rep = validate_decomposition(D.n, D.edges, T)
     assert rep.ok, rep.problems
 
