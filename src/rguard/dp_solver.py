@@ -3,7 +3,8 @@ dynamic programming over the lifted tree decomposition itself, whose bags
 may leave out the vertices of `aux_graph.reduce(H)`: the dominated
 vertices, the forced guards, the targets those guards cover and the
 rectangles left with no target.  The DP chooses guards for the rest only;
-with the default task, on thin trees and combs the rest is empty.
+with the default task, on thin trees and combs the rest is empty, and the
+pipeline hands the DP one empty bag without decomposing the dual.
 
 Per-bag states use two bits per vertex: guards are selected/unselected,
 rectangles are dark (never adjacent to a selected guard), promised (will be)

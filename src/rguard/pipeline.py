@@ -1,6 +1,6 @@
 """End-to-end solve pipeline: pixelation, simplification, maximal rectangles,
-auxiliary graph, its reduction, decomposition, lift, and the DP, with
-per-phase timings."""
+auxiliary graph, its reduction, decomposition and lift (skipped when the
+reduction keeps nothing), and the DP, with per-phase timings."""
 from __future__ import annotations
 
 import gc
@@ -14,21 +14,43 @@ from rguard.guard_model import Guard, GuardTask, TargetPoint, simplify_guards, \
 from rguard.max_rectangles import MaxRect, enumerate_max_rects
 from rguard.pixelation import Pixelation, build_pixelation
 from rguard.polygon_core import OrthoPolygon
+from rguard import tree_decomposition
 from rguard.tree_decomposition import TreeDecomposition, decompose_dual, lift_to_H
 
 
 @dataclass(slots=True)
 class SolveContext:
+    """What a solve made, and the seconds of each phase in `timings`.
+
+    `T_dual`, the decomposition of the pixel dual, is built on first read
+    and kept in `px.memo["dual"]`.  A solve whose reduction keeps no vertex
+    of H does not build it: its `T_aux` is one empty bag, and its
+    `decompose` and `lift` timings are about 0."""
     px: Pixelation
     targets: list[TargetPoint]
     guards: list[Guard]
     rects: list[MaxRect]
     H: AuxGraph
     reduction: Reduction
-    T_dual: TreeDecomposition
     T_aux: TreeDecomposition
     solution: Solution
     timings: dict[str, float] = field(default_factory=dict)
+
+    @property
+    def T_dual(self) -> TreeDecomposition:
+        # tree_decomposition's name, not pipeline's: a tracer that wraps
+        # pipeline.decompose_dual to time a solve's layers would record a
+        # read made after the solve as a span outside any solve
+        return _dual_decomposition(self.px, tree_decomposition.decompose_dual)
+
+
+def _dual_decomposition(px: Pixelation, decompose) -> TreeDecomposition:
+    """The decomposition of px's dual, made by `decompose` once per
+    pixelation and memoized in px.memo."""
+    T = px.memo.get("dual")
+    if T is None:
+        T = px.memo["dual"] = decompose(px.dual)
+    return T
 
 
 def solve_task(poly_or_px, task: GuardTask) -> SolveContext:
@@ -42,7 +64,11 @@ def solve_task(poly_or_px, task: GuardTask) -> SolveContext:
     timed as `timings["gc"]` (0.0 when none was due).  The caller's setting
     is restored: a caller that turned the collector off keeps it off, and
     no pass runs for it.  The setting is global to the process, so a solve
-    in another thread may see the collector resume when this one returns."""
+    in another thread may see the collector resume when this one returns.
+
+    When `aux_graph.reduce` keeps no vertex of H, the dual is not
+    decomposed and not lifted, and `timings["decompose"]` and
+    `timings["lift"]` are about 0."""
     enabled = gc.isenabled()
     gc.disable()
     try:
@@ -94,17 +120,20 @@ def _solve(poly_or_px, task: GuardTask) -> SolveContext:
     timings["reduce"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()
-    if "dual" not in px.memo:
-        px.memo["dual"] = decompose_dual(px.dual)
-    T_dual = px.memo["dual"]
+    # a reduction that keeps no target of H keeps no rectangle, and no guard
+    # unless H has no target; one that keeps nothing would have the lift
+    # return one empty bag, so the dual is not decomposed
+    kept = len(red.targets) < len(H.targets) or len(red.guards) < len(H.guards)
+    T_dual = _dual_decomposition(px, decompose_dual) if kept else None
     timings["decompose"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()
-    T_aux = lift_to_H(T_dual, H, red)
+    T_aux = (lift_to_H(T_dual, H, red) if kept
+             else TreeDecomposition([()], [-1], "aux"))
     timings["lift"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()
     solution = solve_r2ds(H, T_aux, red.forced)
     timings["dp"] = time.perf_counter() - t0
-    return SolveContext(px, targets, guards, rects, H, red, T_dual, T_aux,
-                        solution, timings)
+    return SolveContext(px, targets, guards, rects, H, red, T_aux, solution,
+                        timings)

@@ -176,9 +176,10 @@ def lift_to_H(T: TreeDecomposition, H: AuxGraph,
     result is a decomposition of H minus those vertices: leaving vertices
     out of every bag keeps a decomposition valid for the rest of the graph.
     For `aux_graph.reduce(H)` these are the dominated vertices, the forced
-    guards, the targets they cover and the rectangles left with no target;
-    with the default task, on thin trees and combs that is every vertex,
-    and the result is one empty bag (width -1).
+    guards, the targets they cover and the rectangles left with no target.
+    When that is every vertex, as with the default task on thin trees and
+    combs, the result is one empty bag (width -1); `pipeline.solve_task`
+    then takes that bag without decomposing the dual or calling the lift.
 
     The walk that lifts the bags, from the root down, also contracts every
     tree edge one of whose sides is a subset of the other.  It puts

@@ -10,18 +10,19 @@ from pathlib import Path
 
 import pytest
 
-from helpers import SHAPES, fixture_polygons
+from helpers import HOLED_SHAPES, SHAPES, fixture_polygons
 from test_dp_solver import _combs_small, _infeasible_cases, _task_modes
 from test_max_rectangles import thick_staircase
 import rguard
 from rguard import aux_graph, pipeline
-from rguard.dp_solver import verify_solution
+from rguard.dp_solver import solve_r2ds, verify_solution
 from rguard.guard_model import GuardTask
 from rguard.instance_gen import (GenError, gen_holed_variant, gen_tree_polygon,
                                  rects_union_polygon)
 from rguard.oracle import oracle_min_guards
 from rguard.pixelation import build_pixelation
 from rguard.polygon_core import OrthoPolygon, scale_polygon
+from rguard.tree_decomposition import decompose_dual, lift_to_H
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
@@ -49,12 +50,89 @@ def test_solve_calls_each_layer_by_its_pipeline_name(monkeypatch):
             calls[_name] += 1
             return _fn(*args, **kwargs)
         monkeypatch.setattr(pipeline, name, counted)
-    ctx = pipeline.solve_task(OrthoPolygon(SHAPES["U"]), GuardTask.make())
+    # the ring's reduction keeps part of H: the DP gets a lifted decomposition
+    ctx = pipeline.solve_task(OrthoPolygon(*HOLED_SHAPES["ring"]),
+                              GuardTask.make())
     assert calls == dict.fromkeys(names, 1)
     # a second task on the same pixelation reuses its memoized decomposition
     pipeline.solve_task(ctx.px, GuardTask.make(allow_degenerate=True))
     assert calls == {name: 1 if name in ("build_pixelation", "decompose_dual")
                      else 2 for name in names}
+    # U's reduction keeps nothing: the dual is neither decomposed nor lifted
+    calls.clear()
+    pipeline.solve_task(OrthoPolygon(SHAPES["U"]), GuardTask.make())
+    assert calls == {name: 1 for name in names
+                     if name not in ("decompose_dual", "lift_to_H")}
+
+
+def _band_cases() -> list[tuple[OrthoPolygon, GuardTask]]:
+    """The staircase band of 50 steps, with and without degenerate
+    rectangles."""
+    band = rects_union_polygon([c for i in range(50) for c in (
+        (i, i, i + 1, i + 1), (i + 1, i, i + 2, i + 1))])
+    return [(band, GuardTask.make(allow_degenerate=deg))
+            for deg in (False, True)]
+
+
+def _mixed_small_cases(*names: str) -> list[tuple[OrthoPolygon, GuardTask]]:
+    """The 24 task modes of the benchmark's mixed_small workload on each of
+    the named polygons."""
+    workloads = _perfbench_module("workloads")
+    return [(case.poly, case.task) for case in workloads.load("mixed_small")
+            if case.name in names]
+
+
+def test_skipping_the_decomposition_matches_the_full_path():
+    """A solve skips the decomposition and the lift exactly when lifting
+    the decomposition of the dual would leave one empty bag, which is when
+    the reduction keeps no vertex of H.  Then its T_aux and its solution
+    bytes are those of the full path.  The fixtures, a tree in the 24
+    mixed_small modes, the combs, the band and the infeasible cases are
+    covered; so are tasks with no target: with guards, the reduction keeps
+    some of them and the solve takes the full path, and without guards H
+    is empty and the solve skips."""
+    task = GuardTask.make()
+    cases = [(poly, task) for poly in fixture_polygons() + _combs_small()]
+    cases += _mixed_small_cases("tree40_s29") + _band_cases()
+    cases += _infeasible_cases()
+    cases += [(poly, GuardTask.make(target_mode="points", guard_modes=gm))
+              for poly in fixture_polygons()[:3]
+              for gm in (("all-points",), ("pixels",))]
+    skipped = []
+    for poly, task in cases:
+        ctx = pipeline.solve_task(poly, task)
+        px, H, red = ctx.px, ctx.H, ctx.reduction
+        T = lift_to_H(decompose_dual(px.dual), H, red)
+        assert (ctx.T_aux.bags, ctx.T_aux.parent) == (T.bags, T.parent)
+        full = solve_r2ds(H, T, red.forced)
+        assert ctx.solution.to_json_obj(H) == full.to_json_obj(H)
+        skip = "dual" not in px.memo
+        assert skip == (T.bags == [()]), (poly.to_json(), task)
+        skipped.append(skip)
+    assert len(cases) == 11 + 4 + 24 + 2 + 3 + 6
+    # the holed fixtures, the tree's 6 modes with explicit target points,
+    # the band, the infeasible cases and the no-target tasks with guards
+    # keep part of H
+    assert skipped.count(False) == 2 + 6 + 2 + 3 + 3
+    kept_holed = [skip for (poly, _task), skip in zip(cases, skipped)
+                  if poly.holes]
+    assert kept_holed == [False, False]
+
+
+def test_dual_decomposition_is_built_on_first_read(monkeypatch):
+    """After a solve that keeps nothing, the dual is decomposed on the
+    first read of ctx.T_dual, without pipeline.decompose_dual, and
+    memoized in the pixelation."""
+    ctx = pipeline.solve_task(OrthoPolygon(SHAPES["U"]), GuardTask.make())
+    assert "dual" not in ctx.px.memo
+
+    def failing(D):
+        raise AssertionError("read through pipeline.decompose_dual")
+    monkeypatch.setattr(pipeline, "decompose_dual", failing)
+    T = ctx.T_dual
+    assert T == decompose_dual(ctx.px.dual)
+    assert ctx.px.memo["dual"] is T
+    assert ctx.T_dual is T
 
 
 def _cycle_cases() -> list[tuple[OrthoPolygon, GuardTask]]:
@@ -72,15 +150,9 @@ def _cycle_cases() -> list[tuple[OrthoPolygon, GuardTask]]:
                                 holes, seed)
               for n, holes, seed in ((6, 1, 2), (200, 4, 24))]
     polys.append(thick_staircase(10))
-    cases = [(poly, task) for poly in polys]
-    band = rects_union_polygon([c for i in range(50) for c in (
-        (i, i, i + 1, i + 1), (i + 1, i, i + 2, i + 1))])
-    cases += [(band, GuardTask.make(allow_degenerate=deg))
-              for deg in (False, True)]
-    workloads = _perfbench_module("workloads")
-    cases += [(case.poly, case.task) for case in workloads.load("mixed_small")
-              if case.name in ("tree40_s29", "holed_s0", "shape_dent2",
-                               "shape_ring")]
+    cases = [(poly, task) for poly in polys] + _band_cases()
+    cases += _mixed_small_cases("tree40_s29", "holed_s0", "shape_dent2",
+                                "shape_ring")
     return cases + _infeasible_cases()
 
 
