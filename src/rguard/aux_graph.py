@@ -49,7 +49,7 @@ def build_aux_graph(px: Pixelation, rects: list[MaxRect],
     every pixel whose closure holds it.  A pixel guard's are all those of
     its pixel, which are the rectangles meeting it.  Each pixel's list is in
     rectangle-id order, so every adjacency list is built sorted."""
-    by_pixel_rects: list[list[int]] = [[] for _ in px.pixels]
+    by_pixel_rects: list[list[int]] = [[] for _ in px.x0]
     for mr in rects:
         for pid in mr.pixel_ids:
             by_pixel_rects[pid].append(mr.id)

@@ -19,7 +19,7 @@ from __future__ import annotations
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 
-from rguard.pixelation import Pixelation, Side
+from rguard.pixelation import Pixelation
 from rguard.polygon_core import Rect
 
 
@@ -61,31 +61,31 @@ def _positive_rects(px: Pixelation) -> list[tuple[Rect, tuple[int, ...]]]:
     branch when a chain below the bottom one contains [a, b] (the rectangle
     grows down), moves up without emitting when a chain above contains it,
     and otherwise emits the rectangle and branches into each chain above
-    that overlaps (a, b).  Linking chains across interior 'h' sides in the
-    order of `px.sides` lists those above and below each chain left to right.
+    that overlaps (a, b).  Linking chains across interior 'h' sides in side
+    id order lists those above and below each chain left to right.
 
     The rectangle touches the pixels that meet [a, b] in the chains of its
     stack, in the chains just below its bottom chain and in those just above
     its top chain.  A pixel touching it only at a corner lies in one of
     these, or the polygon would pinch at that corner.
     """
-    pix = px.pixels
+    n_h, plo, phi = px.n_h, px.pix_lo, px.pix_hi
+    x0, y0, y1 = px.x0, px.y0, px.y1
+    x1 = px.x1.copy()   # per chain: the right end
     # a chain is named by its first pixel; 'v' sides come in x order, so the
     # pixel left of a side already knows its chain
-    head = list(range(len(pix)))
-    x0 = [r.xmin for r in pix]
-    x1 = [r.xmax for r in pix]   # per chain: the right end
+    head = list(range(len(x0)))
     run: dict[int, list[int]] = {}   # a chain's pixels, left to right, if 2+
-    for s in px.sides:
-        if s.axis == "v" and not s.on_boundary:
-            c = head[s.pix_hi] = head[s.pix_lo]
-            x1[c] = x1[s.pix_hi]
-            run.setdefault(c, [c]).append(s.pix_hi)
+    for lo, hi in zip(plo[n_h:], phi[n_h:]):
+        if lo >= 0 and hi >= 0:
+            c = head[hi] = head[lo]
+            x1[c] = x1[hi]
+            run.setdefault(c, [c]).append(hi)
     above: dict[int, list[int]] = {}
     below: dict[int, list[int]] = {}
-    for s in px.sides:
-        if s.axis == "h" and not s.on_boundary:
-            lo, hi = head[s.pix_lo], head[s.pix_hi]
+    for lo, hi in zip(plo[:n_h], phi[:n_h]):
+        if lo >= 0 and hi >= 0:
+            lo, hi = head[lo], head[hi]
             up, down = above.setdefault(lo, []), below.setdefault(hi, [])
             if not up or up[-1] != hi:
                 up.append(hi)
@@ -108,7 +108,7 @@ def _positive_rects(px: Pixelation) -> list[tuple[Rect, tuple[int, ...]]]:
         return next((d for d in chains if x0[d] <= a and b <= x1[d]), None)
 
     out = []
-    for c0 in range(len(pix)):
+    for c0 in range(len(x0)):
         if head[c0] != c0:
             continue
         down = below.get(c0, [])
@@ -129,7 +129,7 @@ def _positive_rects(px: Pixelation) -> list[tuple[Rect, tuple[int, ...]]]:
                 pids += pixels_meeting(d, a, b)
             for d in low + high:
                 pids += pixels_meeting(d, a, b)
-            out.append((Rect(a, pix[c0].ymin, b, pix[c].ymax),
+            out.append((Rect(a, y0[c0], b, y1[c]),
                         tuple(sorted(pids))))
             for d in high:
                 if a < x1[d] and x0[d] < b:
@@ -140,39 +140,36 @@ def _positive_rects(px: Pixelation) -> list[tuple[Rect, tuple[int, ...]]]:
 def _degenerate_segments(px: Pixelation) -> list[tuple[Rect, tuple[int, ...]]]:
     """Maximal chains of collinear pixel sides that neither extend into a
     pixel interior nor fatten to positive area, each with the pixels it
-    touches: those at the corners of its sides.  `px.sides` is sorted by
-    axis, line and position, so a chain is a run of its sides, each starting
-    where the one before ends."""
+    touches: those at the corners of its sides.  The sides are sorted by
+    axis, line and position, so a chain is a run of side ids, each side
+    starting where the one before ends."""
+    c, lo, hi = px.side_c, px.side_lo, px.side_hi
     out = []
-    chain: list[Side] = []
-    for s in px.sides + [None]:
-        if chain and (s is None or (s.axis, s.c, s.lo)
-                      != (chain[-1].axis, chain[-1].c, chain[-1].hi)):
-            out.extend(_chain_candidate(px, chain))
-            chain = []
-        if s is not None:
-            chain.append(s)
+    first = 0
+    for s in range(1, len(c) + 1):
+        if s == len(c) or s == px.n_h or c[s] != c[s - 1] or lo[s] != hi[s - 1]:
+            out.extend(_chain_candidate(px, first, s))
+            first = s
     return out
 
 
-def _chain_candidate(px: Pixelation, chain: list[Side]):
-    axis, c = chain[0].axis, chain[0].c
-    lo, hi = chain[0].lo, chain[-1].hi
-    if axis == "v":
+def _chain_candidate(px: Pixelation, first: int, end: int):
+    """The chain of sides first..end - 1 as a degenerate maximal segment,
+    or nothing."""
+    c, lo, hi = px.side_c[first], px.side_lo[first], px.side_hi[end - 1]
+    a, b = px.corner_a[first], px.corner_b[end - 1]
+    # a pixel beyond an end corner, along the chain's line => not maximal
+    if first >= px.n_h:
         seg = Rect(c, lo, c, hi)
-        probes = [(c, lo - 1), (c, hi + 1)]
+        beyond = (px.q_sw[a], px.q_se[a], px.q_nw[b], px.q_ne[b])
     else:
         seg = Rect(lo, c, hi, c)
-        probes = [(lo - 1, c), (hi + 1, c)]
-    # extension beyond an endpoint into some incident pixel => not maximal
-    for probe, end in zip(probes, (chain[0].corner_a, chain[-1].corner_b)):
-        for pid in px.corner_pixels[end]:
-            if px.pixels[pid].contains_point(probe):
-                return []
-    fatten_lo = all(s.pix_lo is not None for s in chain)
-    fatten_hi = all(s.pix_hi is not None for s in chain)
-    if fatten_lo or fatten_hi:
+        beyond = (px.q_sw[a], px.q_nw[a], px.q_se[b], px.q_ne[b])
+    if max(beyond) >= 0:
         return []
-    pids = {p for s in chain for k in (s.corner_a, s.corner_b)
-            for p in px.corner_pixels[k]}
+    # a pixel along the whole chain on one side => it fattens
+    if min(px.pix_lo[first:end]) >= 0 or min(px.pix_hi[first:end]) >= 0:
+        return []
+    pids = {p for k in px.corner_a[first:end] + [b]
+            for p in px.corner_pixels(k)}
     return [(seg, tuple(sorted(pids)))]

@@ -15,52 +15,24 @@ column in step.  No slabs are stored: `max_rectangles` reads both
 decompositions' slabs off the pixel sides.
 
 The mesh is conforming: two pixels that touch along a line share a whole
-side.  So on one line at most one side starts at a given corner, and a side
-is named by its first corner (its west end for 'h', its south end for 'v').
+side.  So on one line at most one side starts at a given corner, a side is
+named by its first corner (its west end for 'h', its south end for 'v'),
+and each quadrant around a corner holds at most one pixel.  The pixels,
+corners and sides are stored as parallel lists of ints indexed by their
+ids (see `Pixelation`), so the complex holds no object per cell.
 """
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right, insort
 from collections.abc import Sequence
 from dataclasses import dataclass
-from functools import cached_property, partial
-from itertools import compress, repeat, starmap
+from functools import cached_property
+from itertools import compress
 from operator import itemgetter
-from typing import NamedTuple
 
 import numpy as np
 
 from rguard.polygon_core import OrthoPolygon, Pt, Rect, half
-
-
-class Side(NamedTuple):
-    """One pixelation-graph edge: a full pixel side.
-
-    Conforming-mesh property: a side is either shared by exactly two pixels
-    or lies on the polygon boundary.  A named tuple: sides are many and
-    immutable, and a tuple is cheap to build.
-    """
-
-    axis: str              # 'v' (vertical) or 'h'
-    c: int                 # the fixed coordinate
-    lo: int
-    hi: int
-    corner_a: int          # corner id at (c, lo) / (lo, c): the first corner
-    corner_b: int          # corner id at (c, hi) / (hi, c)
-    pix_lo: int | None     # pixel on the smaller-coordinate side (west/south)
-    pix_hi: int | None     # pixel on the larger-coordinate side
-
-    @property
-    def on_boundary(self) -> bool:
-        return self.pix_lo is None or self.pix_hi is None
-
-    def midpoint(self) -> Pt:
-        m = (self.lo + self.hi) // 2
-        return (self.c, m) if self.axis == "v" else (m, self.c)
-
-
-# Side._make without its length check
-_new_side = partial(tuple.__new__, Side)
 
 
 @dataclass(slots=True)
@@ -77,7 +49,23 @@ class PixelationError(RuntimeError):
 
 
 class Pixelation:
-    """Pixels, pixelation graph and dual graph of a polygon."""
+    """The pixel complex of a polygon, as parallel int lists.
+
+    Pixels: the boxes `x0`, `y0`, `x1`, `y1`, and the ids of each pixel's
+    `south`, `north`, `west` and `east` sides.
+
+    Corners, in (x, y) order: `cx`, `cy`, and the pixel in each quadrant
+    around the corner, `q_sw`, `q_se`, `q_nw` and `q_ne` (-1 for none).
+
+    Sides, the 'h' ones first (ids below `n_h`, in (y, x) order), then the
+    'v' ones (in (x, y) order): the fixed coordinate `side_c`, the span
+    `side_lo` to `side_hi` along it, the end corners `corner_a` and
+    `corner_b`, and the pixels `pix_lo` on the south or west and `pix_hi` on
+    the north or east (-1 for none, on the boundary).  A side is either
+    shared by two pixels or lies on the polygon boundary.
+
+    `pixels` (one `Rect` per pixel), `dual` and `cover` are built on first
+    read.  A solve whose reduction keeps nothing reads none of them."""
 
     def __init__(self, poly: OrthoPolygon):
         self.poly = poly
@@ -89,25 +77,23 @@ class Pixelation:
         h_cuts = _sweep(h_edges, h_rays, v_edges, None)[0]
         # pass 2: x-sweep splits its slabs by those cuts into the pixels
         boxes = _sweep(v_edges, v_rays, h_edges, h_cuts)[1]
-        self.pixels: list[Rect] = list(starmap(Rect, boxes))
-        self._build_graph(boxes)
+        self._build(boxes)
 
-    # -- pixelation graph -----------------------------------------------------
-
-    def _build_graph(self, boxes: list[tuple[int, int, int, int]]) -> None:
-        """Corners, sides and the dual graph from the pixel boxes
-        (xmin, ymin, xmax, ymax).
+    def _build(self, boxes: list[tuple[int, int, int, int]]) -> None:
+        """The complex from the pixel boxes (xmin, ymin, xmax, ymax).
 
         A corner (x, y) is first the integer x * span + y - ybase, which
         sorts in (x, y) order; its id is its rank.  Each pixel then names
         its four sides by their first corners: west and south start at its
         south-west corner, east at its south-east and north at its
         north-west one.  'v' sides come out in corner-id order, and 'h'
-        sides, stably sorted by y, in (y, x) order of their first corner:
-        together the (axis, c, lo, hi) order of the sides.
+        sides, stably sorted by y, in (y, x) order of their first corner.
+        The pixels of a side are those in the quadrants of its first corner
+        that it bounds.
         """
-        ybase = min((b[1] for b in boxes), default=0)
-        span = max((b[3] for b in boxes), default=0) - ybase + 1
+        self.x0, self.y0, self.x1, self.y1 = map(list, zip(*boxes))
+        ybase = min(self.y0)
+        span = max(self.y1) - ybase + 1
         sw = [x0 * span + y0 - ybase for x0, y0, _, _ in boxes]
         se = [x1 * span + y0 - ybase for _, y0, x1, _ in boxes]
         nw = [x0 * span + y1 - ybase for x0, _, _, y1 in boxes]
@@ -119,71 +105,50 @@ class Pixelation:
         # corners and sides share the boxes' int objects rather than hold
         # decoded copies, which would outlive the build
         coord = {v: v for b in boxes for v in b}
-        cx = [coord[k // span] for k in keys]
-        cy = [coord[k % span + ybase] for k in keys]
+        self.cx = cx = [coord[k // span] for k in keys]
+        self.cy = cy = [coord[k % span + ybase] for k in keys]
         n_c = len(keys)
         del rank, keys, coord
-        self.corners: list[Pt] = list(zip(cx, cy))
 
-        # per first corner: the side's last corner (0 for no side: a last
-        # corner follows its first in id order) and the pixels below and
-        # above it (west and east for 'v')
-        cp: list[list[int]] = [[] for _ in range(n_c)]
-        v_end, v_lo, v_hi = [0] * n_c, [None] * n_c, [None] * n_c
-        h_end, h_lo, h_hi = [0] * n_c, [None] * n_c, [None] * n_c
+        # per first corner, the side's last corner (0 for no side: a last
+        # corner follows its first in id order)
+        q_sw, q_se, q_nw, q_ne = ([-1] * n_c for _ in range(4))
+        v_end, h_end = [0] * n_c, [0] * n_c
         for pid, (a, b, c, d) in enumerate(zip(sw, se, nw, ne)):
-            cp[a].append(pid)
-            cp[b].append(pid)
-            cp[c].append(pid)
-            cp[d].append(pid)
-            v_end[a], v_hi[a] = c, pid     # west side
-            v_end[b], v_lo[b] = d, pid     # east side
-            h_end[a], h_hi[a] = b, pid     # south side
-            h_end[c], h_lo[c] = d, pid     # north side
+            q_ne[a] = q_nw[b] = q_se[c] = q_sw[d] = pid
+            v_end[a], v_end[b] = c, d      # west and east sides
+            h_end[a], h_end[c] = b, d      # south and north sides
         # two sides starting at one corner would overwrite each other's end
         if ([v_end[a] for a in sw] != nw or [v_end[b] for b in se] != ne
                 or [h_end[a] for a in sw] != se or [h_end[c] for c in nw] != ne):
             raise PixelationError("pixel sides do not conform")
-        self.corner_pixels: list[list[int]] = cp
-        self.corner_interior: list[bool] = [len(v) == 4 for v in cp]
+        self.q_sw, self.q_se, self.q_nw, self.q_ne = q_sw, q_se, q_nw, q_ne
 
         hs = list(compress(range(n_c), h_end))
         hs.sort(key=cy.__getitem__)
         vs = list(compress(range(n_c), v_end))
-        self.sides: list[Side] = []
-        edges = []
-        for axis, firsts, end, lo, hi, c, along in (
-                ("h", hs, h_end, h_lo, h_hi, cy, cx),
-                ("v", vs, v_end, v_lo, v_hi, cx, cy)):
-            lasts = list(map(end.__getitem__, firsts))
-            los = list(map(lo.__getitem__, firsts))
-            his = list(map(hi.__getitem__, firsts))
-            self.sides += map(_new_side, zip(
-                repeat(axis), map(c.__getitem__, firsts),
-                map(along.__getitem__, firsts), map(along.__getitem__, lasts),
-                firsts, lasts, los, his))
-            edges += [(p, q) if p < q else (q, p) for p, q in zip(los, his)
-                      if p is not None and q is not None]
+        h_last = list(map(h_end.__getitem__, hs))
+        v_last = list(map(v_end.__getitem__, vs))
+        self.n_h = len(hs)
+        self.side_c = [*map(cy.__getitem__, hs), *map(cx.__getitem__, vs)]
+        self.side_lo = [*map(cx.__getitem__, hs), *map(cy.__getitem__, vs)]
+        self.side_hi = [*map(cx.__getitem__, h_last),
+                        *map(cy.__getitem__, v_last)]
+        self.corner_a = hs + vs
+        self.corner_b = h_last + v_last
+        self.pix_lo = [*map(q_se.__getitem__, hs), *map(q_nw.__getitem__, vs)]
+        self.pix_hi = list(map(q_ne.__getitem__, self.corner_a))
 
-        # side ids by first corner; a pixel's sides in id order are its
-        # south, north, west and east ones
+        # side ids by first corner
         h_sid, v_sid = [0] * n_c, [0] * n_c
         for sid, a in enumerate(hs):
             h_sid[a] = sid
         for sid, a in enumerate(vs, len(hs)):
             v_sid[a] = sid
-        self.pixel_sides: list[list[int]] = [
-            [h_sid[a], h_sid[c], v_sid[a], v_sid[b]]
-            for a, b, c in zip(sw, se, nw)]
-
-        edges.sort()
-        # in sorted edge order each list receives its smaller neighbours,
-        # then its larger ones, both ascending: it comes out sorted
-        adj: list[list[int]] = [[] for _ in boxes]
-        for u, v in edges:
-            adj[u].append(v)
-            adj[v].append(u)
-        self.dual = DualGraph(len(boxes), edges, adj)
+        self.south = list(map(h_sid.__getitem__, sw))
+        self.north = list(map(h_sid.__getitem__, nw))
+        self.west = list(map(v_sid.__getitem__, sw))
+        self.east = list(map(v_sid.__getitem__, se))
 
         area = sum((x1 - x0) * (y1 - y0) for x0, y0, x1, y1 in boxes)
         if area != abs(self.poly.area2()) // 2:
@@ -193,17 +158,41 @@ class Pixelation:
 
     @property
     def pixel_count(self) -> int:
-        return len(self.pixels)
+        return len(self.x0)
 
     @cached_property
-    def corner_ids(self) -> dict[Pt, int]:
-        """Corner id by point."""
-        return dict(zip(self.corners, range(len(self.corners))))
+    def pixels(self) -> list[Rect]:
+        """One `Rect` per pixel."""
+        return list(map(Rect, self.x0, self.y0, self.x1, self.y1))
+
+    @cached_property
+    def dual(self) -> DualGraph:
+        """The pixels, joined across the sides they share."""
+        edges = sorted((p, q) if p < q else (q, p)
+                       for p, q in zip(self.pix_lo, self.pix_hi)
+                       if p >= 0 and q >= 0)
+        # in sorted edge order each list receives its smaller neighbours,
+        # then its larger ones, both ascending: it comes out sorted
+        adj: list[list[int]] = [[] for _ in self.x0]
+        for u, v in edges:
+            adj[u].append(v)
+            adj[v].append(u)
+        return DualGraph(len(adj), edges, adj)
+
+    def corner_pixels(self, cid: int) -> list[int]:
+        """The pixels at corner cid, in id order."""
+        return sorted(p for p in (self.q_sw[cid], self.q_se[cid],
+                                  self.q_nw[cid], self.q_ne[cid]) if p >= 0)
+
+    def corner_interior(self, cid: int) -> bool:
+        """Is corner cid shared by 4 pixels?"""
+        return min(self.q_sw[cid], self.q_se[cid],
+                   self.q_nw[cid], self.q_ne[cid]) >= 0
 
     @cached_property
     def is_thin(self) -> bool:
         """True iff no pixel corner is interior (shared by 4 pixels)."""
-        return not any(self.corner_interior)
+        return max(map(min, self.q_sw, self.q_se, self.q_nw, self.q_ne)) < 0
 
     @cached_property
     def cover(self) -> "PixelCover":
@@ -212,45 +201,49 @@ class Pixelation:
     def locate_points(self, pts: Sequence[Pt]) -> list[list[int]]:
         """The pixels whose closure contains each point (none when it is
         outside P), for all the points in one pass.  A corner reads its
-        pixels; a point on an open side is found by bisecting the sides,
-        which are sorted by axis, line and position; the rest by one sweep
+        pixels and a point on an open side the side's, found by bisecting
+        the coordinate lists, which are sorted: corners by x, then y; each
+        axis' sides by line, then position.  The rest are found by one sweep
         over x that keeps the pixels whose x-range strictly holds the sweep
         line ordered by ymin, where they do not overlap."""
-        corner_ids, corner_pixels, sides = (self.corner_ids, self.corner_pixels,
-                                            self.sides)
+        cx, cy, c, lo, hi = self.cx, self.cy, self.side_c, self.side_lo, \
+            self.side_hi
+        n_h, n_s = self.n_h, len(c)
         out: list[list[int]] = [[] for _ in pts]
         inner = []
         for i, (x, y) in enumerate(pts):
-            cid = corner_ids.get((x, y))
-            if cid is not None:
-                out[i] = list(corner_pixels[cid])
+            a = bisect_left(cx, x)
+            cid = bisect_left(cy, y, a, bisect_right(cx, x, a))
+            if cid < len(cx) and cx[cid] == x and cy[cid] == y:
+                out[i] = self.corner_pixels(cid)
                 continue
-            for key in (("v", x, y), ("h", y, x)):
-                s = sides[bisect_left(sides, key) - 1]
-                if s[:2] == key[:2] and s.lo < key[2] < s.hi:
-                    out[i] = sorted(q for q in (s.pix_lo, s.pix_hi)
-                                    if q is not None)
+            for u, v, first, end in ((x, y, n_h, n_s), (y, x, 0, n_h)):
+                a = bisect_left(c, u, first, end)
+                s = bisect_right(lo, v, a, bisect_right(c, u, a, end)) - 1
+                if s >= a and lo[s] < v < hi[s]:
+                    out[i] = sorted(q for q in (self.pix_lo[s], self.pix_hi[s])
+                                    if q >= 0)
                     break
             else:
                 inner.append((x, y, i))
         if not inner:
             return out
         inner.sort()
-        pixels, n = self.pixels, len(self.pixels)
-        by_xmin = sorted(range(n), key=lambda q: pixels[q].xmin)
-        by_xmax = sorted(range(n), key=lambda q: pixels[q].xmax)
+        x0, y0, x1, y1 = self.x0, self.y0, self.x1, self.y1
+        n = len(x0)
+        by_xmin = sorted(range(n), key=x0.__getitem__)
+        by_xmax = sorted(range(n), key=x1.__getitem__)
         active: list[tuple[int, int]] = []   # (ymin, pixel id)
         a = b = 0
         for x, y, i in inner:
-            while a < n and pixels[by_xmin[a]].xmin < x:
-                insort(active, (pixels[by_xmin[a]].ymin, by_xmin[a]))
+            while a < n and x0[by_xmin[a]] < x:
+                insort(active, (y0[by_xmin[a]], by_xmin[a]))
                 a += 1
-            while b < n and pixels[by_xmax[b]].xmax <= x:
-                del active[bisect_left(active, (pixels[by_xmax[b]].ymin,
-                                                by_xmax[b]))]
+            while b < n and x1[by_xmax[b]] <= x:
+                del active[bisect_left(active, (y0[by_xmax[b]], by_xmax[b]))]
                 b += 1
             j = bisect_left(active, (y,)) - 1
-            if j >= 0 and y < pixels[active[j][1]].ymax:
+            if j >= 0 and y < y1[active[j][1]]:
                 out[i] = [active[j][1]]
         return out
 
@@ -268,21 +261,19 @@ def estimate_thinness_K(px: Pixelation) -> int:
     largest square grid of interior corners whose neighboring corners are
     joined by single pixel sides.
     """
-    interior = {p for p, flag in zip(px.corners, px.corner_interior) if flag}
+    interior = set(filter(px.corner_interior, range(len(px.cx))))
     if not interior:
         return 1
-    left: dict[Pt, Pt] = {}
-    down: dict[Pt, Pt] = {}
-    for s in px.sides:
-        a = (s.c, s.lo) if s.axis == "v" else (s.lo, s.c)
-        b = (s.c, s.hi) if s.axis == "v" else (s.hi, s.c)
+    left: dict[int, int] = {}
+    down: dict[int, int] = {}
+    for sid, (a, b) in enumerate(zip(px.corner_a, px.corner_b)):
         if a in interior and b in interior:
-            if s.axis == "v":
+            if sid >= px.n_h:
                 down[b] = a
             else:
                 left[b] = a
     best = 1
-    score: dict[Pt, int] = {}
+    score: dict[int, int] = {}
     for c in sorted(interior):  # (x, y) order processes left/down first
         l, d = left.get(c), down.get(c)
         s = 1

@@ -52,16 +52,16 @@ def render_svg(ctx: SolveContext) -> str:
                f'stroke="{_POLY_EDGE}" stroke-width="0.08" fill-rule="evenodd"/>')
     # interior pixel sides
     grid = []
-    for s in ctx.px.sides:
-        if s.on_boundary:
+    px = ctx.px
+    for sid, (c, lo, hi, p, q) in enumerate(zip(
+            px.side_c, px.side_lo, px.side_hi, px.pix_lo, px.pix_hi)):
+        if p < 0 or q < 0:
             continue
-        if s.axis == "v":
-            a, b = v.xy(s.c, s.lo)
-            c, d = v.xy(s.c, s.hi)
+        if sid >= px.n_h:
+            a, b, e, f = *v.xy(c, lo), *v.xy(c, hi)
         else:
-            a, b = v.xy(s.lo, s.c)
-            c, d = v.xy(s.hi, s.c)
-        grid.append(f'<line x1="{a}" y1="{b}" x2="{c}" y2="{d}"/>')
+            a, b, e, f = *v.xy(lo, c), *v.xy(hi, c)
+        grid.append(f'<line x1="{a}" y1="{b}" x2="{e}" y2="{f}"/>')
     if grid:
         out.append(f'<g stroke="{_GRID}" stroke-width="0.03" '
                    f'stroke-dasharray="0.12,0.12">')

@@ -12,6 +12,7 @@ from bisect import bisect_left, bisect_right
 from collections import deque
 from contextlib import contextmanager
 from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
@@ -56,6 +57,64 @@ TURNS = {
     "mirror": (lambda x, y: (C - x, y), lambda x, y: (C - x, y)),
     "rot90": (lambda x, y: (C - y, x), lambda x, y: (y, C - x)),
 }
+
+
+# -- the pixel complex cell by cell ----------------------------------------------
+#
+# `Pixelation` stores its pixels, corners and sides as parallel int lists;
+# these read one cell at a time off them, for tests that walk the cells.
+
+
+class Side(NamedTuple):
+    """The fields `Pixelation` stores for one side, with None for no pixel."""
+
+    axis: str              # 'v' (vertical) or 'h'
+    c: int                 # the fixed coordinate
+    lo: int
+    hi: int
+    corner_a: int          # corner id at (c, lo) / (lo, c)
+    corner_b: int          # corner id at (c, hi) / (hi, c)
+    pix_lo: int | None     # pixel on the smaller-coordinate side (west/south)
+    pix_hi: int | None     # pixel on the larger-coordinate side
+
+    @property
+    def on_boundary(self) -> bool:
+        return self.pix_lo is None or self.pix_hi is None
+
+    def midpoint(self) -> Pt:
+        m = (self.lo + self.hi) // 2
+        return (self.c, m) if self.axis == "v" else (m, self.c)
+
+
+def sides(px: Pixelation) -> list[Side]:
+    """Every side, in id order."""
+    return [Side("h" if sid < px.n_h else "v", c, lo, hi, a, b,
+                 None if p < 0 else p, None if q < 0 else q)
+            for sid, (c, lo, hi, a, b, p, q) in enumerate(zip(
+                px.side_c, px.side_lo, px.side_hi, px.corner_a, px.corner_b,
+                px.pix_lo, px.pix_hi))]
+
+
+def corners(px: Pixelation) -> list[Pt]:
+    """Every corner point, in id order."""
+    return list(zip(px.cx, px.cy))
+
+
+@lru_cache(maxsize=4)
+def corner_ids(px: Pixelation) -> dict[Pt, int]:
+    """Corner id by point."""
+    return {p: i for i, p in enumerate(corners(px))}
+
+
+def corner_pixels(px: Pixelation) -> list[list[int]]:
+    """The pixels at each corner, in id order."""
+    return [px.corner_pixels(cid) for cid in range(len(px.cx))]
+
+
+@lru_cache(maxsize=4)
+def pixel_sides(px: Pixelation) -> list[list[int]]:
+    """The side ids of each pixel, in id order: south, north, west, east."""
+    return [list(ids) for ids in zip(px.south, px.north, px.west, px.east)]
 
 
 def turned(poly: OrthoPolygon, how: str) -> OrthoPolygon:
@@ -162,9 +221,9 @@ def flood_pixels(px: Pixelation, r: Rect) -> tuple[int, ...]:
     """All pixels whose closed rectangle meets r, by a flood fill over the
     pixelation corners lying on or in r, from the pixels at r's lower-left
     corner (or containing it); the reference for `MaxRect.pixel_ids`."""
-    p = (r.xmin, r.ymin)
-    if p in px.corner_ids:
-        stack = list(px.corner_pixels[px.corner_ids[p]])
+    p, ids = (r.xmin, r.ymin), corner_ids(px)
+    if p in ids:
+        stack = px.corner_pixels(ids[p])
     else:
         stack = px.locate_points([p])[0]
     found: set[int] = set()
@@ -177,7 +236,7 @@ def flood_pixels(px: Pixelation, r: Rect) -> tuple[int, ...]:
         for c in ((q.xmin, q.ymin), (q.xmax, q.ymin),
                   (q.xmin, q.ymax), (q.xmax, q.ymax)):
             if r.contains_point(c):
-                stack.extend(v for v in px.corner_pixels[px.corner_ids[c]]
+                stack.extend(v for v in px.corner_pixels(ids[c])
                              if v not in found)
     return tuple(sorted(found))
 
@@ -197,8 +256,7 @@ def reference_targets(px: Pixelation, task: GuardTask) -> list[TargetPoint]:
     if mode == "vertices":
         pts = []
         for v in _ref_vertices(px):
-            cidx = px.corner_ids.get(v)
-            if cidx is None:
+            if v not in corner_ids(px):
                 raise TaskError(f"polygon vertex {v} is not an arrangement corner")
             pts.append((v, "corner", min(closure_pixels(px, v))))
         return [TargetPoint(i, p, k, h) for i, (p, k, h) in enumerate(pts)]
@@ -212,11 +270,11 @@ def reference_targets(px: Pixelation, task: GuardTask) -> list[TargetPoint]:
         if pt is not None:
             fired_pixels[pid] = pt
     fired_sides: dict[int, Pt] = {}
-    for sid, side in enumerate(px.sides):
+    for sid, side in enumerate(sides(px)):
         incident = [p for p in (side.pix_lo, side.pix_hi) if p is not None]
         if any(p in fired_pixels for p in incident):
             continue
-        pt = uset.side_point(side)
+        pt = uset.side_point(sid)
         if pt is not None:
             fired_sides[sid] = pt
     out: list[tuple[Pt, str, int]] = []
@@ -224,10 +282,10 @@ def reference_targets(px: Pixelation, task: GuardTask) -> list[TargetPoint]:
         out.append((pt, "interior", pid))
     for sid, pt in sorted(fired_sides.items()):
         out.append((pt, "side", min(closure_pixels(px, pt))))
-    for cidx, c in enumerate(px.corners):
+    for cidx, c in enumerate(corners(px)):
         if uset.corner_point(cidx) is None:
             continue
-        if any(pid in fired_pixels for pid in px.corner_pixels[cidx]):
+        if any(pid in fired_pixels for pid in px.corner_pixels(cidx)):
             continue
         if any(sid in fired_sides for sid in _ref_corner_sides(px, cidx)):
             continue
@@ -251,23 +309,23 @@ def reference_guards(px: Pixelation, task: GuardTask) -> list[Guard]:
                          boundary="boundary-points" in point_modes,
                          extras=tuple(extras))
         fired_corners: set[int] = set()
-        for cidx, c in enumerate(px.corners):
+        for cidx, c in enumerate(corners(px)):
             if gset.corner_point(cidx) is not None:
                 fired_corners.add(cidx)
                 pts.append((c, "corner", min(closure_pixels(px, c))))
         fired_sides: dict[int, Pt] = {}
-        for sid, side in enumerate(px.sides):
+        for sid, side in enumerate(sides(px)):
             if side.corner_a in fired_corners or side.corner_b in fired_corners:
                 continue
-            pt = gset.side_point(side)
+            pt = gset.side_point(sid)
             if pt is not None:
                 fired_sides[sid] = pt
                 pts.append((pt, "side", min(closure_pixels(px, pt))))
         for pid in range(px.pixel_count):
-            cids = [px.corner_ids[c] for c in _ref_pixel_corner_points(px, pid)]
+            cids = [corner_ids(px)[c] for c in _ref_pixel_corner_points(px, pid)]
             if any(ci in fired_corners for ci in cids):
                 continue
-            if any(sid in fired_sides for sid in px.pixel_sides[pid]):
+            if any(sid in fired_sides for sid in pixel_sides(px)[pid]):
                 continue
             pt = gset.interior_point(pid)
             if pt is not None:
@@ -340,7 +398,7 @@ def multi_home_aux_graph(px: Pixelation, rects: list[MaxRect],
                                lambda r, q=g.location: r.contains_point(q)))
         else:
             homes = {q for c in _ref_pixel_corner_points(px, g.pixel)
-                     for q in px.corner_pixels[px.corner_ids[c]]}
+                     for q in px.corner_pixels(corner_ids(px)[c])}
             gr.append(rects_at(homes, px.pixels[g.pixel].intersects))
     ru: list[list[int]] = [[] for _ in rects]
     rg: list[list[int]] = [[] for _ in rects]
@@ -359,21 +417,16 @@ def _ref_pixel_corner_points(px: Pixelation, pid: int):
 
 
 def _ref_corner_sides(px: Pixelation, cidx: int) -> list[int]:
-    out = []
-    for pid in px.corner_pixels[cidx]:
-        for sid in px.pixel_sides[pid]:
-            s = px.sides[sid]
-            if s.corner_a == cidx or s.corner_b == cidx:
-                out.append(sid)
-    return out
+    return [sid for pid in px.corner_pixels(cidx) for sid in pixel_sides(px)[pid]
+            if cidx in (px.corner_a[sid], px.corner_b[sid])]
 
 
 def cell_points(px: Pixelation) -> list[Pt]:
     """Doubled points in cells of every kind: corners, open sides (midpoints
     and off-centre), pixel interiors (centers and off-centre) and polygon
     vertices."""
-    pts = list(px.corners[::3])
-    for s in px.sides[::2]:
+    pts = corners(px)[::3]
+    for s in sides(px)[::2]:
         pts.append(s.midpoint())
         pts.append((s.c, s.lo + 1) if s.axis == "v" else (s.lo + 1, s.c))
     pts += [(r.xmin + 1, r.ymin + 1) for r in px.pixels[::2]]
@@ -988,13 +1041,12 @@ def pixelation_fields(px: Pixelation) -> dict:
     """Every field of a pixelation as plain data."""
     return {
         "pixels": [r.as_tuple() for r in px.pixels],
-        "corners": list(px.corners),
-        "corner_ids": dict(px.corner_ids),
-        "corner_pixels": [list(v) for v in px.corner_pixels],
-        "corner_interior": list(px.corner_interior),
-        "sides": [(s.axis, s.c, s.lo, s.hi, s.corner_a, s.corner_b,
-                   s.pix_lo, s.pix_hi) for s in px.sides],
-        "pixel_sides": [list(v) for v in px.pixel_sides],
+        "corners": corners(px),
+        "corner_ids": dict(corner_ids(px)),
+        "corner_pixels": corner_pixels(px),
+        "corner_interior": [px.corner_interior(c) for c in range(len(px.cx))],
+        "sides": [tuple(s) for s in sides(px)],
+        "pixel_sides": pixel_sides(px),
         "dual_n": px.dual.n,
         "dual_edges": list(px.dual.edges),
         "dual_adj": [list(v) for v in px.dual.adj],

@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 
 from helpers import (SHAPES, TURNS, best_times, cell_points, closure_pixels,
-                     fixture_polygons, gc_paused, per_closure_counts,
-                     reference_guards, reference_targets, turned)
+                     corners, fixture_polygons, gc_paused, per_closure_counts,
+                     reference_guards, reference_targets, sides, turned)
 from rguard.cli_io import loglog_slope
 from rguard.guard_model import (GUARD_MODES, TARGET_MODES, GuardTask, TaskError,
                                 simplify_guards, simplify_targets)
@@ -63,7 +63,7 @@ def test_simplify_targets_vertices():
 def test_simplify_targets_boundary_side_midpoints():
     px = L_px()
     ts = simplify_targets(px, GuardTask.make(target_mode="boundary"))
-    boundary_sides = [s for s in px.sides if s.on_boundary]
+    boundary_sides = [s for s in sides(px) if s.on_boundary]
     assert len(ts) == len(boundary_sides) == 8
     assert {t.location for t in ts} == {s.midpoint() for s in boundary_sides}
 
@@ -85,7 +85,7 @@ def test_simplify_targets_explicit_tiers():
 def test_simplify_guards_all_points_are_corners():
     px = L_px()
     gs = simplify_guards(px, GuardTask.make(guard_modes=("all-points",)))
-    assert {g.location for g in gs} == set(px.corners)
+    assert {g.location for g in gs} == set(corners(px))
     assert all(g.kind == "point" for g in gs)
 
 
@@ -105,7 +105,7 @@ def test_simplify_guards_pixel_guards_homes():
     assert [g.pixel for g in pixel_guards] == [0, 1, 2, 3, 4]
     assert all(g.location is None for g in pixel_guards)
     point_guards = [g for g in gs if g.kind == "point"]
-    assert len(point_guards) == len(px.corners)
+    assert len(point_guards) == len(px.cx)
     for g in point_guards:
         assert g.pixel == min(closure_pixels(px, g.location))
     home = {g.location: g.pixel for g in point_guards}
@@ -156,7 +156,7 @@ def test_side_interior_dominates_side(allow):
         guards = [Guard(i, "point", p, None) for i, p in enumerate(pts)]
         mat = coverage_matrix(px, guards, pts, allow)
         idx = {p: i for i, p in enumerate(pts)}
-        for s in px.sides:
+        for s in sides(px):
             mid = s.midpoint()
             sees_mid = mat[:, idx[mid]]
             ends = [(s.c, s.lo), (s.c, s.hi)] if s.axis == "v" else \
@@ -220,7 +220,7 @@ def test_explicit_points_scale_linearly():
         px = build_pixelation(gen_tree_polygon(n, 0))
         pts = [((r.xmin + r.xmax) // 2, (r.ymin + r.ymax) // 2)
                for r in px.pixels]
-        pts += [s.midpoint() for s in px.sides[::2]] + px.corners[::2]
+        pts += [s.midpoint() for s in sides(px)[::2]] + corners(px)[::2]
         task = GuardTask.make(target_mode="points", target_points=pts,
                               doubled=True)
         sizes.append(px.pixel_count)

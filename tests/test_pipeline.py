@@ -135,6 +135,21 @@ def test_dual_decomposition_is_built_on_first_read(monkeypatch):
     assert ctx.T_dual is T
 
 
+def test_tree_solve_leaves_few_objects():
+    """A 3000-pixel tree solve leaves at most 10 objects tracked by the
+    collector per pixel (16.5 when sides were tuples and corners and pixels
+    had lists of their own), and builds neither the dual nor the pixel
+    `Rect`s: its reduction keeps nothing, and every layer it runs reads
+    the pixel complex from flat int lists."""
+    poly, task = gen_tree_polygon(3000, 0), GuardTask.make()
+    gc.collect()
+    before = len(gc.get_objects())
+    ctx = pipeline.solve_task(poly, task)
+    per_pixel = (len(gc.get_objects()) - before) / ctx.px.pixel_count
+    assert per_pixel <= 10, per_pixel
+    assert "dual" not in vars(ctx.px) and "pixels" not in vars(ctx.px)
+
+
 def _cycle_cases() -> list[tuple[OrthoPolygon, GuardTask]]:
     """(polygon, task) pairs reaching every path of the solver: the
     fixtures (the holed shapes among them), trees, holed variants, the

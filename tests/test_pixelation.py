@@ -2,7 +2,7 @@ import numpy as np
 
 from helpers import SHAPES, HOLED_SHAPES, TURNS, ReferenceCover, \
     brute_force_pixels, cell_points, fixture_polygons, nonthin_plus, \
-    pixelation_fields, reference_pixelation, turned
+    pixelation_fields, reference_pixelation, sides, turned
 from test_acceptance import _corpus, _explicit_targets
 from rguard.instance_gen import (gen_holed_variant, gen_ktin_polygon,
                                  gen_tree_polygon, rects_union_polygon)
@@ -18,7 +18,7 @@ def rects(px):
 def test_unit_square_single_pixel():
     px = build_pixelation(OrthoPolygon(SHAPES["unit"]))
     assert rects(px) == {(0, 0, 1, 1)}
-    assert not any(px.corner_interior)
+    assert px.is_thin
 
 
 def test_l_shape_pixels_and_dual_path():
@@ -96,7 +96,7 @@ def test_area_conservation():
 def test_conforming_sides():
     for poly in fixture_polygons() + [nonthin_plus()]:
         px = build_pixelation(poly)
-        for s in px.sides:
+        for s in sides(px):
             assert (s.pix_lo is None) + (s.pix_hi is None) <= 1
 
 
