@@ -112,7 +112,7 @@ class Reduction:
 
 def reduce(H: AuxGraph) -> Reduction:
     """dominated(H), then forced guards and guard containment, repeated
-    until a round forces no guard.
+    until a round forces no guard and has no guard left to test.
 
     A kept target that exactly one kept guard sees forces that guard: every
     solution over the kept guards contains it.  A round takes every forced
@@ -161,7 +161,7 @@ def reduce(H: AuxGraph) -> Reduction:
 
     while True:
         new = _forced(check, H.ur, seen_by)
-        if not new:
+        if not new and not shrunk:
             return Reduction(targets, rects, guards, forced)
         forced += sorted(new)
         lone.clear()

@@ -120,10 +120,9 @@ def _solve(poly_or_px, task: GuardTask) -> SolveContext:
     timings["reduce"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()
-    # a reduction that keeps no target of H keeps no rectangle, and no guard
-    # unless H has no target; one that keeps nothing would have the lift
-    # return one empty bag, so the dual is not decomposed
-    kept = len(red.targets) < len(H.targets) or len(red.guards) < len(H.guards)
+    # a reduction that keeps no target of H keeps no rectangle and no guard;
+    # then the lift would return one empty bag, so the dual is not decomposed
+    kept = len(red.targets) < len(H.targets)
     T_dual = _dual_decomposition(px, decompose_dual) if kept else None
     timings["decompose"] = time.perf_counter() - t0
 

@@ -471,15 +471,15 @@ def dominated_only(H: AuxGraph) -> Reduction:
 def rounds_reduce(H: AuxGraph) -> Reduction:
     """reduce(H) by whole rounds: each round filters every adjacency list
     to the kept vertices, tests every kept target for a forced guard and
-    every kept guard for containment.  The reference for the differential
-    tests of the worklist reduce(H)."""
+    every kept guard for containment, until a round forces no guard and
+    drops none.  The reference for the differential tests of the worklist
+    reduce(H)."""
     targets, rects, guards = dominated(H)
     forced: list[int] = []
     left = [sum(t not in targets for t in ts) for ts in H.ru]
     while True:
         new = _ref_forced(H.ur, targets, _ref_kept(H.rg, rects, guards))
-        if not new:
-            return Reduction(targets, rects, guards, forced)
+        dropped = len(guards)
         forced += sorted(new)
         guards |= new
         for r in {r for g in new for r in H.gr[g]}:
@@ -496,6 +496,8 @@ def rounds_reduce(H: AuxGraph) -> Reduction:
             sets, _ref_kept(H.rg, rects, guards))
         guards |= dups
         guards.update(small for small, _big in pairs)
+        if not new and len(guards) == dropped:
+            return Reduction(targets, rects, guards, forced)
 
 
 def _ref_forced(ur: list[list[int]], targets: set[int],

@@ -8,6 +8,7 @@ from test_pipeline import _thick_polygons
 from rguard.aux_graph import AuxGraph, build_aux_graph, reduce
 from rguard.guard_model import GuardTask, simplify_guards, simplify_targets
 from rguard.instance_gen import gen_tree_polygon
+from rguard.pipeline import solve_task
 from rguard.max_rectangles import enumerate_max_rects
 from rguard.oracle import coverage_matrix
 from rguard.pixelation import build_pixelation
@@ -162,7 +163,8 @@ def _random_aux(rng: random.Random) -> AuxGraph:
 def test_reduce_matches_rounds_reduce_on_random_graphs():
     """reduce(H) against rounds_reduce(H) on 20000 seeded random bare H.
     Only these have guards with no rectangle at all: dominated(H) keeps
-    them, and the first round that forces a guard must drop them."""
+    them, and the first round must drop them, whether it forces a guard or
+    not."""
     rng = random.Random(21)
     bare = 0
     for _ in range(20000):
@@ -171,3 +173,32 @@ def test_reduce_matches_rounds_reduce_on_random_graphs():
         assert reduce(H) == want, (H.ur, H.gr)
         bare += bool(want.forced) and not all(H.gr)
     assert bare > 1000
+
+
+def test_reduce_keeps_no_guard_without_a_kept_rectangle():
+    """Every guard that reduce(H) keeps has a kept rectangle, also when its
+    first round forces nothing: a guard whose rectangles dominated(H)
+    dropped is tested before reduce returns.  On the corpus slice, the
+    small combs and the thick polygons, each in the 24 task modes.  A task
+    with no target then keeps no vertex of H, so its solve takes the one
+    empty bag without decomposing the dual."""
+    polys = (_corpus_slice() + _combs_small()
+             + [poly for poly, _vertex_guards in _thick_polygons()])
+    shrank = 0
+    for poly in polys:
+        px = build_pixelation(poly)
+        for mode, task in _task_modes(px):
+            H = _aux(px, task)
+            red = reduce(H)
+            for g, rs in enumerate(H.gr):
+                if g not in red.guards:
+                    assert set(rs) - red.rects, (poly.to_json(), mode, g)
+            shrank += any(set(rs) & red.rects for g, rs in enumerate(H.gr)
+                          if g not in red.guards)
+    assert shrank
+    for name in ("U", "plus"):
+        ctx = solve_task(OrthoPolygon(SHAPES[name]), GuardTask.make(
+            target_mode="points", guard_modes=("all-points",)))
+        assert ctx.H.targets == [] and ctx.H.guards
+        assert len(ctx.reduction.guards) == len(ctx.H.guards)
+        assert ctx.T_aux.bags == [()] and "dual" not in ctx.px.memo

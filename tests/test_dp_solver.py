@@ -353,7 +353,7 @@ def test_nice_tree_check_catches_kept_promised(monkeypatch):
                     out[nk] = ent
         return out
 
-    cases = _nice_tree_cases()[:48]
+    cases = _nice_tree_cases()
     assert _nice_tree_mismatches(cases) == []
     monkeypatch.setattr(dp_solver, "_forget", forget_keeping_promised)
     assert _nice_tree_mismatches(cases)

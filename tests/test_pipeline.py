@@ -88,9 +88,8 @@ def test_skipping_the_decomposition_matches_the_full_path():
     the reduction keeps no vertex of H.  Then its T_aux and its solution
     bytes are those of the full path.  The fixtures, a tree in the 24
     mixed_small modes, the combs, the band and the infeasible cases are
-    covered; so are tasks with no target: with guards, the reduction keeps
-    some of them and the solve takes the full path, and without guards H
-    is empty and the solve skips."""
+    covered; so are tasks with no target, with guards or without: the
+    reduction keeps no guard, and the solve skips."""
     task = GuardTask.make()
     cases = [(poly, task) for poly in fixture_polygons() + _combs_small()]
     cases += _mixed_small_cases("tree40_s29") + _band_cases()
@@ -110,10 +109,8 @@ def test_skipping_the_decomposition_matches_the_full_path():
         assert skip == (T.bags == [()]), (poly.to_json(), task)
         skipped.append(skip)
     assert len(cases) == 11 + 4 + 24 + 2 + 3 + 6
-    # the holed fixtures, the tree's 6 modes with explicit target points,
-    # the band, the infeasible cases and the no-target tasks with guards
-    # keep part of H
-    assert skipped.count(False) == 2 + 6 + 2 + 3 + 3
+    # the holed fixtures, the band and the infeasible cases keep part of H
+    assert skipped.count(False) == 2 + 2 + 3
     kept_holed = [skip for (poly, _task), skip in zip(cases, skipped)
                   if poly.holes]
     assert kept_holed == [False, False]
