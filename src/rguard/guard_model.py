@@ -20,6 +20,7 @@ of its corner's pixels (listed in id order).
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 from rguard.pixelation import Pixelation
@@ -149,7 +150,7 @@ class _PointSet:
     one when the set holds it, else the least), or None."""
 
     def __init__(self, px: Pixelation, all_points: bool, boundary: bool,
-                 extras: tuple[Pt, ...]):
+                 extras: Sequence[Pt]):
         self.px = px
         self.all_points = all_points
         self.boundary = boundary
@@ -194,8 +195,9 @@ def _on_open_side(px: Pixelation, sid: int, pt: Pt) -> bool:
     return x == px.side_c[sid] and px.side_lo[sid] < y < px.side_hi[sid]
 
 
-def _vertices_of(px: Pixelation) -> tuple[Pt, ...]:
-    return tuple(p for ring in px.poly.rings for p in ring)
+def _vertices_of(px: Pixelation) -> list[Pt]:
+    # a list, not a tuple: see pixelation._oriented_features on 20-item tuples
+    return [p for ring in px.poly.rings for p in ring]
 
 
 # -- simplification ---------------------------------------------------------------
@@ -292,7 +294,7 @@ def simplify_guards(px: Pixelation, task: GuardTask) -> list[Guard]:
                    if m in ("all-points", "boundary-points", "vertices", "points")]
     pts: list[tuple[Pt, str, int]] = []
     if point_modes:
-        extras = task.guard_points if "points" in point_modes else ()
+        extras = list(task.guard_points if "points" in point_modes else ())
         if "vertices" in point_modes:
             extras += _vertices_of(px)
         gset = _PointSet(px, all_points="all-points" in point_modes,

@@ -91,7 +91,9 @@ class Pixelation:
         The pixels of a side are those in the quadrants of its first corner
         that it bounds.
         """
-        self.x0, self.y0, self.x1, self.y1 = map(list, zip(*boxes))
+        # by column, not zip(*boxes): see _oriented_features on 20-item tuples
+        self.x0, self.y0, self.x1, self.y1 = (
+            list(map(itemgetter(i), boxes)) for i in range(4))
         ybase = min(self.y0)
         span = max(self.y1) - ybase + 1
         sw = [x0 * span + y0 - ybase for x0, y0, _, _ in boxes]
@@ -110,8 +112,9 @@ class Pixelation:
         n_c = len(keys)
         del rank, keys, coord
 
-        # per first corner, the side's last corner (0 for no side: a last
-        # corner follows its first in id order)
+        # the pixel in each quadrant of a corner, and per first corner the
+        # side's last corner (0 for no side: a last corner follows its first
+        # in id order)
         q_sw, q_se, q_nw, q_ne = ([-1] * n_c for _ in range(4))
         v_end, h_end = [0] * n_c, [0] * n_c
         for pid, (a, b, c, d) in enumerate(zip(sw, se, nw, ne)):
@@ -308,14 +311,20 @@ def _oriented_features(poly: OrthoPolygon):
       h_rays:  (y, x0, +1/-1)        horizontal reflex ray, keyed by y
     """
     v_edges, h_edges, v_rays, h_rays = [], [], [], []
+    # The neighbours of vertex i are ring[i - 1] and ring[i + 1 - n], not
+    # shifted copies of the ring: CPython 3.11 keeps a freed tuple of exactly
+    # 20 items on a free list that it never takes from, until a full
+    # collection, and a solve makes few enough objects that those are rare.
     for ring in poly.rings:
-        nxt = ring[1:] + ring[:1]
-        for (x1, y1), (x2, y2) in zip(ring, nxt):
+        n = len(ring)
+        for i, (x1, y1) in enumerate(ring):
+            x2, y2 = ring[i + 1 - n]
             if x1 == x2:
                 v_edges.append((x1, min(y1, y2), max(y1, y2), y2 < y1))
             else:
                 h_edges.append((y1, min(x1, x2), max(x1, x2), x2 > x1))
-        for (ax, ay), (bx, by), (cx, cy) in zip(ring[-1:] + ring[:-1], ring, nxt):
+        for i, (bx, by) in enumerate(ring):
+            (ax, ay), (cx, cy) = ring[i - 1], ring[i + 1 - n]
             if (bx - ax) * (cy - by) - (by - ay) * (cx - bx) >= 0:
                 continue  # interior on the left: reflex corners turn right
             if ax == bx:  # incoming edge vertical: extend it through b
