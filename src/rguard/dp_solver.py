@@ -31,10 +31,15 @@ it is in the table.  A join buckets the right table on the guard bits plus
 which rectangles are non-dark,
 `(key & guards) | ((key | key >> 1) & rect_low_bits)`, so every pair in the
 bucket of a left key is compatible.  The merged key is the OR of the two,
-with promised|lit (11) turned into lit (10); a guard selected on both sides
-is counted once.  Each table entry carries its selected-guard set as a
-shared cons list, so a child table can be dropped as soon as it has been
-joined.
+with promised|lit (11) turned into lit (10).
+
+A table maps each key to one int, the mask of the selected guards: every
+guard that some bag holds has a compact bit, numbered in the same walk down
+from the root as the slots, and an entry's value is the mask's popcount.
+Introducing a guard ORs in its bit; a join ORs the two masks, so a guard
+selected on both sides is one bit; where two entries meet at one key, the
+one with the smaller popcount is kept.  At the root the bits map back to
+guard ids.
 """
 from __future__ import annotations
 
@@ -113,17 +118,18 @@ def solve_r2ds(H: AuxGraph, T: TreeDecomposition,
     if nu == 0:
         return Solution("optimal", 0, [], [])
 
-    slot = _slots(T, range(len(T.bags) - 1, -1, -1))
+    gbase = H.gid(0)
+    slot, gbit = _slots(T, range(len(T.bags) - 1, -1, -1), gbase)
     # (table, vertices it covers) of each child, once it has forgotten what
     # it does not share with its parent
     entered: list[list] = [[] for _ in T.bags]
     for b, bag in enumerate(T.bags):
-        table, present = _join_children(H, entered[b], slot)
+        table, present = _join_children(H, entered[b], slot, gbit)
         entered[b] = None
         inside = set(present)
         for v in bag:
             if v not in inside:
-                table = _introduce(H, table, present, v, slot)
+                table = _introduce(H, table, present, v, slot, gbit)
                 present.append(v)
         p = T.parent[b]
         up = set(T.bags[p]) if p >= 0 else set()
@@ -138,9 +144,10 @@ def solve_r2ds(H: AuxGraph, T: TreeDecomposition,
     # the last table is the root's
     if list(table.keys()) != [0]:
         raise SolverError("root table is not a single empty-bag state")
-    value, sel = table[0]
-    value += len(forced)
-    chosen = sorted(_cons_to_set(sel).union(forced))
+    mask = table[0]
+    value = mask.bit_count() + len(forced)
+    chosen = sorted({u - gbase for u, bit in gbit.items() if mask & bit}
+                    .union(forced))
     solution_guards = [H.guards[gi] for gi in chosen]
     index_of = {gi: k for k, gi in enumerate(chosen)}
     chosen_set = set(chosen)
@@ -158,7 +165,8 @@ def solve_r2ds(H: AuxGraph, T: TreeDecomposition,
             raise SolverError(f"target {ti} uncovered by the DP solution")
         certs.append(got)
     if value != len(chosen):
-        raise SolverError("DP value disagrees with the selected guard set")
+        raise SolverError("a forced guard was also selected by the DP in a "
+                          "bag; the bags must leave out the forced guards")
     return Solution("optimal", value, solution_guards, certs)
 
 
@@ -184,14 +192,17 @@ def verify_solution(H: AuxGraph, sol: Solution) -> bool:
 # -- the walk over the decomposition -------------------------------------------
 
 
-def _slots(T: TreeDecomposition, order: Iterable[int]) -> dict[int, int]:
-    """Slot of every lifted vertex: in `order`, which lists every parent
-    before its children, the vertices of a bag that no earlier bag holds
-    take, in bag order, the lowest slots not held by the rest of the bag.
-    The bags holding a vertex form a subtree, so a vertex is first met in
-    its topmost bag and the rest of that bag lies in the parent bag, whose
-    slots are distinct."""
+def _slots(T: TreeDecomposition, order: Iterable[int],
+           gbase: int) -> tuple[dict[int, int], dict[int, int]]:
+    """Slot of every lifted vertex, and the mask bit of every guard (lifted
+    ids from gbase on): in `order`, which lists every parent before its
+    children, the vertices of a bag that no earlier bag holds take, in bag
+    order, the lowest slots not held by the rest of the bag, and each guard
+    among them the next bit.  The bags holding a vertex form a subtree, so a
+    vertex is first met in its topmost bag and the rest of that bag lies in
+    the parent bag, whose slots are distinct."""
     slot: dict[int, int] = {}
+    gbit: dict[int, int] = {}
     for b in order:
         bag = T.bags[b]
         taken = {slot[u] for u in bag if u in slot}
@@ -202,16 +213,19 @@ def _slots(T: TreeDecomposition, order: Iterable[int]) -> dict[int, int]:
                     s += 1
                 slot[u] = s
                 s += 1
-    return slot
+                if u >= gbase:
+                    gbit[u] = 1 << len(gbit)
+    return slot, gbit
 
 
-def _join_children(H: AuxGraph, entered: list, slot: dict) -> tuple[dict, list]:
+def _join_children(H: AuxGraph, entered: list, slot: dict,
+                   gbit: dict) -> tuple[dict, list]:
     """(table, covered vertices) joined from the children's (table, kept
     vertices) pairs: each child introduces the vertices another child kept
     and it did not, then the tables are joined.  A leaf gives the one empty
-    state."""
+    state, with no guard selected."""
     if not entered:
-        return {0: (0, None)}, []
+        return {0: 0}, []
     shared = sorted(set().union(*(kept for _t, kept in entered)))
     table = None
     for child, kept in entered:
@@ -219,66 +233,56 @@ def _join_children(H: AuxGraph, entered: list, slot: dict) -> tuple[dict, list]:
         have = set(kept)
         for v in shared:
             if v not in have:
-                child = _introduce(H, child, present, v, slot)
+                child = _introduce(H, child, present, v, slot, gbit)
                 present.append(v)
         table = child if table is None else _join(H, table, child, shared, slot)
     return table, shared
 
 
-def _kind(H: AuxGraph, v: int) -> tuple[str, int]:
-    """Kind ('target', 'rect' or 'guard') of lifted id v and its index in H:
-    the inverse of AuxGraph.tid/rid/gid."""
-    nu, nr = len(H.targets), len(H.rects)
-    if v < nu:
-        return "target", v
-    if v < nu + nr:
-        return "rect", v - nu
-    return "guard", v - nu - nr
-
-
 def _introduce(H: AuxGraph, child: dict, present: list, v: int,
-               slot: dict) -> dict:
+               slot: dict, gbit: dict) -> dict:
     """The table of child, whose keys cover the vertices `present`, with v
-    introduced into v's free slot."""
-    kind, i = _kind(H, v)
+    introduced into v's free slot; a guard's mask bit is gbit[v]."""
     rbase, gbase = H.rid(0), H.gid(0)
     bit = 1 << (2 * slot[v])
     out: dict = {}
     get = out.get
-    if kind == "guard":
-        L = _bits(present, slot, rbase, gbase, H.gr[i])  # rectangles it sees
-        for key, ent in child.items():
-            out[key] = ent
+    if v >= gbase:  # guard, and the rectangles it sees
+        L = _bits(present, slot, rbase, gbase, H.gr[v - gbase])
+        g = gbit[v]
+        for key, m in child.items():
+            out[key] = m
             if (key | key >> 1) & L == L:  # no dark rectangle in sight
                 p = key & L & ~(key >> 1)  # promised (01) -> lit (10)
                 nk = key ^ (p | p << 1 | bit)
-                val = ent[0] + 1
+                m |= g
                 cur = get(nk)
-                if cur is None or val < cur[0]:
-                    out[nk] = (val, (1, i, ent[1]))
-    elif kind == "rect":
+                if cur is None or m.bit_count() < cur.bit_count():
+                    out[nk] = m
+    elif v >= rbase:  # rectangle
+        i = v - rbase
         G = _bits(present, slot, gbase, H.n_vertices, H.rg[i])  # who sees it
         target_bits = _bits(present, slot, 0, rbase, H.ru[i])
         lit = (LIT * bit) | target_bits
         promised = (PROMISED * bit) | target_bits
-        for key, ent in child.items():
+        for key, m in child.items():
             if key & G:
                 nk = key | lit
                 cur = get(nk)
-                if cur is None or ent[0] < cur[0]:
-                    out[nk] = ent
+                if cur is None or m.bit_count() < cur.bit_count():
+                    out[nk] = m
             else:
-                out[key] = ent
+                out[key] = m
                 nk = key | promised
                 cur = get(nk)
-                if cur is None or ent[0] < cur[0]:
-                    out[nk] = ent
+                if cur is None or m.bit_count() < cur.bit_count():
+                    out[nk] = m
     else:  # target
         # both bits of each rectangle slot next to the target
-        M = 3 * _bits(present, slot, rbase, gbase, H.ur[i])
+        M = 3 * _bits(present, slot, rbase, gbase, H.ur[v])
         dominated = DOMINATED * bit
-        out = {key | dominated if key & M else key: ent
-               for key, ent in child.items()}
+        out = {key | dominated if key & M else key: m
+               for key, m in child.items()}
     return out
 
 
@@ -312,13 +316,13 @@ def _forget(H: AuxGraph, child: dict, gone: list, slot: dict) -> dict:
     keep = ~clear
     out: dict = {}
     get = out.get
-    for key, ent in child.items():
+    for key, m in child.items():
         if key & targets != targets or key & ~(key >> 1) & promised:
             continue
         nk = key & keep
         cur = get(nk)
-        if cur is None or ent[0] < cur[0]:
-            out[nk] = ent
+        if cur is None or m.bit_count() < cur.bit_count():
+            out[nk] = m
     return out
 
 
@@ -337,53 +341,22 @@ def _join(H: AuxGraph, left: dict, right: dict, present: list,
     # rectangles are dark, so buckets of the right table hold exactly the
     # partners of a left key, in the right table's order.
     buckets: dict[int, list] = {}
-    for kb, ent in right.items():
+    for kb, mb in right.items():
         bk = (kb & gmask) | ((kb | kb >> 1) & rlo)
-        buckets.setdefault(bk, []).append((kb, ent))
+        buckets.setdefault(bk, []).append((kb, mb))
 
     out: dict = {}
     get = out.get
-    for ka, (va, sa) in left.items():
+    for ka, ma in left.items():
         bucket = buckets.get((ka & gmask) | ((ka | ka >> 1) & rlo))
         if not bucket:
             continue
-        va -= (ka & gmask).bit_count()  # a guard selected on both sides
-        for kb, (vb, sb) in bucket:
+        for kb, mb in bucket:
             o = ka | kb
             nk = o & ~((o >> 1) & rlo)  # promised | lit (11) -> lit (10)
-            val = va + vb
+            m = ma | mb  # a guard selected on both sides is one bit
             cur = get(nk)
-            if cur is None or val < cur[0]:
-                out[nk] = (val, _merge_sel(sa, sb))
+            if cur is None or m.bit_count() < cur.bit_count():
+                out[nk] = m
     return out
 
-
-def _cons_to_set(sel) -> set[int]:
-    """Flatten a selection DAG of cons nodes (1, guard, rest) and lazy union
-    nodes (2, left, right); shared subtrees are visited once."""
-    out: set[int] = set()
-    seen: set[int] = set()
-    stack = [sel]
-    while stack:
-        node = stack.pop()
-        if node is None:
-            continue
-        nid = id(node)
-        if nid in seen:
-            continue
-        seen.add(nid)
-        if node[0] == 1:
-            out.add(node[1])
-            stack.append(node[2])
-        else:
-            stack.append(node[1])
-            stack.append(node[2])
-    return out
-
-
-def _merge_sel(a, b):
-    if a is None:
-        return b
-    if b is None:
-        return a
-    return (2, a, b)

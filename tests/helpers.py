@@ -21,6 +21,7 @@ from rguard.dp_solver import (DOMINATED, LIT, PENDING, PROMISED, Certificate,
                               Solution)
 from rguard.guard_model import (Guard, GuardTask, TargetPoint, TaskError,
                                 _PointSet)
+from rguard.instance_gen import rects_union_polygon
 from rguard.max_rectangles import MaxRect
 from rguard.pixelation import Pixelation
 from rguard.polygon_core import (OrthoPolygon, Pt, Rect, _point_in_scaled,
@@ -943,6 +944,18 @@ def nonthin_plus() -> OrthoPolygon:
             (10, 6), (10, 8), (8, 8), (8, 12), (4, 12), (4, 8), (0, 8),
             (0, 4), (4, 4)]
     return OrthoPolygon(ring)
+
+
+def notched_square(n: int) -> OrthoPolygon:
+    """The square (0, 0, 4n, 4n) with n unit teeth on its top side,
+    (4i + 1, 4n, 4i + 2, 4n + 1), and n on its right side,
+    (4n, 4i + 3, 4n + 1, 4i + 4), for i < n.  Every tooth's rays cross the
+    body, so it is not thin and has about 4n^2 pixels from 8n + 2 vertices;
+    no guard sees two top teeth, and its optimum is n."""
+    return rects_union_polygon(
+        [(0, 0, 4 * n, 4 * n)]
+        + [(4 * i + 1, 4 * n, 4 * i + 2, 4 * n + 1) for i in range(n)]
+        + [(4 * n, 4 * i + 3, 4 * n + 1, 4 * i + 4) for i in range(n)])
 
 
 def brute_force_pixels(poly: OrthoPolygon) -> set[tuple[int, int, int, int]]:

@@ -1,18 +1,20 @@
 import itertools
 import random
+import tracemalloc
 
-from helpers import (HOLED_SHAPES, SHAPES, best_times, dominated_only,
-                     fixture_polygons, full_lift, gc_paused, lifted_away,
-                     nice_tree_lift, nice_tree_solve, turned,
-                     validate_reduced_lift)
+import pytest
+
+from helpers import (HOLED_SHAPES, SHAPES, _nice_kind, best_times,
+                     dominated_only, fixture_polygons, full_lift, gc_paused,
+                     lifted_away, nice_tree_lift, nice_tree_solve,
+                     notched_square, turned, validate_reduced_lift)
 from test_acceptance import GUARD_MODES, TARGET_MODES, _corpus, _explicit_targets
 from rguard.aux_graph import AuxGraph, build_aux_graph, dominated, reduce
 from rguard.cli_io import loglog_slope
 from rguard import dp_solver
 from rguard.dp_solver import (DARK, DOMINATED, LIT, PENDING, PROMISED,
-                              SolverError, _cons_to_set, _introduce, _join,
-                              _kind, _merge_sel, _slots, solve_r2ds,
-                              verify_solution)
+                              SolverError, _introduce, _join, _slots,
+                              solve_r2ds, verify_solution)
 from rguard.guard_model import (Guard, GuardTask, TargetPoint, simplify_guards,
                                 simplify_targets)
 from rguard.instance_gen import (gen_holed_variant, gen_ktin_polygon,
@@ -22,7 +24,8 @@ from rguard.oracle import oracle_min_guards
 from rguard.pipeline import solve_task
 from rguard.pixelation import build_pixelation
 from rguard.polygon_core import OrthoPolygon, Rect, scale_polygon
-from rguard.tree_decomposition import decompose_dual, lift_to_H
+from rguard.tree_decomposition import (TreeDecomposition, decompose_dual,
+                                       lift_to_H)
 
 
 def solve(poly, **kw):
@@ -346,11 +349,11 @@ def test_nice_tree_check_catches_kept_promised(monkeypatch):
         targets = sum(1 << (2 * slot[u]) for u in gone if u < H.rid(0))
         keep = ~sum(3 << (2 * slot[u]) for u in gone)
         out = {}
-        for key, ent in child.items():
+        for key, m in child.items():
             if key & targets == targets:
                 nk = key & keep
-                if nk not in out or ent[0] < out[nk][0]:
-                    out[nk] = ent
+                if nk not in out or m.bit_count() < out[nk].bit_count():
+                    out[nk] = m
         return out
 
     cases = _nice_tree_cases()
@@ -361,20 +364,28 @@ def test_nice_tree_check_catches_kept_promised(monkeypatch):
 
 def test_slots_distinct_within_bags():
     """_slots gives the vertices of every bag distinct slots, fewer than
-    the largest bag holds, on the merged lifts of the orientation instances
+    the largest bag holds, and each guard that a bag holds its own mask
+    bit, 1, 2, 4 and so on, on the merged lifts of the orientation instances
     and, since reduce(H) leaves no vertex of a comb to the DP, on the lifts
     of the combs without the vertices of dominated(H) alone."""
-    lifts = [solve(poly).T_aux for poly in _found_polygons()]
+    lifts = []
+    for poly in _found_polygons():
+        ctx = solve(poly)
+        lifts.append((ctx.H, ctx.T_aux))
     for k in (2, 3):
         px = build_pixelation(gen_ktin_polygon(k, 40, 31 + k))
         H = _aux(px, GuardTask.make())
-        lifts.append(lift_to_H(decompose_dual(px.dual), H, dominated_only(H)))
-    for T in lifts:
+        lifts.append((H, lift_to_H(decompose_dual(px.dual), H,
+                                   dominated_only(H))))
+    for H, T in lifts:
         assert T.width > 0
-        slot = _slots(T, reversed(range(len(T.bags))))
+        slot, gbit = _slots(T, reversed(range(len(T.bags))), H.gid(0))
         assert max(slot.values()) <= T.width
         for bag in T.bags:
             assert len({slot[u] for u in bag}) == len(bag), bag
+        guards = {u for bag in T.bags for u in bag if u >= H.gid(0)}
+        assert guards and set(gbit) == guards
+        assert sorted(gbit.values()) == [1 << k for k in range(len(guards))]
 
 
 def _aux(px, task):
@@ -495,25 +506,25 @@ def test_lift_scales_linearly():
 
 def _reference_join(H, left, right, present, slot):
     """_join checked slot by slot: pairs with equal guard bits, each
-    rectangle slot tested for compatibility and merged in turn."""
+    rectangle slot tested for compatibility and merged in turn; the merged
+    entry selects the guards of both, and of two entries at one key the one
+    selecting fewer guards is kept."""
     def state(key, u):
         return (key >> (2 * slot[u])) & 3
 
-    kinds = [(_kind(H, u)[0], u) for u in present]
+    kinds = [(_nice_kind(H, u)[0], u) for u in present]
     guards = [u for k, u in kinds if k == "guard"]
     rects = [u for k, u in kinds if k == "rect"]
     targets = [u for k, u in kinds if k == "target"]
-    gmask = selmask = 0
+    gmask = 0
     for u in guards:
         gmask |= 3 << (2 * slot[u])
-        selmask |= 1 << (2 * slot[u])
     by_guard = {}
-    for key, ent in right.items():
-        by_guard.setdefault(key & gmask, []).append((key, ent))
+    for key, m in right.items():
+        by_guard.setdefault(key & gmask, []).append((key, m))
     out = {}
-    for ka, (va, sa) in left.items():
-        shared = (ka & selmask).bit_count()
-        for kb, (vb, sb) in by_guard.get(ka & gmask, ()):
+    for ka, ma in left.items():
+        for kb, mb in by_guard.get(ka & gmask, ()):
             nk = ka & gmask
             ok = True
             for u in rects:
@@ -531,31 +542,36 @@ def _reference_join(H, left, right, present, slot):
             for u in targets:
                 s = DOMINATED if (state(ka, u) | state(kb, u)) else PENDING
                 nk |= s << (2 * slot[u])
-            val = va + vb - shared
+            m = ma | mb
             cur = out.get(nk)
-            if cur is None or val < cur[0]:
-                out[nk] = (val, _merge_sel(sa, sb))
+            if cur is None or m.bit_count() < cur.bit_count():
+                out[nk] = m
     return out
 
 
-def _random_table(rng, H, present, slot, n):
+def _random_table(rng, H, present, slot, gbit, n):
     """Up to n random states over the vertices present, each at its slot:
     guards unselected/selected, rectangles dark/promised/lit, targets
-    pending/dominated; each with a small value and a selection of one or
-    two guards or none."""
+    pending/dominated; each with a random mask over the mask bits gbit of
+    the guards present."""
     states = {"guard": 2, "rect": 3, "target": 2}
-    kinds = [(_kind(H, u), u) for u in present]
-    guards = [i for (k, i), _u in kinds if k == "guard"] or [0]
+    kinds = [(_nice_kind(H, u)[0], u) for u in present]
+    bits = [gbit[u] for k, u in kinds if k == "guard"]
     table = {}
     for _ in range(n):
         key = 0
-        for (k, _i), u in kinds:
+        for k, u in kinds:
             key |= rng.randrange(states[k]) << (2 * slot[u])
-        sel = None
-        for _ in range(rng.randrange(3)):
-            sel = (1, rng.choice(guards), sel)
-        table.setdefault(key, (rng.randrange(6), sel))
+        table.setdefault(key, sum(b for b in bits if rng.randrange(2)))
     return table
+
+
+def _bag_maps(H, bag):
+    """A slot map and mask bits for a sorted bag: each vertex's position,
+    and the guards' bits in bag order."""
+    guards = [u for u in bag if u >= H.gid(0)]
+    return ({u: p for p, u in enumerate(bag)},
+            {u: 1 << k for k, u in enumerate(guards)})
 
 
 def _bag_cases():
@@ -571,7 +587,7 @@ def _bag_cases():
         for bag in full_lift(ctx.T_dual, ctx.H).bags:
             by_kind = {}
             for u in bag:
-                by_kind.setdefault(_kind(ctx.H, u)[0], []).append(u)
+                by_kind.setdefault(_nice_kind(ctx.H, u)[0], []).append(u)
             if len(by_kind) == 3:  # up to 3 of each kind keep tables dense
                 cases.append((ctx.H, tuple(sorted(
                     u for us in by_kind.values() for u in us[:3]))))
@@ -584,23 +600,21 @@ def _bag_cases():
 
 def _assert_same_table(got, want, info):
     assert list(got) == list(want), info
-    for key, (val, sel) in want.items():
-        assert got[key][0] == val, info
-        assert _cons_to_set(got[key][1]) == _cons_to_set(sel), info
+    assert list(got.values()) == list(want.values()), info
 
 
 def test_join_matches_reference():
-    """The bucketed join gives the same keys in the same order, the same
-    values and the same selected guards as the slot-by-slot join, on seeded
-    random child tables over bags of holed instances and a hand-built bag.
-    The positions of a sorted bag are one valid slot map."""
+    """The bucketed join gives the same keys in the same order and the same
+    guard masks as the slot-by-slot join, on seeded random child tables over
+    bags of holed instances and a hand-built bag.  The positions of a sorted
+    bag are one valid slot map."""
     rng = random.Random(6)
     pairs = 0
     for H, bag in _bag_cases():
-        slot = {u: p for p, u in enumerate(bag)}
+        slot, gbit = _bag_maps(H, bag)
         for n in (4, 40, 300):
-            left = _random_table(rng, H, bag, slot, n)
-            right = _random_table(rng, H, bag, slot, n)
+            left = _random_table(rng, H, bag, slot, gbit, n)
+            right = _random_table(rng, H, bag, slot, gbit, n)
             want = _reference_join(H, left, right, bag, slot)
             _assert_same_table(_join(H, left, right, list(bag), slot), want,
                                bag)
@@ -608,31 +622,31 @@ def test_join_matches_reference():
     assert pairs > 1000
 
 
-def _reference_introduce(H, child, present, v, slot):
+def _reference_introduce(H, child, present, v, slot, gbit):
     """_introduce with its masks built by walking the introduced vertex's
     whole neighbour list through the slot map, restricted to the vertices
     present."""
-    kind, i = _kind(H, v)
+    kind, i = _nice_kind(H, v)
     rbase, gbase = H.rid(0), H.gid(0)
     posmap = {u: slot[u] for u in present}
     out = {}
     shift = 2 * slot[v]
 
-    def put(nk, val, sel):
+    def put(nk, m):
         cur = out.get(nk)
-        if cur is None or val < cur[0]:
-            out[nk] = (val, sel)
+        if cur is None or m.bit_count() < cur.bit_count():
+            out[nk] = m
 
     if kind == "guard":
         L = 0
         for ri in H.gr[i]:
             if rbase + ri in posmap:
                 L |= 1 << (2 * posmap[rbase + ri])
-        for nk, (val, sel) in child.items():
-            put(nk, val, sel)
+        for nk, m in child.items():
+            put(nk, m)
             if (nk | nk >> 1) & L == L:
                 p = nk & L & ~(nk >> 1)
-                put(nk ^ (p | p << 1 | 1 << shift), val + 1, (1, i, sel))
+                put(nk ^ (p | p << 1 | 1 << shift), m | gbit[v])
     elif kind == "rect":
         G = target_bits = 0
         for gi in H.rg[i]:
@@ -641,38 +655,98 @@ def _reference_introduce(H, child, present, v, slot):
         for t in H.ru[i]:
             if t in posmap:
                 target_bits |= 1 << (2 * posmap[t])
-        for base, (val, sel) in child.items():
+        for base, m in child.items():
             if base & G:
-                put(base | (LIT << shift) | target_bits, val, sel)
+                put(base | (LIT << shift) | target_bits, m)
             else:
-                put(base, val, sel)
-                put(base | (PROMISED << shift) | target_bits, val, sel)
+                put(base, m)
+                put(base | (PROMISED << shift) | target_bits, m)
     else:
         M = 0
         for ri in H.ur[i]:
             if rbase + ri in posmap:
                 M |= 3 << (2 * posmap[rbase + ri])
-        for nk, (val, sel) in child.items():
-            put(nk | (DOMINATED << shift) if nk & M else nk, val, sel)
+        for nk, m in child.items():
+            put(nk | (DOMINATED << shift) if nk & M else nk, m)
     return out
 
 
 def test_introduce_matches_reference():
     """_introduce, which reads its masks off the vertices present, gives the
-    same keys in the same order, the same values and the same selected
-    guards as the neighbour-list walk, on seeded random child tables over
-    the bags of test_join_matches_reference with each bag vertex introduced
-    in turn into its slot, the vertex's position in the sorted bag."""
+    same keys in the same order and the same guard masks as the
+    neighbour-list walk, on seeded random child tables over the bags of
+    test_join_matches_reference with each bag vertex introduced in turn into
+    its slot, the vertex's position in the sorted bag."""
     rng = random.Random(7)
     states = 0
     for H, bag in _bag_cases():
-        slot = {u: p for p, u in enumerate(bag)}
+        slot, gbit = _bag_maps(H, bag)
         for pos, v in enumerate(bag):
             present = list(bag[:pos] + bag[pos + 1:])
             for n in (4, 40, 300):
-                child = _random_table(rng, H, present, slot, n)
-                want = _reference_introduce(H, child, present, v, slot)
-                _assert_same_table(_introduce(H, child, present, v, slot),
-                                   want, (bag, v))
+                child = _random_table(rng, H, present, slot, gbit, n)
+                want = _reference_introduce(H, child, present, v, slot, gbit)
+                _assert_same_table(
+                    _introduce(H, child, present, v, slot, gbit), want,
+                    (bag, v))
                 states += len(want)
     assert states > 1000
+
+
+def test_forced_guard_selected_in_a_bag_raises():
+    """The value is the popcount of the selected guards plus the forced
+    ones, so it disagrees with the chosen set only when a forced guard is
+    also selected in a bag.  Here the one bag holds the target, the
+    rectangle and guard 0, which covers the target and is forced too."""
+    H = _graph(ur=[[0]], gr=[[0]], n_rects=1)
+    T = TreeDecomposition([(H.tid(0), H.rid(0), H.gid(0))], [-1], "aux")
+    assert solve_r2ds(H, T).size == 1
+    with pytest.raises(SolverError, match="forced guard was also selected"):
+        solve_r2ds(H, T, forced=[0])
+
+
+def test_small_notched_squares_match_oracle():
+    """The notched squares of 2 and 3 teeth (24 and 48 pixels), which are
+    not thin, solve to the oracle's sizes, 2 and 3."""
+    for n in (2, 3):
+        poly = notched_square(n)
+        ctx = solve(poly)
+        ref = oracle_min_guards(ctx.px, GuardTask.make(), max_pixels=64)
+        assert ctx.solution.size == ref.size == n
+        assert verify_solution(ctx.H, ctx.solution)
+
+
+def test_notched_squares_solve_to_their_teeth():
+    """The notched squares of 4 and 5 teeth, past the oracle's reach, solve
+    to 4 and 5 guards with certificates that verify."""
+    for n in (4, 5):
+        ctx = solve(notched_square(n))
+        assert ctx.solution.size == n
+        assert verify_solution(ctx.H, ctx.solution)
+
+
+def test_dp_memory_per_table_entry(monkeypatch):
+    """A DP entry is one int, its guard mask: on the 5-tooth notched square
+    the DP's traced peak is at most 260 bytes per entry of its largest
+    table, counted on the tables that _join and _introduce return."""
+    ctx = solve(notched_square(5))
+    largest = 0
+
+    def counted(f):
+        def run(*args):
+            nonlocal largest
+            out = f(*args)
+            largest = max(largest, len(out))
+            return out
+        return run
+
+    monkeypatch.setattr(dp_solver, "_join", counted(dp_solver._join))
+    monkeypatch.setattr(dp_solver, "_introduce", counted(dp_solver._introduce))
+    tracemalloc.start()
+    try:
+        sol = solve_r2ds(ctx.H, ctx.T_aux, ctx.reduction.forced)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert sol.size == 5
+    assert peak <= 260 * largest, (peak, largest, peak / largest)
