@@ -11,7 +11,7 @@ from __future__ import annotations
 from collections.abc import Iterable
 from dataclasses import dataclass
 
-from rguard.guard_model import Guard, TargetPoint
+from rguard.guard_model import GuardTable, TargetTable
 from rguard.max_rectangles import MaxRect
 from rguard.pixelation import Pixelation
 from rguard.polygon_core import Pt
@@ -19,9 +19,9 @@ from rguard.polygon_core import Pt
 
 @dataclass(slots=True)
 class AuxGraph:
-    targets: list[TargetPoint]
+    targets: TargetTable
     rects: list[MaxRect]
-    guards: list[Guard]
+    guards: GuardTable
     ur: list[list[int]]    # target  -> rect ids
     ru: list[list[int]]    # rect    -> target ids
     gr: list[list[int]]    # guard   -> rect ids
@@ -43,23 +43,32 @@ class AuxGraph:
 
 
 def build_aux_graph(px: Pixelation, rects: list[MaxRect],
-                    targets: list[TargetPoint], guards: list[Guard]) -> AuxGraph:
+                    targets: TargetTable, guards: GuardTable) -> AuxGraph:
     """H from the rectangles of each home pixel.  A point's rectangles are
     those of its home pixel that hold it: a rectangle that holds it meets
     every pixel whose closure holds it.  A pixel guard's are all those of
     its pixel, which are the rectangles meeting it.  Each pixel's list is in
-    rectangle-id order, so every adjacency list is built sorted."""
+    rectangle-id order, so every adjacency list is built sorted.  The
+    points are read from the tables' columns, the rectangles' bounds from
+    four flat lists."""
     by_pixel_rects: list[list[int]] = [[] for _ in px.x0]
     for mr in rects:
         for pid in mr.pixel_ids:
             by_pixel_rects[pid].append(mr.id)
+    xmin = [mr.rect.xmin for mr in rects]
+    ymin = [mr.rect.ymin for mr in rects]
+    xmax = [mr.rect.xmax for mr in rects]
+    ymax = [mr.rect.ymax for mr in rects]
 
-    def holding(q: Pt, pid: int) -> list[int]:
-        return [r for r in by_pixel_rects[pid] if rects[r].rect.contains_point(q)]
+    def holding(q: Pt | None, pid: int) -> list[int]:
+        if q is None:   # a pixel guard
+            return by_pixel_rects[pid]
+        x, y = q
+        return [r for r in by_pixel_rects[pid]
+                if xmin[r] <= x <= xmax[r] and ymin[r] <= y <= ymax[r]]
 
-    ur = [holding(t.location, t.pixel) for t in targets]
-    gr = [holding(g.location, g.pixel) if g.kind == "point"
-          else by_pixel_rects[g.pixel] for g in guards]
+    ur = list(map(holding, targets.location, targets.pixel))
+    gr = list(map(holding, guards.location, guards.pixel))
     ru: list[list[int]] = [[] for _ in rects]
     rg: list[list[int]] = [[] for _ in rects]
     for ti, rs in enumerate(ur):

@@ -78,16 +78,17 @@ class Solution:
             "guards": [g.json_obj() for g in self.guards],
             "certificates": [],
         }
+        location = H.targets.location
         for c in self.certificates:
-            t = H.targets[c.target_id]
+            x, y = location[c.target_id]
             obj["certificates"].append({
-                "target": [half(t.location[0]), half(t.location[1])],
+                "target": [half(x), half(y)],
                 "rect": c.rect_id,
                 "guard": c.guard_index,
             })
         if self.witness_target is not None:
-            t = H.targets[self.witness_target]
-            obj["witness"] = [half(t.location[0]), half(t.location[1])]
+            x, y = location[self.witness_target]
+            obj["witness"] = [half(x), half(y)]
         return obj
 
 
@@ -104,7 +105,10 @@ def solve_r2ds(H: AuxGraph, T: TreeDecomposition,
     forced guards: the DP chooses guards for what the reduction left, and S
     is its choice plus the forced guards.  The optimal size is that of the
     full bags, though the chosen guards may differ.  The witness and the
-    certificates are computed on the whole of H.
+    certificates are computed on the whole of H: the witness is the first
+    target with no rectangle that a guard sees, and a target's certificate
+    names its first rectangle that a chosen guard sees, and the first such
+    guard.  Only the chosen guards are built as `Guard`s.
 
     The tables are built bottom-up, in bag order; the root's table, once it
     has forgotten its bag, holds the single empty state."""
@@ -112,8 +116,9 @@ def solve_r2ds(H: AuxGraph, T: TreeDecomposition,
         raise DecompositionError("solver expects a lifted decomposition")
     nu = len(H.targets)
 
-    for ti in range(nu):
-        if not any(H.rg[ri] for ri in H.ur[ti]):
+    seen = [bool(gs) for gs in H.rg]
+    for ti, rs in enumerate(H.ur):
+        if not any(map(seen.__getitem__, rs)):
             return Solution("infeasible", 0, [], [], witness_target=ti)
     if nu == 0:
         return Solution("optimal", 0, [], [])
@@ -149,21 +154,21 @@ def solve_r2ds(H: AuxGraph, T: TreeDecomposition,
     chosen = sorted({u - gbase for u, bit in gbit.items() if mask & bit}
                     .union(forced))
     solution_guards = [H.guards[gi] for gi in chosen]
-    index_of = {gi: k for k, gi in enumerate(chosen)}
-    chosen_set = set(chosen)
+    # the index of the first chosen guard of each rectangle one sees: the
+    # guards are chosen in id order, and H.rg lists them so
+    first: dict[int, int] = {}
+    for k, gi in enumerate(chosen):
+        for ri in H.gr[gi]:
+            if ri not in first:
+                first[ri] = k
     certs = []
-    for ti in range(nu):
-        got = None
-        for ri in H.ur[ti]:
-            for gi in H.rg[ri]:
-                if gi in chosen_set:
-                    got = Certificate(ti, ri, index_of[gi])
-                    break
-            if got:
+    for ti, rs in enumerate(H.ur):
+        for ri in rs:
+            if ri in first:
+                certs.append(Certificate(ti, ri, first[ri]))
                 break
-        if got is None:
+        else:
             raise SolverError(f"target {ti} uncovered by the DP solution")
-        certs.append(got)
     if value != len(chosen):
         raise SolverError("a forced guard was also selected by the DP in a "
                           "bag; the bags must leave out the forced guards")

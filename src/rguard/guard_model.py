@@ -16,12 +16,20 @@ optimal guard sets.
 Every kept point has one home: the lowest-id pixel whose closure holds
 it, which is its own pixel, the lower pixel of its open side, or the first
 of its corner's pixels (listed in id order).
+
+Both reductions return their points as columns: a `TargetTable` or
+`GuardTable` holds parallel lists `location`, `kind` and `pixel`, and
+builds a `TargetPoint` or `Guard` only when one is indexed or iterated.
+A solve reads the columns, so it makes objects only for the guards it
+returns.
 """
 from __future__ import annotations
 
 import math
 from collections.abc import Sequence
 from dataclasses import dataclass
+from itertools import count
+from operator import index
 
 from rguard.pixelation import Pixelation
 from rguard.polygon_core import Pt, half
@@ -141,13 +149,52 @@ class Guard:
         return {"type": "pixel", "id": self.pixel}
 
 
+class _Table(Sequence):
+    """Kept points as parallel columns; the i-th row is built on read, and
+    its location is the stored tuple.  No slices: copy to a list first."""
+    __slots__ = ("location", "kind", "pixel")
+
+    def __init__(self, location: list, kind: list[str], pixel: list[int]):
+        self.location = location
+        self.kind = kind
+        self.pixel = pixel
+
+    def __len__(self) -> int:
+        return len(self.pixel)
+
+    def __getitem__(self, i: int):
+        i = range(len(self.pixel))[index(i)]
+        return self._row(i, self.location[i], self.kind[i], self.pixel[i])
+
+    def __iter__(self):
+        return map(self._row, count(), self.location, self.kind, self.pixel)
+
+
+class TargetTable(_Table):
+    """Kept targets: `location` a point, `kind` 'interior', 'side' or
+    'corner', `pixel` its home."""
+    __slots__ = ()
+    _row = TargetPoint
+
+
+class GuardTable(_Table):
+    """Kept guards, the point guards first: `location` a point, or None for
+    a pixel guard; `kind` 'point' or 'pixel'; `pixel` a point guard's home,
+    or the guarded pixel."""
+    __slots__ = ()
+
+    @staticmethod
+    def _row(i: int, location: Pt | None, kind: str, pixel: int) -> Guard:
+        return Guard(i, kind, location, pixel)
+
+
 # -- membership machinery for U and Γ specs -------------------------------------
 
 
 class _PointSet:
     """Finite queries against 'all points', 'boundary points' or explicit
-    sets: a point of the set in one cell of the pixel complex (the canonical
-    one when the set holds it, else the least), or None."""
+    sets: a point of the set in each cell of the pixel complex (the
+    canonical one when the set holds it, else the least), or None."""
 
     def __init__(self, px: Pixelation, all_points: bool, boundary: bool,
                  extras: Sequence[Pt]):
@@ -165,11 +212,16 @@ class _PointSet:
             for pid in pids:
                 self._by_pixel.setdefault(pid, []).append(pt)
 
-    def corner_point(self, cid: int) -> Pt | None:
+    def corner_points(self) -> list[Pt | None]:
+        """The point of the set at each corner, by corner id."""
         px = self.px
-        if self.all_points or (self.boundary and not px.corner_interior(cid)):
-            return (px.cx[cid], px.cy[cid])
-        return self._extras.get((px.cx[cid], px.cy[cid]))
+        pts = list(zip(px.cx, px.cy))
+        if self.all_points:
+            return pts
+        if self.boundary:
+            return [self._extras.get(pt) if px.corner_interior(cid) else pt
+                    for cid, pt in enumerate(pts)]
+        return list(map(self._extras.get, pts))
 
     def side_point(self, sid: int) -> Pt | None:
         """Some point from the open side, preferring the midpoint."""
@@ -181,13 +233,18 @@ class _PointSet:
         return min((pt for pt in self._by_pixel.get(lo if lo >= 0 else hi, ())
                     if _on_open_side(px, sid, pt)), default=None)
 
-    def interior_point(self, pid: int) -> Pt | None:
+    def interior_points(self) -> list[Pt | None]:
+        """The point of the set in each pixel interior, by pixel id."""
         px = self.px
-        x0, y0, x1, y1 = px.x0[pid], px.y0[pid], px.x1[pid], px.y1[pid]
+        x0, y0, x1, y1 = px.x0, px.y0, px.x1, px.y1
         if self.all_points:
-            return ((x0 + x1) // 2, (y0 + y1) // 2)
-        return min((pt for pt in self._by_pixel.get(pid, ())
-                    if x0 < pt[0] < x1 and y0 < pt[1] < y1), default=None)
+            return [((a + b) // 2, (c + d) // 2)
+                    for a, b, c, d in zip(x0, x1, y0, y1)]
+        out: list[Pt | None] = [None] * px.pixel_count
+        for pid, pts in self._by_pixel.items():
+            out[pid] = min((pt for pt in pts if x0[pid] < pt[0] < x1[pid]
+                            and y0[pid] < pt[1] < y1[pid]), default=None)
+        return out
 
 
 def _on_open_side(px: Pixelation, sid: int, pt: Pt) -> bool:
@@ -206,10 +263,10 @@ _TARGET_ORDER = ("interior", "side", "corner")
 _FIRED, _MARKED = 1, 2
 
 
-def _fire(px: Pixelation, pset: _PointSet,
-          order: tuple[str, ...]) -> list[tuple[Pt, str, int]]:
+def _fire(px: Pixelation, pset: _PointSet, order: tuple[str, ...]
+          ) -> tuple[list[Pt], list[str], list[int]]:
     """The points pset keeps, taking the cell kinds in `order` (see the
-    module docstring), as sorted (point, kind, home pixel).
+    module docstring), sorted, as columns: point, kind and home pixel.
 
     A pixel touches its sides and corners, a side its two end corners.  The
     pixelation lists no sides per corner, so a side reads whether its end
@@ -221,10 +278,16 @@ def _fire(px: Pixelation, pset: _PointSet,
     corner_mark = bytearray(len(px.cx))
     out: list[tuple[Pt, str, int]] = []
 
+    # a pass with no unmarked cell returns before it lists the set's points:
+    # with all points, the corners mark every pixel, the pixels every corner
     def interiors() -> None:
+        if 0 not in pixel_mark:
+            return
         south, north, west, east = px.south, px.north, px.west, px.east
-        for pid, m in enumerate(pixel_mark):
-            if m or (pt := pset.interior_point(pid)) is None:
+        # zip stops before the extra slot of pixel_mark
+        for pid, (m, pt) in enumerate(zip(pixel_mark,
+                                          pset.interior_points())):
+            if m or pt is None:
                 continue
             out.append((pt, "interior", pid))
             s, n = south[pid], north[pid]
@@ -245,9 +308,11 @@ def _fire(px: Pixelation, pset: _PointSet,
             corner_mark[ca[sid]] = corner_mark[cb[sid]] = _MARKED
 
     def corners() -> None:
+        if 0 not in corner_mark:
+            return
         q_sw, q_se, q_nw, q_ne = px.q_sw, px.q_se, px.q_nw, px.q_ne
-        for cid, m in enumerate(corner_mark):
-            if m or (pt := pset.corner_point(cid)) is None:
+        for cid, (m, pt) in enumerate(zip(corner_mark, pset.corner_points())):
+            if m or pt is None:
                 continue
             corner_mark[cid] = _FIRED
             a, b, c, d = q_sw[cid], q_se[cid], q_nw[cid], q_ne[cid]
@@ -268,10 +333,13 @@ def _fire(px: Pixelation, pset: _PointSet,
     for kind in order:
         passes[kind]()
     out.sort()
-    return out
+    # three passes, not zip(*out): that makes a tuple of every column, and
+    # tuples of fewer than 20 items stay on CPython's free lists
+    return ([p for p, _k, _h in out], [k for _p, k, _h in out],
+            [h for _p, _k, h in out])
 
 
-def simplify_targets(px: Pixelation, task: GuardTask) -> list[TargetPoint]:
+def simplify_targets(px: Pixelation, task: GuardTask) -> TargetTable:
     """Finite U' ⊆ U, at most 4 per pixel, guarding-equivalent to U: the
     cells that fire taking pixel interiors, then open sides, then corners."""
     mode = task.target_mode
@@ -279,20 +347,20 @@ def simplify_targets(px: Pixelation, task: GuardTask) -> list[TargetPoint]:
               else _vertices_of(px) if mode == "vertices" else ())
     uset = _PointSet(px, all_points=(mode == "all"),
                      boundary=(mode == "boundary"), extras=extras)
-    return [TargetPoint(i, *rep)
-            for i, rep in enumerate(_fire(px, uset, _TARGET_ORDER))]
+    return TargetTable(*_fire(px, uset, _TARGET_ORDER))
 
 
-def simplify_guards(px: Pixelation, task: GuardTask) -> list[Guard]:
+def simplify_guards(px: Pixelation, task: GuardTask) -> GuardTable:
     """Finite Γ' with at most 4 point-guards per pixel; for any S ⊆ Γ there is
     an S' ⊆ Γ' no larger that guards at least as much.
 
     Point-guards are the cells that fire taking corners, then open sides,
-    then pixel interiors.  Pixel-guards pass through.
+    then pixel interiors.  Pixel-guards pass through, after them.
     """
     point_modes = [m for m in task.guard_modes
                    if m in ("all-points", "boundary-points", "vertices", "points")]
-    pts: list[tuple[Pt, str, int]] = []
+    location: list[Pt | None] = []
+    pixel: list[int] = []
     if point_modes:
         extras = list(task.guard_points if "points" in point_modes else ())
         if "vertices" in point_modes:
@@ -300,9 +368,9 @@ def simplify_guards(px: Pixelation, task: GuardTask) -> list[Guard]:
         gset = _PointSet(px, all_points="all-points" in point_modes,
                          boundary="boundary-points" in point_modes,
                          extras=extras)
-        pts = _fire(px, gset, _TARGET_ORDER[::-1])
+        location, _kind, pixel = _fire(px, gset, _TARGET_ORDER[::-1])
+    kind = ["point"] * len(pixel)
 
-    out = [Guard(i, "point", p, home) for i, (p, _kind, home) in enumerate(pts)]
     pixel_ids: list[int] = []
     if "all-pixel-guards" in task.guard_modes:
         pixel_ids = list(range(px.pixel_count))
@@ -311,6 +379,7 @@ def simplify_guards(px: Pixelation, task: GuardTask) -> list[Guard]:
             if not 0 <= pid < px.pixel_count:
                 raise TaskError(f"pixel-guard id {pid} out of range")
         pixel_ids = sorted(set(task.guard_pixels))
-    out += [Guard(i, "pixel", None, pid)
-            for i, pid in enumerate(pixel_ids, len(out))]
-    return out
+    location += [None] * len(pixel_ids)
+    kind += ["pixel"] * len(pixel_ids)
+    pixel += pixel_ids
+    return GuardTable(location, kind, pixel)

@@ -12,8 +12,9 @@ mode samples guards densely as well.
 """
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import combinations, islice
 
 import numpy as np
 
@@ -116,17 +117,19 @@ def _cover_flat(px: Pixelation, gx, gy, tx, ty, allow_degenerate: bool):
     return res | ((x1 == x2) & (y1 == y2))
 
 
-def coverage_matrix(px: Pixelation, guards: list[Guard], targets: list[Pt],
+def coverage_matrix(px: Pixelation, guards: Sequence[Guard], targets: list[Pt],
                     allow_degenerate: bool) -> np.ndarray:
     """(guards x targets) boolean coverage, batched in bounded chunks.  A pixel
-    guard stands at its point nearest the target, which spans the least."""
+    guard stands at its point nearest the target, which spans the least.
+    The guards are read in one pass, so a `GuardTable` serves as well."""
     n = len(targets)
     tx = np.array([p[0] for p in targets], dtype=np.int64)
     ty = np.array([p[1] for p in targets], dtype=np.int64)
     mat = np.zeros((len(guards), n), dtype=bool)
     chunk = max(1, 2_000_000 // max(n, 1))
+    rows = iter(guards)
     for lo in range(0, len(guards), chunk):
-        block = guards[lo:lo + chunk]
+        block = list(islice(rows, chunk))
         m = len(block)
         gx = np.empty((m, n), dtype=np.int64)
         gy = np.empty((m, n), dtype=np.int64)
@@ -185,7 +188,7 @@ def oracle_min_guards(poly_or_px, task: GuardTask, max_pixels: int = 40,
         guards = [Guard(i, "point", p, None)
                   for i, p in enumerate(sample_point_guards(px))]
     else:
-        guards = simplify_guards(px, task)
+        guards = list(simplify_guards(px, task))
     targets = sample_targets(px, task)
     if not targets:
         return OracleResult("optimal", 0, [])

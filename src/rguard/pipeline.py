@@ -9,8 +9,8 @@ from dataclasses import dataclass, field
 
 from rguard.aux_graph import AuxGraph, Reduction, build_aux_graph, reduce
 from rguard.dp_solver import Solution, solve_r2ds
-from rguard.guard_model import Guard, GuardTask, TargetPoint, simplify_guards, \
-    simplify_targets
+from rguard.guard_model import GuardTable, GuardTask, TargetTable, \
+    simplify_guards, simplify_targets
 from rguard.max_rectangles import MaxRect, enumerate_max_rects
 from rguard.pixelation import Pixelation, build_pixelation
 from rguard.polygon_core import OrthoPolygon
@@ -27,8 +27,8 @@ class SolveContext:
     of H does not build it: its `T_aux` is one empty bag, and its
     `decompose` and `lift` timings are about 0."""
     px: Pixelation
-    targets: list[TargetPoint]
-    guards: list[Guard]
+    targets: TargetTable
+    guards: GuardTable
     rects: list[MaxRect]
     H: AuxGraph
     reduction: Reduction

@@ -197,16 +197,16 @@ def lift_to_H(T: TreeDecomposition, H: AuxGraph,
     gone_targets, gone_rects, gone_guards = red.targets, red.rects, red.guards
     n_pix = 1 + max((v for bag in T.bags for v in bag), default=0)
     per_pixel: list[list[int]] = [[] for _ in range(n_pix)]
-    for t in H.targets:
-        if t.id not in gone_targets:
-            per_pixel[t.pixel].append(H.tid(t.id))
+    for t, pid in enumerate(H.targets.pixel):
+        if t not in gone_targets:
+            per_pixel[pid].append(H.tid(t))
     for mr in H.rects:
         if mr.id not in gone_rects:
             for pid in mr.pixel_ids:
                 per_pixel[pid].append(H.rid(mr.id))
-    for g in H.guards:
-        if g.id not in gone_guards:
-            per_pixel[g.pixel].append(H.gid(g.id))
+    for g, pid in enumerate(H.guards.pixel):
+        if g not in gone_guards:
+            per_pixel[pid].append(H.gid(g))
 
     def lifted(bag: tuple[int, ...]) -> set[int]:
         content: set[int] = set()

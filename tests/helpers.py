@@ -249,6 +249,25 @@ def _ref_vertices(px: Pixelation) -> list[Pt]:
     return sorted({p for ring in px.poly.rings for p in ring})
 
 
+def _ref_interior_point(px: Pixelation, pset: _PointSet, pid: int) -> Pt | None:
+    """The pixel's center for all points, else the least point of the set
+    strictly inside the pixel, found by scanning the whole set."""
+    r = px.pixels[pid]
+    if pset.all_points:
+        return ((r.xmin + r.xmax) // 2, (r.ymin + r.ymax) // 2)
+    return min((p for p in pset._extras
+                if r.xmin < p[0] < r.xmax and r.ymin < p[1] < r.ymax),
+               default=None)
+
+
+def _ref_in_corner(px: Pixelation, pset: _PointSet, cidx: int) -> bool:
+    """Does the set hold the corner: all points do, boundary points do when
+    fewer than 4 pixels meet there, and explicit points when they list it."""
+    return (pset.all_points
+            or (pset.boundary and len(px.corner_pixels(cidx)) < 4)
+            or corners(px)[cidx] in pset._extras)
+
+
 def reference_targets(px: Pixelation, task: GuardTask) -> list[TargetPoint]:
     """simplify_targets as a loop per cell kind: pixel interiors, then open
     sides whose incident pixels did not fire, then corners with no fired
@@ -267,7 +286,7 @@ def reference_targets(px: Pixelation, task: GuardTask) -> list[TargetPoint]:
                      extras=task.target_points if mode == "points" else ())
     fired_pixels: dict[int, Pt] = {}
     for pid in range(px.pixel_count):
-        pt = uset.interior_point(pid)
+        pt = _ref_interior_point(px, uset, pid)
         if pt is not None:
             fired_pixels[pid] = pt
     fired_sides: dict[int, Pt] = {}
@@ -284,7 +303,7 @@ def reference_targets(px: Pixelation, task: GuardTask) -> list[TargetPoint]:
     for sid, pt in sorted(fired_sides.items()):
         out.append((pt, "side", min(closure_pixels(px, pt))))
     for cidx, c in enumerate(corners(px)):
-        if uset.corner_point(cidx) is None:
+        if not _ref_in_corner(px, uset, cidx):
             continue
         if any(pid in fired_pixels for pid in px.corner_pixels(cidx)):
             continue
@@ -311,7 +330,7 @@ def reference_guards(px: Pixelation, task: GuardTask) -> list[Guard]:
                          extras=tuple(extras))
         fired_corners: set[int] = set()
         for cidx, c in enumerate(corners(px)):
-            if gset.corner_point(cidx) is not None:
+            if _ref_in_corner(px, gset, cidx):
                 fired_corners.add(cidx)
                 pts.append((c, "corner", min(closure_pixels(px, c))))
         fired_sides: dict[int, Pt] = {}
@@ -328,7 +347,7 @@ def reference_guards(px: Pixelation, task: GuardTask) -> list[Guard]:
                 continue
             if any(sid in fired_sides for sid in pixel_sides(px)[pid]):
                 continue
-            pt = gset.interior_point(pid)
+            pt = _ref_interior_point(px, gset, pid)
             if pt is not None:
                 pts.append((pt, "interior", pid))
     pts.sort()
@@ -738,11 +757,10 @@ def nice_tree_solve(H: AuxGraph, T: TreeDecomposition) -> Solution:
     order, so every introduce and forget re-packs it.  The reference for
     solve_r2ds: status, size and witness must be equal; the chosen guards
     may differ."""
-    nu = len(H.targets)
-    for ti in range(nu):
-        if not any(H.rg[ri] for ri in H.ur[ti]):
-            return Solution("infeasible", 0, [], [], witness_target=ti)
-    if nu == 0:
+    witness = scan_witness(H)
+    if witness is not None:
+        return Solution("infeasible", 0, [], [], witness_target=witness)
+    if not len(H.targets):
         return Solution("optimal", 0, [], [])
     nodes = _nice_tree(T)
     tables: dict[int, dict] = {}
@@ -764,13 +782,29 @@ def nice_tree_solve(H: AuxGraph, T: TreeDecomposition) -> Solution:
     value, sel = final[0]
     chosen = sorted(_nice_selected(sel))
     assert value == len(chosen)
+    return Solution("optimal", value, [H.guards[gi] for gi in chosen],
+                    scan_certificates(H, chosen))
+
+
+def scan_witness(H: AuxGraph) -> int | None:
+    """The first target with no rectangle that a guard sees, scanning each
+    target's rectangles: the reference for solve_r2ds's witness."""
+    return next((ti for ti in range(len(H.targets))
+                 if not any(H.rg[ri] for ri in H.ur[ti])), None)
+
+
+def scan_certificates(H: AuxGraph, chosen: list[int]) -> list[Certificate]:
+    """Per target, its first rectangle that a guard of the sorted list
+    `chosen` sees, and the first such guard, by a double loop over each
+    target's rectangles and their guards: the reference for solve_r2ds's
+    certificates."""
     index_of = {gi: k for k, gi in enumerate(chosen)}
     certs = []
-    for ti in range(nu):
+    for ti in range(len(H.targets)):
         ri, gi = next((ri, gi) for ri in H.ur[ti] for gi in H.rg[ri]
                       if gi in index_of)
         certs.append(Certificate(ti, ri, index_of[gi]))
-    return Solution("optimal", value, [H.guards[gi] for gi in chosen], certs)
+    return certs
 
 
 def _nice_kind(H: AuxGraph, v: int) -> tuple[str, int]:

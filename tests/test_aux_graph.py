@@ -199,6 +199,6 @@ def test_reduce_keeps_no_guard_without_a_kept_rectangle():
     for name in ("U", "plus"):
         ctx = solve_task(OrthoPolygon(SHAPES[name]), GuardTask.make(
             target_mode="points", guard_modes=("all-points",)))
-        assert ctx.H.targets == [] and ctx.H.guards
+        assert list(ctx.H.targets) == [] and ctx.H.guards
         assert len(ctx.reduction.guards) == len(ctx.H.guards)
         assert ctx.T_aux.bags == [()] and "dual" not in ctx.px.memo

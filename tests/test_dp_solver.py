@@ -7,7 +7,8 @@ import pytest
 from helpers import (HOLED_SHAPES, SHAPES, _nice_kind, best_times,
                      dominated_only, fixture_polygons, full_lift, gc_paused,
                      lifted_away, nice_tree_lift, nice_tree_solve,
-                     notched_square, turned, validate_reduced_lift)
+                     notched_square, scan_certificates, scan_witness, turned,
+                     validate_reduced_lift)
 from test_acceptance import GUARD_MODES, TARGET_MODES, _corpus, _explicit_targets
 from rguard.aux_graph import AuxGraph, build_aux_graph, dominated, reduce
 from rguard.cli_io import loglog_slope
@@ -234,6 +235,32 @@ def test_dominance_infeasible_witness_unchanged():
         assert ctx.solution.status == full.status == "infeasible"
         assert ctx.solution.witness_target == full.witness_target == first_unseen
         assert solve_r2ds(H, ctx.T_aux).witness_target == first_unseen
+
+
+def test_certificates_and_witness_match_per_target_scans():
+    """solve_r2ds finds the witness with one has-a-guard flag per rectangle
+    and each certificate from the first chosen guard of a rectangle; the
+    per-target scans it replaced give the same, on criterion 1's corpus in
+    its 24 task modes and on the infeasible cases."""
+    def cases():
+        for poly in _corpus():
+            px = build_pixelation(poly)
+            for _mode, task in _task_modes(px):
+                yield px, task
+        yield from _infeasible_cases()
+
+    optimal = infeasible = 0
+    for poly, task in cases():
+        ctx = solve_task(poly, task)
+        sol, H = ctx.solution, ctx.H
+        assert sol.witness_target == scan_witness(H), task
+        if sol.status == "optimal":
+            assert sol.certificates == scan_certificates(
+                H, [g.id for g in sol.guards]), task
+            optimal += 1
+        else:
+            infeasible += 1
+    assert optimal and infeasible >= len(_infeasible_cases())
 
 
 def _task_modes(px):

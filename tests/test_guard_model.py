@@ -5,13 +5,15 @@ from helpers import (SHAPES, TURNS, best_times, cell_points, closure_pixels,
                      corners, fixture_polygons, gc_paused, per_closure_counts,
                      reference_guards, reference_targets, sides, turned)
 from rguard.cli_io import loglog_slope
-from rguard.guard_model import (GUARD_MODES, TARGET_MODES, GuardTask, TaskError,
-                                simplify_guards, simplify_targets)
+from rguard.guard_model import (GUARD_MODES, TARGET_MODES, Guard, GuardTask,
+                                TargetPoint, TaskError, simplify_guards,
+                                simplify_targets)
 from rguard.instance_gen import (gen_holed_variant, gen_ktin_polygon,
                                  gen_tree_polygon)
 from rguard.oracle import (coverage_matrix, guard_covers_point,
                            oracle_min_guards, r_guards, sample_point_guards,
                            sample_targets)
+from rguard.pipeline import solve_task
 from rguard.pixelation import build_pixelation
 from rguard.polygon_core import OrthoPolygon, scale_polygon
 
@@ -186,9 +188,37 @@ def test_simplify_matches_priority_loops():
                         target_mode=tm, target_points=pts, guard_modes=gm,
                         guard_points=pts[1::2],
                         guard_pixels=range(0, px.pixel_count, 3), doubled=True)
-                    got = simplify_targets(px, task), simplify_guards(px, task)
+                    got = (list(simplify_targets(px, task)),
+                           list(simplify_guards(px, task)))
                     want = reference_targets(px, task), reference_guards(px, task)
                     assert got == want, (p, task)
+
+
+def test_tables_build_rows_on_read():
+    """A target or guard table builds its rows on read: indexing and
+    iterating give the same objects, the location is the tuple stored in
+    the column, and the table takes no slice."""
+    px = build_pixelation(OrthoPolygon(SHAPES["plus"]))
+    task = GuardTask.make(target_mode="boundary",
+                          guard_modes=("all-points", "all-pixel-guards"))
+    for table, row in ((simplify_targets(px, task), TargetPoint),
+                       (simplify_guards(px, task), Guard)):
+        rows = list(table)
+        assert len(rows) == len(table) > 0
+        assert all(type(r) is row for r in rows)
+        for i, r in enumerate(rows):
+            assert table[i] == r and r.id == i
+            assert table[i].location is table.location[i]
+            assert (r.kind, r.pixel) == (table.kind[i], table.pixel[i])
+        assert table[-1] == rows[-1]
+        with pytest.raises(IndexError):
+            table[len(rows)]
+        with pytest.raises(TypeError):
+            table[0:1]
+    ctx = solve_task(px, GuardTask.make())
+    H = ctx.H
+    assert all(H.targets[i].location is H.targets.location[i]
+               for i in range(len(H.targets)))
 
 
 def test_simplification_preserves_optimum():

@@ -16,7 +16,7 @@ from test_max_rectangles import thick_staircase
 import rguard
 from rguard import aux_graph, pipeline
 from rguard.dp_solver import solve_r2ds, verify_solution
-from rguard.guard_model import GuardTask
+from rguard.guard_model import Guard, GuardTask, TargetPoint
 from rguard.instance_gen import (GenError, gen_holed_variant, gen_tree_polygon,
                                  rects_union_polygon)
 from rguard.oracle import oracle_min_guards
@@ -133,18 +133,25 @@ def test_dual_decomposition_is_built_on_first_read(monkeypatch):
 
 
 def test_tree_solve_leaves_few_objects():
-    """A 3000-pixel tree solve leaves at most 10 objects tracked by the
+    """A 3000-pixel tree solve leaves at most 6 objects tracked by the
     collector per pixel (16.5 when sides were tuples and corners and pixels
-    had lists of their own), and builds neither the dual nor the pixel
-    `Rect`s: its reduction keeps nothing, and every layer it runs reads
-    the pixel complex from flat int lists."""
+    had lists of their own, 8.5 when every kept target and guard was an
+    object), and builds neither the dual nor the pixel `Rect`s: its
+    reduction keeps nothing, and every layer it runs reads the pixel
+    complex from flat int lists.  Of the targets and guards it keeps as
+    columns, it builds only the guards of the solution."""
     poly, task = gen_tree_polygon(3000, 0), GuardTask.make()
     gc.collect()
-    before = len(gc.get_objects())
+    before = gc.get_objects()   # held, so no new object reuses an old id
+    old = set(map(id, before))
     ctx = pipeline.solve_task(poly, task)
-    per_pixel = (len(gc.get_objects()) - before) / ctx.px.pixel_count
-    assert per_pixel <= 10, per_pixel
+    left = [o for o in gc.get_objects() if id(o) not in old]
+    per_pixel = len(left) / ctx.px.pixel_count
+    assert per_pixel <= 6, per_pixel
     assert "dual" not in vars(ctx.px) and "pixels" not in vars(ctx.px)
+    kinds = Counter(type(o) for o in left)
+    assert kinds[TargetPoint] == 0
+    assert kinds[Guard] == ctx.solution.size > 0
 
 
 def _cycle_cases() -> list[tuple[OrthoPolygon, GuardTask]]:
