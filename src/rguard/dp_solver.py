@@ -153,7 +153,9 @@ def solve_r2ds(H: AuxGraph, T: TreeDecomposition,
     value = mask.bit_count() + len(forced)
     chosen = sorted({u - gbase for u, bit in gbit.items() if mask & bit}
                     .union(forced))
-    solution_guards = [H.guards[gi] for gi in chosen]
+    kind, location, pixel = H.guards.kind, H.guards.location, H.guards.pixel
+    solution_guards = [Guard(gi, kind[gi], location[gi], pixel[gi])
+                       for gi in chosen]
     # the index of the first chosen guard of each rectangle one sees: the
     # guards are chosen in id order, and H.rg lists them so
     first: dict[int, int] = {}

@@ -64,6 +64,12 @@ def _positive_rects(px: Pixelation) -> list[tuple[Rect, tuple[int, ...]]]:
     that overlaps (a, b).  Linking chains across interior 'h' sides in side
     id order lists those above and below each chain left to right.
 
+    The rows are lists indexed by chain id, None where a chain has no row:
+    `run`, a chain's pixels left to right when it has two or more, and
+    `above` and `below`.  Every chain of a stack contains [a, b], and it is
+    the only chain of its row that does, so a branch is just its [a, b]:
+    the stack is found again by climbing from the bottom chain.
+
     The rectangle touches the pixels that meet [a, b] in the chains of its
     stack, in the chains just below its bottom chain and in those just above
     its top chain.  A pixel touching it only at a corner lies in one of
@@ -72,68 +78,75 @@ def _positive_rects(px: Pixelation) -> list[tuple[Rect, tuple[int, ...]]]:
     n_h, plo, phi = px.n_h, px.pix_lo, px.pix_hi
     x0, y0, y1 = px.x0, px.y0, px.y1
     x1 = px.x1.copy()   # per chain: the right end
+    key0, key1 = x0.__getitem__, x1.__getitem__
+    n = len(x0)
     # a chain is named by its first pixel; 'v' sides come in x order, so the
     # pixel left of a side already knows its chain
-    head = list(range(len(x0)))
-    run: dict[int, list[int]] = {}   # a chain's pixels, left to right, if 2+
+    head = list(range(n))
+    run: list[list[int] | None] = [None] * n
     for lo, hi in zip(plo[n_h:], phi[n_h:]):
         if lo >= 0 and hi >= 0:
             c = head[hi] = head[lo]
             x1[c] = x1[hi]
-            run.setdefault(c, [c]).append(hi)
-    above: dict[int, list[int]] = {}
-    below: dict[int, list[int]] = {}
+            if (ps := run[c]) is None:
+                run[c] = [c, hi]
+            else:
+                ps.append(hi)
+    above: list[list[int] | None] = [None] * n
+    below: list[list[int] | None] = [None] * n
     for lo, hi in zip(plo[:n_h], phi[:n_h]):
         if lo >= 0 and hi >= 0:
             lo, hi = head[lo], head[hi]
-            up, down = above.setdefault(lo, []), below.setdefault(hi, [])
-            if not up or up[-1] != hi:
+            if (up := above[lo]) is None:
+                above[lo] = [hi]
+            elif up[-1] != hi:
                 up.append(hi)
-            if not down or down[-1] != lo:
+            if (down := below[hi]) is None:
+                below[hi] = [lo]
+            elif down[-1] != lo:
                 down.append(lo)
 
-    def meets(row: list[int], a: int, b: int) -> list[int]:
+    def meets(row: list[int] | None, a: int, b: int) -> list[int]:
         """The chains of row whose x-range meets [a, b]."""
-        return row[bisect_left(row, a, key=x1.__getitem__):
-                   bisect_right(row, b, key=x0.__getitem__)]
-
-    def pixels_meeting(c: int, a: int, b: int) -> list[int]:
-        """The pixels of chain c whose x-range meets [a, b]."""
-        ps = run.get(c, [c])
-        i = max(bisect_left(ps, a, key=x0.__getitem__) - 1, 0)
-        return ps[i:bisect_right(ps, b, key=x0.__getitem__)]
-
-    def container(chains: list[int], a: int, b: int) -> int | None:
-        """The one of chains whose x-range contains [a, b], or None."""
-        return next((d for d in chains if x0[d] <= a and b <= x1[d]), None)
+        if row is None:
+            return []
+        return row[bisect_left(row, a, key=key1):bisect_right(row, b, key=key0)]
 
     out = []
-    for c0 in range(len(x0)):
+    for c0 in range(n):
         if head[c0] != c0:
             continue
-        down = below.get(c0, [])
-        todo = [(c0, x0[c0], x1[c0])]
+        down = below[c0]
+        todo = [(x0[c0], x1[c0])]
         while todo:
-            c, a, b = todo.pop()
+            a, b = todo.pop()
             low = meets(down, a, b)
-            if container(low, a, b) is not None:
-                continue
-            high = meets(above.get(c, []), a, b)
-            while (d := container(high, a, b)) is not None:
-                c = d
-                high = meets(above.get(c, []), a, b)
-            pids = pixels_meeting(c0, a, b)
-            d = c0
-            while d != c:   # up the stack
-                d = container(meets(above[d], a, b), a, b)
-                pids += pixels_meeting(d, a, b)
-            for d in low + high:
-                pids += pixels_meeting(d, a, b)
-            out.append((Rect(a, y0[c0], b, y1[c]),
-                        tuple(sorted(pids))))
-            for d in high:
-                if a < x1[d] and x0[d] < b:
-                    todo.append((d, max(a, x0[d]), min(b, x1[d])))
+            for d in low:
+                if x0[d] <= a and b <= x1[d]:
+                    break   # the rectangle grows down
+            else:
+                # up the stack while a chain above contains [a, b]
+                stack = [c0]
+                while True:
+                    high = meets(above[stack[-1]], a, b)
+                    for d in high:
+                        if x0[d] <= a and b <= x1[d]:
+                            stack.append(d)
+                            break
+                    else:
+                        break
+                pids = []
+                for d in stack + low + high:
+                    if (ps := run[d]) is None:
+                        pids.append(d)   # one pixel, meeting [a, b]
+                    else:
+                        i = max(bisect_left(ps, a, key=key0) - 1, 0)
+                        pids += ps[i:bisect_right(ps, b, key=key0)]
+                out.append((Rect(a, y0[c0], b, y1[stack[-1]]),
+                            tuple(sorted(pids))))
+                for d in high:
+                    if a < x1[d] and x0[d] < b:
+                        todo.append((max(a, x0[d]), min(b, x1[d])))
     return out
 
 
@@ -143,33 +156,32 @@ def _degenerate_segments(px: Pixelation) -> list[tuple[Rect, tuple[int, ...]]]:
     touches: those at the corners of its sides.  The sides are sorted by
     axis, line and position, so a chain is a run of side ids, each side
     starting where the one before ends."""
-    c, lo, hi = px.side_c, px.side_lo, px.side_hi
+    c, lo, hi, n_h = px.side_c, px.side_lo, px.side_hi, px.n_h
+    ca, cb, plo, phi = px.corner_a, px.corner_b, px.pix_lo, px.pix_hi
+    q_sw, q_se, q_nw, q_ne = px.q_sw, px.q_se, px.q_nw, px.q_ne
+    # the first side of every chain but the first
+    firsts = [s for s, (c_s, lo_s, c_p, hi_p)
+              in enumerate(zip(c[1:], lo[1:], c, hi), 1)
+              if c_s != c_p or lo_s != hi_p or s == n_h]
     out = []
-    first = 0
-    for s in range(1, len(c) + 1):
-        if s == len(c) or s == px.n_h or c[s] != c[s - 1] or lo[s] != hi[s - 1]:
-            out.extend(_chain_candidate(px, first, s))
-            first = s
+    for first, end in zip([0, *firsts], [*firsts, len(c)]):
+        # a pixel along the whole chain on one side => it fattens
+        if -1 not in plo[first:end] or -1 not in phi[first:end]:
+            continue
+        a, b = ca[first], cb[end - 1]
+        # a pixel beyond an end corner, along the chain's line => not maximal
+        if first >= n_h:
+            if q_sw[a] >= 0 or q_se[a] >= 0 or q_nw[b] >= 0 or q_ne[b] >= 0:
+                continue
+            seg = Rect(c[first], lo[first], c[first], hi[end - 1])
+        else:
+            if q_sw[a] >= 0 or q_nw[a] >= 0 or q_se[b] >= 0 or q_ne[b] >= 0:
+                continue
+            seg = Rect(lo[first], c[first], hi[end - 1], c[first])
+        ks = ca[first:end]
+        ks.append(b)
+        pids = {*map(q_sw.__getitem__, ks), *map(q_se.__getitem__, ks),
+                *map(q_nw.__getitem__, ks), *map(q_ne.__getitem__, ks)}
+        pids.discard(-1)
+        out.append((seg, tuple(sorted(pids))))
     return out
-
-
-def _chain_candidate(px: Pixelation, first: int, end: int):
-    """The chain of sides first..end - 1 as a degenerate maximal segment,
-    or nothing."""
-    c, lo, hi = px.side_c[first], px.side_lo[first], px.side_hi[end - 1]
-    a, b = px.corner_a[first], px.corner_b[end - 1]
-    # a pixel beyond an end corner, along the chain's line => not maximal
-    if first >= px.n_h:
-        seg = Rect(c, lo, c, hi)
-        beyond = (px.q_sw[a], px.q_se[a], px.q_nw[b], px.q_ne[b])
-    else:
-        seg = Rect(lo, c, hi, c)
-        beyond = (px.q_sw[a], px.q_nw[a], px.q_se[b], px.q_ne[b])
-    if max(beyond) >= 0:
-        return []
-    # a pixel along the whole chain on one side => it fattens
-    if min(px.pix_lo[first:end]) >= 0 or min(px.pix_hi[first:end]) >= 0:
-        return []
-    pids = {p for k in px.corner_a[first:end] + [b]
-            for p in px.corner_pixels(k)}
-    return [(seg, tuple(sorted(pids)))]

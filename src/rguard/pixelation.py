@@ -24,6 +24,7 @@ ids (see `Pixelation`), so the complex holds no object per cell.
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right, insort
+from collections import defaultdict
 from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import cached_property
@@ -311,28 +312,31 @@ def _oriented_features(poly: OrthoPolygon):
       h_rays:  (y, x0, +1/-1)        horizontal reflex ray, keyed by y
     """
     v_edges, h_edges, v_rays, h_rays = [], [], [], []
-    # The neighbours of vertex i are ring[i - 1] and ring[i + 1 - n], not
-    # shifted copies of the ring: CPython 3.11 keeps a freed tuple of exactly
-    # 20 items on a free list that it never takes from, until a full
-    # collection, and a solve makes few enough objects that those are rare.
+    # One pass per ring carries the two vertices before each one, rather
+    # than reading them from shifted copies of the ring: CPython 3.11 keeps a
+    # freed tuple of exactly 20 items on a free list that it never takes
+    # from, until a full collection, and a solve makes few enough objects
+    # that those are rare.  The pass starts at the edge into ring[0]; the
+    # sweeps sort what they read, so the order of the features is free.
     for ring in poly.rings:
-        n = len(ring)
-        for i, (x1, y1) in enumerate(ring):
-            x2, y2 = ring[i + 1 - n]
-            if x1 == x2:
-                v_edges.append((x1, min(y1, y2), max(y1, y2), y2 < y1))
+        (ax, ay), (bx, by) = ring[-2], ring[-1]
+        for cx, cy in ring:
+            # the edge from b to c
+            if bx == cx:
+                v_edges.append((bx, cy, by, True) if cy < by
+                               else (bx, by, cy, False))
             else:
-                h_edges.append((y1, min(x1, x2), max(x1, x2), x2 > x1))
-        for i, (bx, by) in enumerate(ring):
-            (ax, ay), (cx, cy) = ring[i - 1], ring[i + 1 - n]
-            if (bx - ax) * (cy - by) - (by - ay) * (cx - bx) >= 0:
-                continue  # interior on the left: reflex corners turn right
-            if ax == bx:  # incoming edge vertical: extend it through b
-                v_rays.append((bx, by, 1 if by > ay else -1))
-                h_rays.append((by, bx, 1 if cx < bx else -1))
-            else:         # outgoing edge vertical: extend it backwards
-                v_rays.append((bx, by, 1 if cy < by else -1))
-                h_rays.append((by, bx, 1 if bx > ax else -1))
+                h_edges.append((by, bx, cx, True) if cx > bx
+                               else (by, cx, bx, False))
+            # the corner at b: interior on the left, reflex corners turn right
+            if (bx - ax) * (cy - by) - (by - ay) * (cx - bx) < 0:
+                if ax == bx:  # incoming edge vertical: extend it through b
+                    v_rays.append((bx, by, 1 if by > ay else -1))
+                    h_rays.append((by, bx, 1 if cx < bx else -1))
+                else:         # outgoing edge vertical: extend it backwards
+                    v_rays.append((bx, by, 1 if cy < by else -1))
+                    h_rays.append((by, bx, 1 if bx > ax else -1))
+            ax, ay, bx, by = bx, by, cx, cy
     return v_edges, h_edges, v_rays, h_rays
 
 
@@ -366,15 +370,16 @@ def _sweep(par_edges, par_rays, perp_edges, perp_cuts):
     Every list an event touches is sorted by its low end and disjoint, so
     each lookup below is a pointer that only moves forward.
     """
-    events: dict[int, list] = {}
+    # (opens, closes, rays) per sweep coordinate
+    events: dict[int, list] = defaultdict(lambda: [[], [], []])
     for x, lo, hi, opens in par_edges:
-        events.setdefault(x, [[], [], []])[0 if opens else 1].append((lo, hi))
+        events[x][0 if opens else 1].append((lo, hi))
     for x, y0, d in par_rays:
-        events.setdefault(x, [[], [], []])[2].append((y0, d))
+        events[x][2].append((y0, d))
 
-    perp_by_c: dict[int, list[tuple[int, int]]] = {}
+    perp_by_c: dict[int, list[tuple[int, int]]] = defaultdict(list)
     for m, xlo, xhi, _opens in perp_edges:
-        perp_by_c.setdefault(m, []).append((xlo, xhi))
+        perp_by_c[m].append((xlo, xhi))
     for lst in perp_by_c.values():
         lst.sort()
 

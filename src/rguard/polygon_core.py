@@ -101,9 +101,10 @@ class ValidationReport:
 def _ring_area2(ring: tuple[Pt, ...]) -> int:
     """Twice the signed shoelace area (positive = counterclockwise)."""
     s = 0
-    for i, (x1, y1) in enumerate(ring):
-        x2, y2 = ring[(i + 1) % len(ring)]
+    x1, y1 = ring[-1] if ring else (0, 0)
+    for x2, y2 in ring:
         s += x1 * y2 - x2 * y1
+        x1, y1 = x2, y2
     return s
 
 

@@ -242,6 +242,105 @@ def flood_pixels(px: Pixelation, r: Rect) -> tuple[int, ...]:
     return tuple(sorted(found))
 
 
+def ref_positive_rects(px: Pixelation) -> list[tuple[Rect, tuple[int, ...]]]:
+    """The chain-stack walk of `max_rectangles._positive_rects` with its
+    rows as dicts and its containment, stack and pixel steps as helpers;
+    the reference for the id-indexed walk."""
+    n_h, plo, phi = px.n_h, px.pix_lo, px.pix_hi
+    x0, y0, y1 = px.x0, px.y0, px.y1
+    x1 = px.x1.copy()
+    head = list(range(len(x0)))
+    run: dict[int, list[int]] = {}
+    for lo, hi in zip(plo[n_h:], phi[n_h:]):
+        if lo >= 0 and hi >= 0:
+            c = head[hi] = head[lo]
+            x1[c] = x1[hi]
+            run.setdefault(c, [c]).append(hi)
+    above: dict[int, list[int]] = {}
+    below: dict[int, list[int]] = {}
+    for lo, hi in zip(plo[:n_h], phi[:n_h]):
+        if lo >= 0 and hi >= 0:
+            lo, hi = head[lo], head[hi]
+            up, down = above.setdefault(lo, []), below.setdefault(hi, [])
+            if not up or up[-1] != hi:
+                up.append(hi)
+            if not down or down[-1] != lo:
+                down.append(lo)
+
+    def meets(row: list[int], a: int, b: int) -> list[int]:
+        return row[bisect_left(row, a, key=x1.__getitem__):
+                   bisect_right(row, b, key=x0.__getitem__)]
+
+    def pixels_meeting(c: int, a: int, b: int) -> list[int]:
+        ps = run.get(c, [c])
+        i = max(bisect_left(ps, a, key=x0.__getitem__) - 1, 0)
+        return ps[i:bisect_right(ps, b, key=x0.__getitem__)]
+
+    def container(chains: list[int], a: int, b: int) -> int | None:
+        return next((d for d in chains if x0[d] <= a and b <= x1[d]), None)
+
+    out = []
+    for c0 in range(len(x0)):
+        if head[c0] != c0:
+            continue
+        down = below.get(c0, [])
+        todo = [(c0, x0[c0], x1[c0])]
+        while todo:
+            c, a, b = todo.pop()
+            low = meets(down, a, b)
+            if container(low, a, b) is not None:
+                continue
+            high = meets(above.get(c, []), a, b)
+            while (d := container(high, a, b)) is not None:
+                c = d
+                high = meets(above.get(c, []), a, b)
+            pids = pixels_meeting(c0, a, b)
+            d = c0
+            while d != c:
+                d = container(meets(above[d], a, b), a, b)
+                pids += pixels_meeting(d, a, b)
+            for d in low + high:
+                pids += pixels_meeting(d, a, b)
+            out.append((Rect(a, y0[c0], b, y1[c]), tuple(sorted(pids))))
+            for d in high:
+                if a < x1[d] and x0[d] < b:
+                    todo.append((d, max(a, x0[d]), min(b, x1[d])))
+    return out
+
+
+def ref_degenerate_segments(px: Pixelation
+                            ) -> list[tuple[Rect, tuple[int, ...]]]:
+    """The side-chain scan of `max_rectangles._degenerate_segments` with one
+    candidate test per chain, its pixels read per corner; the reference for
+    the one-pass scan."""
+    c, lo, hi = px.side_c, px.side_lo, px.side_hi
+    out = []
+    first = 0
+    for s in range(1, len(c) + 1):
+        if s == len(c) or s == px.n_h or c[s] != c[s - 1] or lo[s] != hi[s - 1]:
+            out.extend(_ref_chain_candidate(px, first, s))
+            first = s
+    return out
+
+
+def _ref_chain_candidate(px: Pixelation, first: int, end: int):
+    c, lo, hi = px.side_c[first], px.side_lo[first], px.side_hi[end - 1]
+    a, b = px.corner_a[first], px.corner_b[end - 1]
+    if first >= px.n_h:
+        seg = Rect(c, lo, c, hi)
+        beyond = (px.q_sw[a], px.q_se[a], px.q_nw[b], px.q_ne[b])
+    else:
+        seg = Rect(lo, c, hi, c)
+        beyond = (px.q_sw[a], px.q_nw[a], px.q_se[b], px.q_ne[b])
+    if max(beyond) >= 0:
+        return []
+    if min(px.pix_lo[first:end]) >= 0 or min(px.pix_hi[first:end]) >= 0:
+        return []
+    pids = {p for k in px.corner_a[first:end] + [b]
+            for p in px.corner_pixels(k)}
+    return [(seg, tuple(sorted(pids)))]
+
+
 # -- the priority loops, the reference for simplify_targets / simplify_guards --
 
 

@@ -16,8 +16,8 @@ from rguard import dp_solver
 from rguard.dp_solver import (DARK, DOMINATED, LIT, PENDING, PROMISED,
                               SolverError, _introduce, _join, _slots,
                               solve_r2ds, verify_solution)
-from rguard.guard_model import (Guard, GuardTask, TargetPoint, simplify_guards,
-                                simplify_targets)
+from rguard.guard_model import (GuardTable, GuardTask, TargetTable,
+                                simplify_guards, simplify_targets)
 from rguard.instance_gen import (gen_holed_variant, gen_ktin_polygon,
                                  gen_tree_polygon)
 from rguard.max_rectangles import MaxRect, enumerate_max_rects
@@ -144,10 +144,11 @@ def _graph(ur, gr, n_rects):
     """A bare H from target->rect and guard->rect lists (no geometry)."""
     ru = [[t for t, rs in enumerate(ur) if r in rs] for r in range(n_rects)]
     rg = [[g for g, rs in enumerate(gr) if r in rs] for r in range(n_rects)]
+    nu, ng = len(ur), len(gr)
     return AuxGraph(
-        [TargetPoint(i, (0, 0), "interior", 0) for i in range(len(ur))],
+        TargetTable([(0, 0)] * nu, ["interior"] * nu, [0] * nu),
         [MaxRect(i, Rect(0, 0, 1, 1), False, ()) for i in range(n_rects)],
-        [Guard(i, "point", (0, 0), 0) for i in range(len(gr))],
+        GuardTable([(0, 0)] * ng, ["point"] * ng, [0] * ng),
         [sorted(rs) for rs in ur], ru, [sorted(rs) for rs in gr], rg)
 
 

@@ -1,12 +1,15 @@
 import pytest
 
 from helpers import (HOLED_SHAPES, SHAPES, TURNS, best_times, fixture_polygons,
-                     flood_pixels, grid_max_rects, nonthin_plus, turned)
+                     flood_pixels, grid_max_rects, nonthin_plus, notched_square,
+                     ref_degenerate_segments, ref_positive_rects, turned)
+from test_acceptance import _corpus
 from rguard.cli_io import loglog_slope
 from rguard.guard_model import GuardTask
 from rguard.instance_gen import (gen_holed_variant, gen_ktin_polygon,
                                  gen_tree_polygon, rects_union_polygon)
-from rguard.max_rectangles import enumerate_max_rects
+from rguard.max_rectangles import (_degenerate_segments, _positive_rects,
+                                   enumerate_max_rects)
 from rguard.oracle import classify_degenerate, oracle_max_rects
 from rguard.pipeline import solve_task
 from rguard.pixelation import build_pixelation
@@ -87,6 +90,36 @@ def offset_comb(t: int) -> OrthoPolygon:
     return rects_union_polygon([(0, 10, 4 * t + 2, 11)] + teeth)
 
 
+def band(m: int) -> OrthoPolygon:
+    """A diagonal band of m steps, each two unit squares wide."""
+    return rects_union_polygon([c for i in range(m)
+                                for c in ((i, i, i + 1, i + 1),
+                                          (i + 1, i, i + 2, i + 1))])
+
+
+def test_walks_match_reference():
+    """The id-indexed chain walk and the one-pass side-chain scan give the
+    rectangles, segments and pixel ids of the dict-and-helper versions they
+    replaced, in the order enumerate_max_rects sorts them."""
+    polys = _corpus() + nonthin_samples()
+    polys += [thick_staircase(m) for m in (5, 30)]
+    polys += [offset_comb(t) for t in (3, 20)]
+    polys += [notched_square(n) for n in range(2, 7)] + [band(50)]
+
+    def rect_order(found):
+        return sorted(found, key=lambda t: t[0].as_tuple())
+    segs = 0
+    for poly in polys:
+        for p in [poly] + [turned(poly, how) for how in TURNS]:
+            px = build_pixelation(p)
+            assert rect_order(_positive_rects(px)) == \
+                rect_order(ref_positive_rects(px)), p
+            got = rect_order(_degenerate_segments(px))
+            assert got == rect_order(ref_degenerate_segments(px)), p
+            segs += len(got)
+    assert segs > 0
+
+
 def test_max_rects_skip_the_grid():
     # the solver path never builds the occupancy grid, and the rectangles of
     # a thick staircase (non-thin, many grid lines on both axes) take linear
@@ -113,9 +146,7 @@ def test_pixel_ids_match_flood_fill():
     polys = [gen_tree_polygon(n, s) for n in (30, 100, 400) for s in range(3)]
     polys += [OrthoPolygon(o, h) for o, h in HOLED_SHAPES.values()]
     polys += nonthin_samples()
-    polys.append(rects_union_polygon(
-        [c for i in range(50) for c in ((i, i, i + 1, i + 1),
-                                        (i + 1, i, i + 2, i + 1))]))
+    polys.append(band(50))
     polys.append(thick_staircase(50))
     for poly in polys:
         for p in [poly] + [turned(poly, how) for how in TURNS]:
